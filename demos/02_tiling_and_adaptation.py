@@ -10,7 +10,7 @@ Run:  python demos/02_tiling_and_adaptation.py
 
 import numpy as np
 
-from wsitriage.adaptation import AdapterModel, adapt_tiles, fit_lab, fit_reference
+from wsitriage.adaptation import AdapterModel, adapt_tiles, fit_stats
 from wsitriage.manifest import ClassLabel
 from wsitriage.synthesis import LabProfile, default_lab_profiles, generate_slide, identity_profile
 from wsitriage.tiling import segment_tissue, tile
@@ -38,8 +38,8 @@ lab_slide, lab_tiles = tiles_of(shifted, seed=42)
 print(f"reference slide: {len(ref_tiles)} tiles kept of "
       f"{(ref_slide.raster.shape[0] // 128) * (ref_slide.raster.shape[1] // 128)} cells")
 
-ref_stats = fit_reference(ref_tiles)
-lab_stats = fit_lab(lab_tiles)
+ref_stats = fit_stats(ref_tiles)
+lab_stats = fit_stats(lab_tiles)
 print("\ndomain stats (decorrelated log space):")
 print(f"  reference mean {np.round(ref_stats.mean, 4)}")
 print(f"  {shifted.lab_id:>9} mean {np.round(lab_stats.mean, 4)}")

@@ -3,7 +3,7 @@ Monte-Carlo confidence scoring, a-priori threshold calibration, and
 specimen-level reporting, exercised end to end on a synthetic multi-lab
 corpus with known ground truth."""
 
-from .adaptation import AdapterModel, DomainStats, adapt, fit_lab, fit_reference
+from .adaptation import AdapterModel, DomainStats, adapt, fit_stats
 from .aggregation import (FinalOutcome, SlideResult, SpecimenResult, aggregate,
                           finalize)
 from .classifier import (NetParams, StochasticMask, featurize, fine_tune, pool,

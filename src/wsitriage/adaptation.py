@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tables import read_arrays, write_arrays
 from .tiling import Tile, TilingConfig, segment_tissue
 
-ADAPTER_HEADER = "wsi-triage-adapter v1"
+ADAPTER_HEADER = "wsi-triage-adapter v2"
 
 STD_FLOOR = 1e-6
 
@@ -99,16 +100,6 @@ def fit_stats(tiles, config: TilingConfig = TilingConfig()) -> DomainStats:
     return DomainStats(mean=vals.mean(axis=0), std=vals.std(axis=0))
 
 
-def fit_reference(tiles, config: TilingConfig = TilingConfig()) -> DomainStats:
-    """Target-domain statistics, fit on a reference-lab tile sample."""
-    return fit_stats(tiles, config)
-
-
-def fit_lab(tiles, config: TilingConfig = TilingConfig()) -> DomainStats:
-    """Source-domain statistics for one lab, fit on its calibration tiles."""
-    return fit_stats(tiles, config)
-
-
 def adapt_pixels(pixels: np.ndarray, model: AdapterModel,
                  config: TilingConfig = TilingConfig()) -> np.ndarray:
     """Standardize an (..., 3) RGB array; returns uint8 of the same shape.
@@ -155,28 +146,13 @@ def adapt_tiles(tiles, model: AdapterModel | None) -> list:
 
 
 def save_adapter(model: AdapterModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(ADAPTER_HEADER + "\n")
-        for name, vec in (("source_mean", model.source.mean),
-                          ("source_std", model.source.std),
-                          ("target_mean", model.target.mean),
-                          ("target_std", model.target.std)):
-            fh.write(name + " " + " ".join(repr(float(v)) for v in vec) + "\n")
+    write_arrays(path, ADAPTER_HEADER, {
+        "source_mean": model.source.mean, "source_std": model.source.std,
+        "target_mean": model.target.mean, "target_std": model.target.std})
 
 
 def load_adapter(path) -> AdapterModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != ADAPTER_HEADER:
-            raise ValueError(f"{path}: not an adapter file")
-        vals = {}
-        for line in fh:
-            parts = line.split()
-            if parts:
-                vals[parts[0]] = np.array([float(x) for x in parts[1:]])
-    try:
-        return AdapterModel(
-            source=DomainStats(vals["source_mean"], vals["source_std"]),
-            target=DomainStats(vals["target_mean"], vals["target_std"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc}") from None
+    v = read_arrays(path, ADAPTER_HEADER,
+                    ("source_mean", "source_std", "target_mean", "target_std"))
+    return AdapterModel(source=DomainStats(v["source_mean"], v["source_std"]),
+                        target=DomainStats(v["target_mean"], v["target_std"]))

@@ -15,10 +15,14 @@ import numpy as np
 
 from .confidence import ThresholdSet, apply_threshold
 from .manifest import ClassLabel
+from .tables import read_table, write_table
 
-RESULTS_HEADER = "wsi-triage-specimen-results v1"
-SLIDE_RESULTS_HEADER = "wsi-triage-slide-results v1"
-CLASS_SCORES_HEADER = "wsi-triage-class-scores v1"
+RESULTS_HEAD = ("wsi-triage-specimen-results v1",
+                "specimen_id,final,class,score,level,source_slide")
+SLIDE_RESULTS_HEAD = ("wsi-triage-slide-results v1",
+                      "slide_id,specimen_id,outcome,class,score,error")
+CLASS_SCORES_HEAD = ("wsi-triage-class-scores v1",
+                     "specimen_id,basaloid,squamous,melanocytic,other")
 
 
 class FinalOutcome(enum.Enum):
@@ -101,65 +105,49 @@ def attained_level(specimen: SpecimenResult, thresholds: ThresholdSet) -> int:
 
 def save_specimen_results(specimens, thresholds: ThresholdSet, path,
                           report_level: int = 1) -> None:
-    """One line per specimen: specimen_id,final,class,score,level,source_slide.
+    """One row per specimen: specimen_id,final,class,score,level,source_slide.
 
     `final` is the outcome at report_level's threshold; `level` is the
     highest level the specimen's score attains.
     """
     threshold = thresholds.value(report_level) if thresholds.levels else 0.0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(RESULTS_HEADER + "\n")
-        fh.write("specimen_id,final,class,score,level,source_slide\n")
-        for spec in sorted(specimens, key=lambda s: s.specimen_id):
-            done = finalize(spec, threshold)
-            if done.final is FinalOutcome.NO_ROI:
-                fh.write(f"{spec.specimen_id},{done.final.value},,,,\n")
-            else:
-                fh.write(
-                    f"{spec.specimen_id},{done.final.value},{spec.predicted.token},"
-                    f"{spec.score!r},{attained_level(spec, thresholds)},"
-                    f"{spec.source_slide_id}\n"
-                )
+    rows = []
+    for spec in sorted(specimens, key=lambda s: s.specimen_id):
+        final = finalize(spec, threshold).final
+        if final is FinalOutcome.NO_ROI:
+            rows.append((spec.specimen_id, final.value, "", "", "", ""))
+        else:
+            rows.append((spec.specimen_id, final.value, spec.predicted.token,
+                         float(spec.score), attained_level(spec, thresholds),
+                         spec.source_slide_id))
+    write_table(path, RESULTS_HEAD, rows)
 
 
 def save_slide_results(results, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(SLIDE_RESULTS_HEADER + "\n")
-        fh.write("slide_id,specimen_id,outcome,class,score,error\n")
-        for r in sorted(results, key=lambda r: r.slide_id):
-            if r.error is not None:
-                fh.write(f"{r.slide_id},{r.specimen_id},Error,,,{r.error}\n")
-            elif r.classified:
-                fh.write(f"{r.slide_id},{r.specimen_id},Classified,"
-                         f"{r.predicted.token},{r.score!r},\n")
-            else:
-                fh.write(f"{r.slide_id},{r.specimen_id},NoROI,,,\n")
+    rows = []
+    for r in sorted(results, key=lambda r: r.slide_id):
+        if r.error is not None:
+            rows.append((r.slide_id, r.specimen_id, "Error", "", "", r.error))
+        elif r.classified:
+            rows.append((r.slide_id, r.specimen_id, "Classified", r.predicted.token,
+                         float(r.score), ""))
+        else:
+            rows.append((r.slide_id, r.specimen_id, "NoROI", "", "", ""))
+    write_table(path, SLIDE_RESULTS_HEAD, rows)
 
 
 def load_noroi_slide_ids(path) -> set:
-    out = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != SLIDE_RESULTS_HEADER:
-            raise ValueError(f"{path}: not a slide results file")
-        fh.readline()
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) >= 3 and parts[2] == "NoROI":
-                out.add(parts[0])
-    return out
+    return {row[0] for _, row in read_table(path, SLIDE_RESULTS_HEAD, 6)
+            if row[2] == "NoROI"}
 
 
 def save_class_scores(specimens, path) -> None:
     """Per-class mean sigmoid of each classified specimen's winning slide,
     the score swept for the one-vs-rest ROC curves."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CLASS_SCORES_HEADER + "\n")
-        fh.write("specimen_id,basaloid,squamous,melanocytic,other\n")
-        for spec in sorted(specimens, key=lambda s: s.specimen_id):
-            if spec.class_means is None:
-                continue
-            means = ",".join(repr(float(v)) for v in spec.class_means)
-            fh.write(f"{spec.specimen_id},{means}\n")
+    write_table(path, CLASS_SCORES_HEAD, (
+        (spec.specimen_id, *(float(v) for v in spec.class_means))
+        for spec in sorted(specimens, key=lambda s: s.specimen_id)
+        if spec.class_means is not None))
 
 
 def load_specimen_results(results_path, class_scores_path=None) -> list[SpecimenResult]:
@@ -167,32 +155,16 @@ def load_specimen_results(results_path, class_scores_path=None) -> list[Specimen
     table when per-class ROC evaluation is wanted)."""
     means_by_id = {}
     if class_scores_path is not None:
-        with open(class_scores_path, "r", encoding="utf-8") as fh:
-            if fh.readline().rstrip("\n") != CLASS_SCORES_HEADER:
-                raise ValueError(f"{class_scores_path}: not a class score table")
-            fh.readline()
-            for line in fh:
-                parts = line.rstrip("\n").split(",")
-                if len(parts) == 5:
-                    means_by_id[parts[0]] = np.array([float(v) for v in parts[1:]])
+        for _, (specimen_id, *means) in read_table(class_scores_path, CLASS_SCORES_HEAD, 5):
+            means_by_id[specimen_id] = np.array([float(v) for v in means])
 
     out = []
-    with open(results_path, "r", encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != RESULTS_HEADER:
-            raise ValueError(f"{results_path}: not a specimen results file")
-        fh.readline()
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ValueError(f"{results_path}: malformed line {line!r}")
-            specimen_id, final, cls, s, _, source = parts
-            if final == FinalOutcome.NO_ROI.value:
-                out.append(SpecimenResult(specimen_id, None, None, None, None))
-            else:
-                out.append(SpecimenResult(
-                    specimen_id, ClassLabel.from_token(cls), float(s), source,
-                    means_by_id.get(specimen_id)))
+    for _, row in read_table(results_path, RESULTS_HEAD, 6):
+        specimen_id, final, cls, s, _, source = row
+        if final == FinalOutcome.NO_ROI.value:
+            out.append(SpecimenResult(specimen_id, None, None, None, None))
+        else:
+            out.append(SpecimenResult(
+                specimen_id, ClassLabel.from_token(cls), float(s), source,
+                means_by_id.get(specimen_id)))
     return out

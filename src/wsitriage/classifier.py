@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifest import N_CLASSES, stable_seed
+from .tables import read_arrays, write_arrays
 from .tiling import Tile, TilingConfig, segment_tissue
 
-CLASSIFIER_HEADER = "wsi-triage-classifier v1"
+CLASSIFIER_HEADER = "wsi-triage-classifier v2"
 
 N_FEATURES = 64
 N_HIDDEN = 32
@@ -25,8 +26,6 @@ N_COLOR_BINS = 16
 N_GRAD_BINS = 16
 GRAD_RANGE = 0.5
 KEEP_PROB = 0.30
-
-_LUMA = np.array([0.299, 0.587, 0.114])
 
 
 def featurize_tiles(tiles, config: TilingConfig = TilingConfig()) -> np.ndarray:
@@ -251,34 +250,14 @@ def accuracy(params: NetParams, x: np.ndarray, labels) -> float:
     return float(np.mean(np.asarray(preds) == labels))
 
 
+_PARAM_NAMES = ("w1", "b1", "w2", "b2")
+
+
 def save_params(params: NetParams, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CLASSIFIER_HEADER + "\n")
-        for name in ("w1", "b1", "w2", "b2"):
-            arr = getattr(params, name)
-            shape = " ".join(str(s) for s in arr.shape)
-            fh.write(f"tensor {name} {shape}\n")
-            fh.write(" ".join(repr(float(v)) for v in arr.reshape(-1)) + "\n")
+    write_arrays(path, CLASSIFIER_HEADER,
+                 {name: getattr(params, name) for name in _PARAM_NAMES})
 
 
 def load_params(path) -> NetParams:
-    tensors = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != CLASSIFIER_HEADER:
-            raise ValueError(f"{path}: not a classifier parameter file")
-        while True:
-            header = fh.readline()
-            if not header:
-                break
-            parts = header.split()
-            if not parts:
-                continue
-            if parts[0] != "tensor":
-                raise ValueError(f"{path}: malformed tensor header {header!r}")
-            name, shape = parts[1], tuple(int(s) for s in parts[2:])
-            values = np.array([float(v) for v in fh.readline().split()])
-            tensors[name] = values.reshape(shape)
-    try:
-        return NetParams(tensors["w1"], tensors["b1"], tensors["w2"], tensors["b2"])
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing tensor {exc}") from None
+    v = read_arrays(path, CLASSIFIER_HEADER, _PARAM_NAMES)
+    return NetParams(*(v[name] for name in _PARAM_NAMES))

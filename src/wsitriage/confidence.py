@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import NetParams, draw_mask, predict
+from .classifier import KEEP_PROB, NetParams, draw_mask, predict
 from .manifest import N_CLASSES, ClassLabel
+from .tables import TableError, read_table, write_table
 
 DEFAULT_T = 30
-DEFAULT_KEEP_PROB = 0.30
 DEFAULT_TARGETS = (0.90, 0.95, 0.98)
 
-THRESHOLDS_HEADER = "wsi-triage-thresholds v1"
+THRESHOLDS_HEAD = ("wsi-triage-thresholds v2", "level,target,threshold")
 
 
 class _Unreachable:
@@ -50,7 +50,7 @@ class ConfidenceScore:
 
 
 def mc_predict(embedding: np.ndarray, params: NetParams, t: int = DEFAULT_T,
-               keep_prob: float = DEFAULT_KEEP_PROB, seed: int = 0) -> np.ndarray:
+               keep_prob: float = KEEP_PROB, seed: int = 0) -> np.ndarray:
     """(T, 4) matrix of repeated masked predictions; row i is repetition i."""
     if t < 1:
         raise ValueError(f"need at least one repetition, got {t}")
@@ -167,25 +167,18 @@ def apply_threshold(s, threshold) -> bool:
 
 
 def save_thresholds(thresholds: ThresholdSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(THRESHOLDS_HEADER + "\n")
-        for level in thresholds.levels:
-            v = thresholds.value(level)
-            token = "unreachable" if v is UNREACHABLE else repr(float(v))
-            fh.write(f"level {level} target {thresholds.target(level)!r} threshold {token}\n")
+    write_table(path, THRESHOLDS_HEAD, (
+        (level, float(target), "unreachable" if v is UNREACHABLE else float(v))
+        for level, target, v in zip(thresholds.levels, thresholds.targets,
+                                    thresholds.values)))
 
 
 def load_thresholds(path) -> ThresholdSet:
     targets, values = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != THRESHOLDS_HEADER:
-            raise ValueError(f"{path}: not a thresholds file")
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] != "level" or len(parts) != 6:
-                raise ValueError(f"{path}: malformed line {line!r}")
-            targets.append(float(parts[3]))
-            values.append(UNREACHABLE if parts[5] == "unreachable" else float(parts[5]))
+    for lineno, (level, target, value) in read_table(path, THRESHOLDS_HEAD, 3):
+        if level != str(len(targets) + 1):
+            raise TableError(f"{path}:{lineno}: expected level {len(targets) + 1}, "
+                             f"got {level!r}")
+        targets.append(float(target))
+        values.append(UNREACHABLE if value == "unreachable" else float(value))
     return ThresholdSet(targets=tuple(targets), values=tuple(values))

@@ -1,8 +1,9 @@
 """Flat key=value configuration with documented defaults.
 
-Every key a config file may set is declared here with its default;
-unknown keys are rejected by name.  Section dots group keys by the module
-that consumes them (tiling.*, roi.*, confidence.*, classifier.*).
+Every key a config file may set is declared here; its default is the one
+declared by the module that consumes it.  Unknown keys are rejected by
+name.  Section dots group keys by that module (tiling.*, roi.*,
+confidence.*, classifier.*).
 """
 
 from __future__ import annotations
@@ -10,7 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .classifier import TrainConfig
+from .confidence import DEFAULT_T, DEFAULT_TARGETS
+from .roi import THETA_ROI
 from .tiling import TilingConfig
+
+_TILING = TilingConfig()
+_TRAIN = TrainConfig()
 
 
 class ConfigError(ValueError):
@@ -26,21 +32,23 @@ CONFIG_KEYS = {
     "seed": (int, 0, "global seed for corpus generation and inference"),
     "workers": (int, 1, "worker processes for corpus generation and runs"),
     "paths.workdir": (str, "triage-work", "default base directory for outputs"),
-    "tiling.s_min": (float, 0.08, "tissue saturation floor"),
-    "tiling.l_max": (float, 0.82, "tissue luminance ceiling"),
-    "tiling.min_tissue_fraction": (float, 0.25, "minimum tissue fraction to keep a tile"),
-    "tiling.tile_px": (int, 128, "tile edge length in pixels"),
-    "roi.theta": (float, 0.05, "positive fraction needed to select a tile"),
-    "confidence.T": (int, 30, "prediction repetitions per slide"),
-    "confidence.keep_prob": (float, 0.30, "hidden-unit keep probability"),
-    "confidence.targets": (_parse_targets, (0.90, 0.95, 0.98),
+    "tiling.s_min": (float, _TILING.s_min, "tissue saturation floor"),
+    "tiling.l_max": (float, _TILING.l_max, "tissue luminance ceiling"),
+    "tiling.min_tissue_fraction": (float, _TILING.min_tissue_fraction,
+                                   "minimum tissue fraction to keep a tile"),
+    "tiling.tile_px": (int, _TILING.tile_px, "tile edge length in pixels"),
+    "roi.theta": (float, THETA_ROI, "positive fraction needed to select a tile"),
+    "confidence.T": (int, DEFAULT_T, "prediction repetitions per slide"),
+    "confidence.keep_prob": (float, _TRAIN.keep_prob, "hidden-unit keep probability"),
+    "confidence.targets": (_parse_targets, DEFAULT_TARGETS,
                            "accuracy targets for confidence levels"),
-    "classifier.epochs": (int, 200, "training epochs"),
-    "classifier.learning_rate": (float, 0.8, "training learning rate"),
-    "classifier.batch_size": (int, 32, "training minibatch size"),
-    "classifier.seed": (int, 0, "training seed"),
-    "classifier.finetune_lr_scale": (float, 0.1, "fine-tuning learning-rate factor"),
-    "classifier.finetune_epochs": (int, 60, "fine-tuning epochs"),
+    "classifier.epochs": (int, _TRAIN.epochs, "training epochs"),
+    "classifier.learning_rate": (float, _TRAIN.learning_rate, "training learning rate"),
+    "classifier.batch_size": (int, _TRAIN.batch_size, "training minibatch size"),
+    "classifier.seed": (int, _TRAIN.seed, "training seed"),
+    "classifier.finetune_lr_scale": (float, _TRAIN.finetune_lr_scale,
+                                     "fine-tuning learning-rate factor"),
+    "classifier.finetune_epochs": (int, _TRAIN.finetune_epochs, "fine-tuning epochs"),
 }
 
 
@@ -109,7 +117,3 @@ def load_config(path) -> Config:
             key, _, value = line.partition("=")
             values[key.strip()] = value.strip()
     return Config(values)
-
-
-def default_config() -> Config:
-    return Config()

@@ -5,6 +5,7 @@ unclassified columns, and a scalar domain-gap metric over tile features.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.spatial.distance import cdist
 from .aggregation import FinalOutcome, finalize
 from .confidence import UNREACHABLE, ThresholdSet
 from .manifest import N_CLASSES, ClassLabel
+from .tables import write_table
 
 # confusion columns: the four predicted classes, then the two unclassified flows
 CONFUSION_COLS = tuple(c.token for c in ClassLabel) + ("BelowThreshold", "NoROI")
@@ -182,32 +184,23 @@ def format_report(report: EvalReport, title: str = "evaluation") -> str:
 
 def write_report(report: EvalReport, out_dir, title: str = "evaluation") -> None:
     """Text report plus CSV tables suitable for external plotting."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(format_report(report, title) + "\n")
 
-    with open(os.path.join(out_dir, "accuracy_coverage.csv"), "w", encoding="utf-8") as fh:
-        fh.write("level,threshold,accuracy,coverage,n_retained\n")
-        for lv, m in sorted(report.levels.items()):
-            thr = "unreachable" if m.threshold is UNREACHABLE else repr(float(m.threshold))
-            acc = "" if np.isnan(m.accuracy) else repr(m.accuracy)
-            fh.write(f"{lv},{thr},{acc},{m.coverage!r},{m.n_retained}\n")
-
-    with open(os.path.join(out_dir, "confusion.csv"), "w", encoding="utf-8") as fh:
-        fh.write("level,truth," + ",".join(CONFUSION_COLS) + "\n")
-        for lv, m in sorted(report.levels.items()):
-            for c in ClassLabel:
-                row = ",".join(str(v) for v in m.confusion[int(c)])
-                fh.write(f"{lv},{c.token},{row}\n")
-
-    with open(os.path.join(out_dir, "roc_points.csv"), "w", encoding="utf-8") as fh:
-        fh.write("level,class,fpr,tpr\n")
-        for lv, m in sorted(report.levels.items()):
-            for c in ClassLabel:
-                curve = m.curves[int(c)]
-                if curve is None:
-                    continue
-                for fpr, tpr in curve.points:
-                    fh.write(f"{lv},{c.token},{fpr!r},{tpr!r}\n")
+    levels = sorted(report.levels.items())
+    write_table(os.path.join(out_dir, "accuracy_coverage.csv"),
+                ["level,threshold,accuracy,coverage,n_retained"],
+                ((lv, "unreachable" if m.threshold is UNREACHABLE else float(m.threshold),
+                  "" if np.isnan(m.accuracy) else float(m.accuracy),
+                  float(m.coverage), m.n_retained)
+                 for lv, m in levels))
+    write_table(os.path.join(out_dir, "confusion.csv"),
+                ["level,truth," + ",".join(CONFUSION_COLS)],
+                ((lv, c.token, *m.confusion[int(c)].tolist())
+                 for lv, m in levels for c in ClassLabel))
+    write_table(os.path.join(out_dir, "roc_points.csv"), ["level,class,fpr,tpr"],
+                ((lv, c.token, fpr, tpr)
+                 for lv, m in levels
+                 for c, curve in zip(ClassLabel, m.curves) if curve is not None
+                 for fpr, tpr in curve.points))

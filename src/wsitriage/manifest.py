@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tables import TableError, read_table, write_table
+
 MANIFEST_HEADER = "wsi-triage-manifest v1"
 
 N_CLASSES = 4
@@ -166,57 +168,38 @@ def build_splits(
     return DatasetManifest(records=list(manifest.records), splits=split_map)
 
 
-class ManifestError(ValueError):
-    """Raised when a manifest file cannot be parsed."""
+# Every file reader raises TableError; the CLI and callers catch it by this name.
+ManifestError = TableError
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    """One record per line: slide_id,specimen_id,lab_id,truth,split,raster_path."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(MANIFEST_HEADER + "\n")
-        for rec in manifest.records:
-            split = manifest.splits.get(rec.slide_id)
-            token = split.value if split is not None else ""
-            fh.write(
-                f"{rec.slide_id},{rec.specimen_id},{rec.lab_id},"
-                f"{rec.truth.token},{token},{rec.raster_path}\n"
-            )
+    """One record per row: slide_id,specimen_id,lab_id,truth,split,raster_path."""
+    rows = []
+    for rec in manifest.records:
+        split = manifest.splits.get(rec.slide_id)
+        token = split.value if split is not None else ""
+        rows.append((rec.slide_id, rec.specimen_id, rec.lab_id, rec.truth.token,
+                     token, rec.raster_path))
+    write_table(path, [MANIFEST_HEADER], rows)
 
 
 def load_manifest(path) -> DatasetManifest:
     records: list[SlideRecord] = []
     splits: dict[str, Split] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != MANIFEST_HEADER:
-            raise ManifestError(f"{path}:1: bad header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ManifestError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-            slide_id, specimen_id, lab_id, truth, split, raster_path = parts
-            if any(r.slide_id == slide_id for r in records):
-                raise ManifestError(f"{path}:{lineno}: duplicate slide_id {slide_id!r}")
+    seen = set()
+    for lineno, row in read_table(path, [MANIFEST_HEADER], 6):
+        slide_id, specimen_id, lab_id, truth, split, raster_path = row
+        if slide_id in seen:
+            raise ManifestError(f"{path}:{lineno}: duplicate slide_id {slide_id!r}")
+        seen.add(slide_id)
+        try:
+            label = ClassLabel.from_token(truth)
+        except ValueError as exc:
+            raise ManifestError(f"{path}:{lineno}: {exc}") from None
+        records.append(SlideRecord(slide_id, specimen_id, lab_id, label, raster_path))
+        if split:
             try:
-                label = ClassLabel.from_token(truth)
-            except ValueError as exc:
-                raise ManifestError(f"{path}:{lineno}: {exc}") from None
-            records.append(SlideRecord(slide_id, specimen_id, lab_id, label, raster_path))
-            if split:
-                try:
-                    splits[slide_id] = Split(split)
-                except ValueError:
-                    raise ManifestError(f"{path}:{lineno}: unknown split {split!r}") from None
-    return DatasetManifest(records=records, splits=splits)
-
-
-def merge_manifests(*manifests: DatasetManifest) -> DatasetManifest:
-    records: list[SlideRecord] = []
-    splits: dict[str, Split] = {}
-    for m in manifests:
-        records.extend(m.records)
-        splits.update(m.splits)
+                splits[slide_id] = Split(split)
+            except ValueError:
+                raise ManifestError(f"{path}:{lineno}: unknown split {split!r}") from None
     return DatasetManifest(records=records, splits=splits)

@@ -89,7 +89,3 @@ def pmap(fn, items, workers: int = 1):
     except OSError:
         # Restricted environments may forbid semaphores; degrade gracefully.
         return [fn(item) for item in items]
-
-
-def default_workers() -> int:
-    return max(1, os.cpu_count() or 1)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .parallel import pmap
 from .pnm import read_ppm
 from . import tiling
 from .roi import PixelSegmenter, ROISelection, segment_tiles, select
+from .tables import read_table, write_table
 
 TIMINGS_HEADER = "slide_id,segment_ms,tile_ms,adapt_ms,roi_ms,classify_ms,score_ms,total_ms"
 RUN_MANIFEST_HEADER = "wsi-triage-run v1"
@@ -152,9 +153,11 @@ class CorpusRun:
 
     @property
     def throughput_per_hour(self) -> float:
-        if not self.slide_results or self.wall_ms <= 0:
+        """Slides completed without an error per hour of wall time."""
+        done = sum(r.error is None for r in self.slide_results)
+        if not done or self.wall_ms <= 0:
             return 0.0
-        return len(self.slide_results) / (self.wall_ms / 3_600_000.0)
+        return done / (self.wall_ms / 3_600_000.0)
 
 
 def _run_one(record, models, config, global_seed):
@@ -245,24 +248,13 @@ def format_profile(summary: ProfileSummary) -> str:
 
 
 def save_timings(timings, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TIMINGS_HEADER + "\n")
-        for t in sorted(timings, key=lambda t: t.slide_id):
-            fh.write(f"{t.slide_id},{t.segment_ms!r},{t.tile_ms!r},{t.adapt_ms!r},"
-                     f"{t.roi_ms!r},{t.classify_ms!r},{t.score_ms!r},{t.total_ms!r}\n")
+    write_table(path, [TIMINGS_HEADER],
+                (astuple(t) for t in sorted(timings, key=lambda t: t.slide_id)))
 
 
 def load_timings(path):
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != TIMINGS_HEADER:
-            raise ValueError(f"{path}: not a timings file")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 8:
-                continue
-            out.append(StageTiming(parts[0], *(float(v) for v in parts[1:])))
-    return out
+    return [StageTiming(slide_id, *(float(v) for v in ms))
+            for _, (slide_id, *ms) in read_table(path, [TIMINGS_HEADER], 8)]
 
 
 def _file_digest(path) -> str:

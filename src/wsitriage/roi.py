@@ -16,15 +16,14 @@ import numpy as np
 from scipy import ndimage
 
 from .manifest import stable_seed
+from .tables import read_arrays, write_arrays
 from .tiling import Tile
 
 THETA_ROI = 0.05
 
-SEGMENTER_HEADER = "wsi-triage-segmenter v1"
+SEGMENTER_HEADER = "wsi-triage-segmenter v2"
 
 N_PIXEL_FEATURES = 7
-
-_LUMA = np.array([0.299, 0.587, 0.114])
 
 
 def pixel_features(pixels: np.ndarray) -> np.ndarray:
@@ -161,22 +160,12 @@ def train_segmenter(pairs, seed: int = 0, samples_per_tile: int = 300,
 
 
 def save_segmenter(model: PixelSegmenter, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(SEGMENTER_HEADER + "\n")
-        fh.write("weights " + " ".join(repr(float(v)) for v in model.weights) + "\n")
-        fh.write(f"bias {model.bias!r}\n")
-        fh.write("feat_mean " + " ".join(repr(float(v)) for v in model.feat_mean) + "\n")
-        fh.write("feat_std " + " ".join(repr(float(v)) for v in model.feat_std) + "\n")
+    write_arrays(path, SEGMENTER_HEADER, {
+        "weights": model.weights, "bias": model.bias,
+        "feat_mean": model.feat_mean, "feat_std": model.feat_std})
 
 
 def load_segmenter(path) -> PixelSegmenter:
-    with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != SEGMENTER_HEADER:
-            raise ValueError(f"{path}: not a segmenter file")
-        vals = {}
-        for line in fh:
-            parts = line.split()
-            if parts:
-                vals[parts[0]] = np.array([float(v) for v in parts[1:]])
-    return PixelSegmenter(weights=vals["weights"], bias=float(vals["bias"][0]),
-                          feat_mean=vals["feat_mean"], feat_std=vals["feat_std"])
+    v = read_arrays(path, SEGMENTER_HEADER, ("weights", "bias", "feat_mean", "feat_std"))
+    return PixelSegmenter(weights=v["weights"], bias=float(v["bias"]),
+                          feat_mean=v["feat_mean"], feat_std=v["feat_std"])

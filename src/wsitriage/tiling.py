@@ -11,21 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-S_MIN = 0.08
-L_MAX = 0.82
-MIN_TISSUE = 0.25
-TILE_PX = 128
-
-# Rec. 601 luma weights
-_LUMA = np.array([0.299, 0.587, 0.114])
-
-
 @dataclass(frozen=True)
 class TilingConfig:
-    s_min: float = S_MIN
-    l_max: float = L_MAX
-    min_tissue_fraction: float = MIN_TISSUE
-    tile_px: int = TILE_PX
+    s_min: float = 0.08
+    l_max: float = 0.82
+    min_tissue_fraction: float = 0.25
+    tile_px: int = 128
 
 
 @dataclass(frozen=True)
@@ -53,12 +44,6 @@ def segment_tissue(raster: np.ndarray, config: TilingConfig = TilingConfig()) ->
     saturation = (mx - mn) / np.maximum(mx, np.float32(1e-12))
     luminance = np.float32(0.299) * r + np.float32(0.587) * g + np.float32(0.114) * b
     return (saturation >= config.s_min) | (luminance <= config.l_max * 255.0)
-
-
-def tissue_pixels(pixels: np.ndarray, config: TilingConfig = TilingConfig()) -> np.ndarray:
-    """(N, 3) array of the tissue pixels of a tile (possibly empty)."""
-    mask = segment_tissue(pixels, config)
-    return pixels[mask]
 
 
 def tile(raster: np.ndarray, mask: np.ndarray, slide_id: str = "",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptation import AdapterModel, DomainStats, adapt, fit_lab, fit_reference
+from .adaptation import AdapterModel, DomainStats, adapt, fit_stats
 from .classifier import NetParams, accuracy, fine_tune, train
 from .config import Config
 from .confidence import ThresholdSet, calibrate_thresholds
@@ -97,7 +97,7 @@ def train_models(manifest: DatasetManifest, config: Config,
     if not train_records:
         raise ValueError("manifest has no Train split records")
 
-    ref_stats = fit_reference(sample_tiles(train_records, config), config.tiling)
+    ref_stats = fit_stats(sample_tiles(train_records, config), config.tiling)
     identity = AdapterModel(source=ref_stats, target=ref_stats)
 
     pairs = segmenter_pairs(train_records, identity, config)
@@ -161,7 +161,7 @@ def calibrate_lab(lab_manifest: DatasetManifest, base: TrainedModels,
 
     adapter = None
     if with_adaptation:
-        lab_stats = fit_lab(sample_tiles(cf_records, config), config.tiling)
+        lab_stats = fit_stats(sample_tiles(cf_records, config), config.tiling)
         adapter = AdapterModel(source=lab_stats, target=base.reference_stats)
 
     embed_models = Models(segmenter=base.segmenter, adapter=adapter)

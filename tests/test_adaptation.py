@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from wsitriage.adaptation import (AdapterModel, adapt, adapt_tiles,
-                                  fit_lab, fit_reference, fit_stats,
-                                  from_decorrelated, load_adapter,
+                                  fit_stats, from_decorrelated, load_adapter,
                                   save_adapter, to_decorrelated)
 from wsitriage.manifest import ClassLabel
 from wsitriage.synthesis import default_lab_profiles, generate_slide, identity_profile
@@ -52,7 +51,7 @@ class TestFitStats:
         assert np.allclose(stats.mean, expected, atol=1e-12)
 
     def test_matches_two_pass_recomputation(self, reference_tiles):
-        stats = fit_reference(reference_tiles)
+        stats = fit_stats(reference_tiles)
         pixels = np.concatenate([
             t.pixels[segment_tissue(t.pixels)] for t in reference_tiles])
         vals = to_decorrelated(pixels)
@@ -69,8 +68,8 @@ class TestFitStats:
         assert np.all(np.abs(a.mean - b.mean) <= 0.02 * np.abs(a.mean) + 0.02 * a.std)
 
     def test_lab_shift_detected(self, reference_tiles, shifted_tiles):
-        ref = fit_reference(reference_tiles)
-        lab = fit_lab(shifted_tiles)
+        ref = fit_stats(reference_tiles)
+        lab = fit_stats(shifted_tiles)
         assert np.any(np.abs(ref.mean - lab.mean) > 1e-3)
 
     def test_empty_sample_rejected(self):
@@ -80,14 +79,14 @@ class TestFitStats:
 
 class TestAdapt:
     def test_identity_is_bit_exact(self, reference_tiles):
-        stats = fit_reference(reference_tiles)
+        stats = fit_stats(reference_tiles)
         model = AdapterModel(stats, stats)
         out = adapt(reference_tiles[0], model)
         assert np.array_equal(out.pixels, reference_tiles[0].pixels)
 
     def test_shifted_batch_means_match_target(self, reference_tiles, shifted_tiles):
-        model = AdapterModel(source=fit_lab(shifted_tiles),
-                             target=fit_reference(reference_tiles))
+        model = AdapterModel(source=fit_stats(shifted_tiles),
+                             target=fit_stats(reference_tiles))
         adapted = adapt_tiles(shifted_tiles, model)
 
         def tissue_means(tiles):
@@ -100,23 +99,23 @@ class TestAdapt:
         assert np.all(np.abs(got - target) <= 1.5)
 
     def test_all_black_tile_finite(self, reference_tiles, shifted_tiles):
-        model = AdapterModel(source=fit_lab(shifted_tiles),
-                             target=fit_reference(reference_tiles))
+        model = AdapterModel(source=fit_stats(shifted_tiles),
+                             target=fit_stats(reference_tiles))
         black = Tile("s", (0, 0), np.zeros((128, 128, 3), dtype=np.uint8), 1.0)
         out = adapt(black, model)
         assert out.pixels.dtype == np.uint8  # clamped, no overflow or NaN
 
     def test_idempotent_after_refit(self, reference_tiles, shifted_tiles):
-        target = fit_reference(reference_tiles)
-        once = adapt_tiles(shifted_tiles, AdapterModel(fit_lab(shifted_tiles), target))
-        twice = adapt_tiles(once, AdapterModel(fit_lab(once), target))
+        target = fit_stats(reference_tiles)
+        once = adapt_tiles(shifted_tiles, AdapterModel(fit_stats(shifted_tiles), target))
+        twice = adapt_tiles(once, AdapterModel(fit_stats(once), target))
         for a, b in zip(once, twice):
             diff = np.abs(a.pixels.astype(np.float64) - b.pixels.astype(np.float64))
             assert diff.mean(axis=(0, 1)).max() <= 1.0
 
     def test_preserves_shape_and_metadata(self, shifted_tiles, reference_tiles):
-        model = AdapterModel(source=fit_lab(shifted_tiles),
-                             target=fit_reference(reference_tiles))
+        model = AdapterModel(source=fit_stats(shifted_tiles),
+                             target=fit_stats(reference_tiles))
         t = shifted_tiles[0]
         out = adapt(t, model)
         assert out.pixels.shape == (128, 128, 3)
@@ -124,8 +123,8 @@ class TestAdapt:
         assert out.tissue_fraction == t.tissue_fraction
 
     def test_batch_matches_single(self, shifted_tiles, reference_tiles):
-        model = AdapterModel(source=fit_lab(shifted_tiles),
-                             target=fit_reference(reference_tiles))
+        model = AdapterModel(source=fit_stats(shifted_tiles),
+                             target=fit_stats(reference_tiles))
         batch = adapt_tiles(shifted_tiles[:4], model)
         for t, b in zip(shifted_tiles[:4], batch):
             assert np.array_equal(adapt(t, model).pixels, b.pixels)
@@ -133,8 +132,8 @@ class TestAdapt:
 
 class TestPersistence:
     def test_round_trip(self, tmp_path, reference_tiles, shifted_tiles):
-        model = AdapterModel(source=fit_lab(shifted_tiles),
-                             target=fit_reference(reference_tiles))
+        model = AdapterModel(source=fit_stats(shifted_tiles),
+                             target=fit_stats(reference_tiles))
         path = tmp_path / "m.adapter"
         save_adapter(model, path)
         loaded = load_adapter(path)

@@ -1,9 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 
 from wsitriage.aggregation import (FinalOutcome, SlideResult, SpecimenResult,
                                    aggregate, attained_level, finalize,
-                                   load_specimen_results, save_class_scores,
+                                   load_noroi_slide_ids, load_specimen_results,
+                                   save_class_scores, save_slide_results,
                                    save_specimen_results)
 from wsitriage.confidence import UNREACHABLE, ThresholdSet
 from wsitriage.manifest import ClassLabel
@@ -155,6 +158,31 @@ class TestResultsIO:
         assert np.array_equal(by_id["sp0"].class_means, specimens[0].class_means)
         assert not by_id["sp1"].classified
         assert by_id["sp2"].score == 0.4
+
+    def test_error_text_with_comma_and_quote_stays_one_field(self, tmp_path):
+        error = """ValueError('mask shape (512, 512) != raster "(256, 256)"')"""
+        results = [SlideResult("s0", "sp0", error=error), noroi("s1", "sp0"),
+                   classified("s2", "sp1", ClassLabel.OTHER, 0.7), noroi("s3", "sp1")]
+        path = tmp_path / "slides.csv"
+        save_slide_results(results, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[2:]
+        assert all(len(row) == 6 for row in rows)
+        assert rows[0] == ["s0", "sp0", "Error", "", "", error]
+        assert load_noroi_slide_ids(path) == {"s1", "s3"}
+
+    def test_malformed_class_score_row_names_line(self, tmp_path):
+        thresholds = ThresholdSet(targets=(0.90,), values=(0.3,))
+        specimens = [SpecimenResult("sp0", ClassLabel.OTHER, 0.9, "s0",
+                                    np.array([0.1, 0.2, 0.3, 0.9]))]
+        results_path = tmp_path / "specimens.csv"
+        scores_path = tmp_path / "scores.csv"
+        save_specimen_results(specimens, thresholds, results_path)
+        save_class_scores(specimens, scores_path)
+        with open(scores_path, "a") as fh:
+            fh.write("sp1,0.1,0.2\n")
+        with pytest.raises(ValueError, match=f"{scores_path}:4:"):
+            load_specimen_results(results_path, scores_path)
 
     def test_attained_level(self):
         thresholds = ThresholdSet(targets=(0.90, 0.95, 0.98),

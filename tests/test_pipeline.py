@@ -102,6 +102,15 @@ class TestRunCorpus:
         assert run.specimens == []
         assert run.throughput_per_hour == 0.0
 
+    def test_throughput_counts_no_error_slides(self, tmp_path, pipeline_models, config):
+        from wsitriage.manifest import DatasetManifest
+        missing = SlideRecord("gone", "sp", "reference", ClassLabel.OTHER,
+                              str(tmp_path / "missing.ppm"))
+        run = run_corpus(DatasetManifest(records=[missing]), pipeline_models, config,
+                         workers=1)
+        assert run.slide_results[0].error is not None
+        assert run.throughput_per_hour == 0.0
+
     def test_specimen_aggregation_present(self, small_corpus, pipeline_models,
                                           config):
         run = run_corpus(small_corpus, pipeline_models, config, workers=2,
@@ -164,6 +173,14 @@ class TestProfile:
         save_timings(timings, path)
         loaded = load_timings(path)
         assert loaded == sorted(timings, key=lambda t: t.slide_id)
+
+    def test_malformed_timings_row_names_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        save_timings([StageTiming("a", total_ms=1.0)], path)
+        with open(path, "a") as fh:
+            fh.write("b,1.0,2.0\n")
+        with pytest.raises(ValueError, match=f"{path}:3:"):
+            load_timings(path)
 
 
 class TestRunManifest:
