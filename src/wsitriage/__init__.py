@@ -6,8 +6,7 @@ corpus with known ground truth."""
 from .adaptation import AdapterModel, DomainStats, adapt, fit_stats
 from .aggregation import (FinalOutcome, SlideResult, SpecimenResult, aggregate,
                           finalize)
-from .classifier import (NetParams, StochasticMask, featurize, fine_tune, pool,
-                         predict, train)
+from .classifier import NetParams, featurize, fine_tune, pool, predict, train
 from .config import Config, load_config
 from .confidence import (UNREACHABLE, ConfidenceScore, ThresholdSet,
                          apply_threshold, calibrate_thresholds, mc_predict,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .confidence import ThresholdSet, apply_threshold
 from .manifest import ClassLabel
-from .tables import read_table, write_table
+from .tables import TableError, optional, read_table, write_table
 
 RESULTS_HEAD = ("wsi-triage-specimen-results v1",
                 "specimen_id,final,class,score,level,source_slide")
@@ -137,7 +137,7 @@ def save_slide_results(results, path) -> None:
 
 
 def load_noroi_slide_ids(path) -> set:
-    return {row[0] for _, row in read_table(path, SLIDE_RESULTS_HEAD, 6)
+    return {row[0] for _, row in read_table(path, SLIDE_RESULTS_HEAD, (str,) * 6)
             if row[2] == "NoROI"}
 
 
@@ -155,16 +155,20 @@ def load_specimen_results(results_path, class_scores_path=None) -> list[Specimen
     table when per-class ROC evaluation is wanted)."""
     means_by_id = {}
     if class_scores_path is not None:
-        for _, (specimen_id, *means) in read_table(class_scores_path, CLASS_SCORES_HEAD, 5):
-            means_by_id[specimen_id] = np.array([float(v) for v in means])
+        for _, (specimen_id, *means) in read_table(class_scores_path, CLASS_SCORES_HEAD,
+                                                   (str,) + (float,) * 4):
+            means_by_id[specimen_id] = np.array(means)
 
+    columns = (str, FinalOutcome, optional(ClassLabel.from_token), optional(float), str, str)
     out = []
-    for _, row in read_table(results_path, RESULTS_HEAD, 6):
-        specimen_id, final, cls, s, _, source = row
-        if final == FinalOutcome.NO_ROI.value:
+    for lineno, (specimen_id, final, cls, s, _, source) in read_table(
+            results_path, RESULTS_HEAD, columns):
+        if final is FinalOutcome.NO_ROI:
             out.append(SpecimenResult(specimen_id, None, None, None, None))
+        elif cls is None or s is None:
+            raise TableError(f"{results_path}:{lineno}: {final.value} row without "
+                             f"a class and a score")
         else:
-            out.append(SpecimenResult(
-                specimen_id, ClassLabel.from_token(cls), float(s), source,
-                means_by_id.get(specimen_id)))
+            out.append(SpecimenResult(specimen_id, cls, s, source,
+                                      means_by_id.get(specimen_id)))
     return out

@@ -16,7 +16,8 @@ import numpy as np
 
 from .manifest import N_CLASSES, stable_seed
 from .tables import read_arrays, write_arrays
-from .tiling import Tile, TilingConfig, segment_tissue
+from .tiling import (Tile, TilingConfig, color_planes, gradient_magnitude,
+                     segment_tissue)
 
 CLASSIFIER_HEADER = "wsi-triage-classifier v2"
 
@@ -36,14 +37,10 @@ def featurize_tiles(tiles, config: TilingConfig = TilingConfig()) -> np.ndarray:
     stack = np.stack([t.pixels if isinstance(t, Tile) else np.asarray(t)
                       for t in tiles])
     masks = segment_tissue(stack, config)
-
-    luma = (np.float32(0.299) * stack[..., 0] + np.float32(0.587) * stack[..., 1]
-            + np.float32(0.114) * stack[..., 2]).astype(np.float32)
-    luma /= np.float32(255.0)
-    gy = np.gradient(luma, axis=-2)
-    gx = np.gradient(luma, axis=-1)
-    grad_bins = np.minimum((np.hypot(gy, gx) * (N_GRAD_BINS / GRAD_RANGE)).astype(np.intp),
-                           N_GRAD_BINS - 1)
+    _, luma = color_planes(stack)
+    grad_bins = np.minimum(
+        (gradient_magnitude(luma) * (N_GRAD_BINS / GRAD_RANGE)).astype(np.intp),
+        N_GRAD_BINS - 1)
 
     out = np.empty((len(tiles), N_FEATURES))
     uniform = np.full(N_COLOR_BINS, 1.0 / N_COLOR_BINS)
@@ -93,20 +90,12 @@ class NetParams:
         return NetParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
 
 
-@dataclass(frozen=True)
-class StochasticMask:
-    keep: np.ndarray      # (32,) bool
-    keep_prob: float
-
-    @property
-    def scale(self) -> np.ndarray:
-        return self.keep.astype(np.float64) / self.keep_prob
-
-
-def draw_mask(rng: np.random.Generator, keep_prob: float = KEEP_PROB) -> StochasticMask:
+def dropout_scale(rng: np.random.Generator, shape, keep_prob: float) -> np.ndarray:
+    """Hidden-unit scaling of shape `shape`: each unit is kept with
+    probability keep_prob and survivors are scaled by 1/keep_prob."""
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
-    return StochasticMask(keep=rng.random(N_HIDDEN) < keep_prob, keep_prob=keep_prob)
+    return (rng.random(shape) < keep_prob) / keep_prob
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -129,16 +118,17 @@ def init_params(seed: int = 0) -> NetParams:
 
 
 def predict(embedding: np.ndarray, params: NetParams,
-            mask: StochasticMask | None = None) -> np.ndarray:
-    """Forward pass to the 4 per-class sigmoids; mask omits hidden units
-    and rescales the survivors, no-mask uses all units unscaled.
+            scale: np.ndarray | None = None) -> np.ndarray:
+    """Forward pass to the 4 per-class sigmoids; scale (one dropout_scale
+    row) omits hidden units and rescales the survivors, None uses all
+    units unscaled.
 
     Outputs are clamped away from exact 0/1 so saturated units still
     yield valid strictly-(0,1) probabilities downstream.
     """
     h = np.tanh(embedding @ params.w1 + params.b1)
-    if mask is not None:
-        h = h * mask.scale
+    if scale is not None:
+        h = h * scale
     out = _sigmoid(h @ params.w2 + params.b2)
     return np.clip(out, 1e-12, 1.0 - 1e-12)
 
@@ -226,7 +216,7 @@ def train(x: np.ndarray, labels, config: TrainConfig = TrainConfig(),
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            scale = (rng.random((len(idx), N_HIDDEN)) < config.keep_prob) / config.keep_prob
+            scale = dropout_scale(rng, (len(idx), N_HIDDEN), config.keep_prob)
             cur = NetParams(w1, b1, w2, b2)
             _, g = loss_and_grad(cur, x[idx], y[idx], scale)
             w1 = w1 - lr * g["w1"]

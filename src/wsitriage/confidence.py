@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import KEEP_PROB, NetParams, draw_mask, predict
+from .classifier import KEEP_PROB, N_HIDDEN, NetParams, dropout_scale, predict
 from .manifest import N_CLASSES, ClassLabel
 from .tables import TableError, read_table, write_table
 
@@ -54,9 +54,10 @@ def mc_predict(embedding: np.ndarray, params: NetParams, t: int = DEFAULT_T,
     """(T, 4) matrix of repeated masked predictions; row i is repetition i."""
     if t < 1:
         raise ValueError(f"need at least one repetition, got {t}")
-    rng = np.random.default_rng(seed)
-    rows = [predict(embedding, params, draw_mask(rng, keep_prob)) for _ in range(t)]
-    return np.stack(rows)
+    scales = dropout_scale(np.random.default_rng(seed), (t, N_HIDDEN), keep_prob)
+    # one forward pass per row: a batched (T, 32) @ (32, 4) product rounds
+    # differently from T vector products, and the scores would move
+    return np.stack([predict(embedding, params, s) for s in scales])
 
 
 def validate_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -175,10 +176,11 @@ def save_thresholds(thresholds: ThresholdSet, path) -> None:
 
 def load_thresholds(path) -> ThresholdSet:
     targets, values = [], []
-    for lineno, (level, target, value) in read_table(path, THRESHOLDS_HEAD, 3):
+    columns = (str, float, lambda v: UNREACHABLE if v == "unreachable" else float(v))
+    for lineno, (level, target, value) in read_table(path, THRESHOLDS_HEAD, columns):
         if level != str(len(targets) + 1):
             raise TableError(f"{path}:{lineno}: expected level {len(targets) + 1}, "
                              f"got {level!r}")
-        targets.append(float(target))
-        values.append(UNREACHABLE if value == "unreachable" else float(value))
+        targets.append(target)
+        values.append(value)
     return ThresholdSet(targets=tuple(targets), values=tuple(values))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tables import TableError, read_table, write_table
+from .tables import TableError, optional, read_table, write_table
 
 MANIFEST_HEADER = "wsi-triage-manifest v1"
 
@@ -187,19 +187,13 @@ def load_manifest(path) -> DatasetManifest:
     records: list[SlideRecord] = []
     splits: dict[str, Split] = {}
     seen = set()
-    for lineno, row in read_table(path, [MANIFEST_HEADER], 6):
-        slide_id, specimen_id, lab_id, truth, split, raster_path = row
+    columns = (str, str, str, ClassLabel.from_token, optional(Split), str)
+    for lineno, row in read_table(path, [MANIFEST_HEADER], columns):
+        slide_id, specimen_id, lab_id, label, split, raster_path = row
         if slide_id in seen:
             raise ManifestError(f"{path}:{lineno}: duplicate slide_id {slide_id!r}")
         seen.add(slide_id)
-        try:
-            label = ClassLabel.from_token(truth)
-        except ValueError as exc:
-            raise ManifestError(f"{path}:{lineno}: {exc}") from None
         records.append(SlideRecord(slide_id, specimen_id, lab_id, label, raster_path))
-        if split:
-            try:
-                splits[slide_id] = Split(split)
-            except ValueError:
-                raise ManifestError(f"{path}:{lineno}: unknown split {split!r}") from None
+        if split is not None:
+            splits[slide_id] = split
     return DatasetManifest(records=records, splits=splits)

@@ -82,10 +82,11 @@ def pmap(fn, items, workers: int = 1):
         ctx = mp.get_context("fork")
     except ValueError:
         return [fn(item) for item in items]
-    chunk = max(1, len(items) // (workers * 4))
     try:
         with ctx.Pool(processes=workers, initializer=_init_worker, initargs=(fn,)) as pool:
-            return pool.map(_call_worker, items, chunksize=chunk)
+            # one item per task: items are whole slides, so dispatch costs
+            # little and no worker is left holding a long last chunk
+            return pool.map(_call_worker, items, chunksize=1)
     except OSError:
         # Restricted environments may forbid semaphores; degrade gracefully.
         return [fn(item) for item in items]

@@ -26,7 +26,7 @@ from .manifest import DatasetManifest, SlideRecord, Split, stable_seed
 from .parallel import pmap
 from .pnm import read_ppm
 from . import tiling
-from .roi import PixelSegmenter, ROISelection, segment_tiles, select
+from .roi import PixelSegmenter, segment_tiles, select
 from .tables import read_table, write_table
 
 TIMINGS_HEADER = "slide_id,segment_ms,tile_ms,adapt_ms,roi_ms,classify_ms,score_ms,total_ms"
@@ -69,20 +69,26 @@ class _Timer:
         return ms
 
 
-def select_tiles(raster: np.ndarray, slide_id: str, models: Models,
-                 config: Config) -> ROISelection:
-    """Untimed segment/tile/adapt/ROI path shared with training."""
+def select_tiles(raster: np.ndarray, slide_id: str, models: Models, config: Config):
+    """Segment, tile, adapt and select ROIs: the one path from a raster to
+    the tiles a slide is classified on.  Returns (selection, laps), laps
+    being (segment_ms, tile_ms, adapt_ms, roi_ms)."""
+    timer = _Timer()
     mask = tiling.segment_tissue(raster, config.tiling)
+    segment_ms = timer.lap_ms()
     tiles = tiling.tile(raster, mask, slide_id, config.tiling)
+    tile_ms = timer.lap_ms()
     tiles = adapt_tiles(tiles, models.adapter)
+    adapt_ms = timer.lap_ms()
     segmaps = segment_tiles(tiles, models.segmenter)
-    return select(tiles, segmaps, theta=config["roi.theta"])
+    selection = select(tiles, segmaps, theta=config["roi.theta"])
+    return selection, (segment_ms, tile_ms, adapt_ms, timer.lap_ms())
 
 
 def embed_record(record: SlideRecord, models: Models, config: Config):
     """Slide embedding for training/calibration, or None when no ROI."""
     raster = read_ppm(record.raster_path)
-    selection = select_tiles(raster, record.slide_id, models, config)
+    selection, _ = select_tiles(raster, record.slide_id, models, config)
     if selection.empty:
         return None
     return pool(featurize_tiles(selection.selected, config.tiling))
@@ -94,34 +100,21 @@ def run_slide(record: SlideRecord, models: Models, config: Config,
 
     An empty ROI selection short-circuits to a no-ROI result with zero
     classify/score time; an unreadable raster becomes an error result.
+    The raster read counts in total_ms only.
     """
     total_timer = _Timer()
-    timer = _Timer()
     try:
         raster = read_ppm(record.raster_path)
     except (OSError, ValueError) as exc:
         result = SlideResult(record.slide_id, record.specimen_id, error=str(exc))
         return result, StageTiming(record.slide_id, total_ms=total_timer.lap_ms())
 
-    mask = tiling.segment_tissue(raster, config.tiling)
-    segment_ms = timer.lap_ms()
-
-    tiles = tiling.tile(raster, mask, record.slide_id, config.tiling)
-    tile_ms = timer.lap_ms()
-
-    tiles = adapt_tiles(tiles, models.adapter)
-    adapt_ms = timer.lap_ms()
-
-    segmaps = segment_tiles(tiles, models.segmenter)
-    selection = select(tiles, segmaps, theta=config["roi.theta"])
-    roi_ms = timer.lap_ms()
-
+    selection, laps = select_tiles(raster, record.slide_id, models, config)
     if selection.empty:
         result = SlideResult(record.slide_id, record.specimen_id)
-        timing = StageTiming(record.slide_id, segment_ms, tile_ms, adapt_ms,
-                             roi_ms, 0.0, 0.0, total_timer.lap_ms())
-        return result, timing
+        return result, StageTiming(record.slide_id, *laps, 0.0, 0.0, total_timer.lap_ms())
 
+    timer = _Timer()
     embedding = pool(featurize_tiles(selection.selected, config.tiling))
     matrix = mc_predict(embedding, models.classifier, t=config["confidence.T"],
                         keep_prob=config["confidence.keep_prob"],
@@ -134,9 +127,8 @@ def run_slide(record: SlideRecord, models: Models, config: Config,
     result = SlideResult(record.slide_id, record.specimen_id,
                          predicted=conf.argmax_class, score=conf.value,
                          matrix=matrix)
-    timing = StageTiming(record.slide_id, segment_ms, tile_ms, adapt_ms,
-                         roi_ms, classify_ms, score_ms, total_timer.lap_ms())
-    return result, timing
+    return result, StageTiming(record.slide_id, *laps, classify_ms, score_ms,
+                               total_timer.lap_ms())
 
 
 @dataclass
@@ -253,8 +245,8 @@ def save_timings(timings, path) -> None:
 
 
 def load_timings(path):
-    return [StageTiming(slide_id, *(float(v) for v in ms))
-            for _, (slide_id, *ms) in read_table(path, [TIMINGS_HEADER], 8)]
+    return [StageTiming(*row)
+            for _, row in read_table(path, [TIMINGS_HEADER], (str,) + (float,) * 7)]
 
 
 def _file_digest(path) -> str:

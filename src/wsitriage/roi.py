@@ -17,7 +17,7 @@ from scipy import ndimage
 
 from .manifest import stable_seed
 from .tables import read_arrays, write_arrays
-from .tiling import Tile
+from .tiling import Tile, color_planes, gradient_magnitude
 
 THETA_ROI = 0.05
 
@@ -35,13 +35,8 @@ def pixel_features(pixels: np.ndarray) -> np.ndarray:
     r = pixels[..., 0].astype(np.float32) / np.float32(255.0)
     g = pixels[..., 1].astype(np.float32) / np.float32(255.0)
     b = pixels[..., 2].astype(np.float32) / np.float32(255.0)
-    mx = np.maximum(np.maximum(r, g), b)
-    mn = np.minimum(np.minimum(r, g), b)
-    saturation = (mx - mn) / np.maximum(mx, np.float32(1e-12))
-    luma = np.float32(0.299) * r + np.float32(0.587) * g + np.float32(0.114) * b
-    gy = np.gradient(luma, axis=-2)
-    gx = np.gradient(luma, axis=-1)
-    grad = np.hypot(gy, gx)
+    saturation, luma = color_planes(pixels)
+    grad = gradient_magnitude(luma)
     size = (1,) * (luma.ndim - 2) + (5, 5)
     m = ndimage.uniform_filter(luma, size=size, mode="nearest")
     m2 = ndimage.uniform_filter(luma * luma, size=size, mode="nearest")

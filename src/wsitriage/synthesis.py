@@ -389,7 +389,8 @@ def generate_corpus(n_specimens_per_lab: int, labs: list[LabProfile],
                     other_no_lesion_fraction: float = 0.25,
                     extra_slide_no_lesion_fraction: float = 0.15,
                     shape=(SLIDE_H, SLIDE_W)) -> DatasetManifest:
-    """Generate a balanced multi-lab corpus and store it under out_dir.
+    """Generate a balanced multi-lab corpus and store it under out_dir,
+    recording absolute raster paths so any working directory can run it.
 
     Classes are assigned in equal proportion per lab (within one specimen).
     A fraction of Other-class slides, and of second-and-later slides of any
@@ -403,6 +404,7 @@ def generate_corpus(n_specimens_per_lab: int, labs: list[LabProfile],
     if lo < 1 or hi < lo:
         raise ValueError(f"bad slides_per_specimen_range {slides_per_specimen_range!r}")
 
+    out_dir = os.path.abspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     specs = []
     for profile in labs:

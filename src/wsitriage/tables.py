@@ -2,13 +2,14 @@
 
 A file is its format's fixed top lines (a version header and/or a column
 line) followed by CSV rows with RFC 4180 quoting, so a field may hold
-commas, quotes and newlines.  Readers check the top lines and the field
-count of every row, and reject the first mismatch with a TableError that
-names path:line; no row is skipped.  Blank lines between rows are ignored.
+commas, quotes and newlines.  Readers check the top lines, the field
+count of every row and the conversion of every field, and reject the
+first mismatch with a TableError that names path:line; no row is skipped.
+Blank lines between rows are ignored.
 
-Each format keeps only its row mapping.  The model files share one: a row
-per array, `name,shape,values`, with the shape and the row-major values
-space-separated and the values in full-precision repr.
+Each format keeps only its row mapping and column types.  The model files
+share one: a row per array, `name,shape,values`, with the shape and the
+row-major values space-separated and the values in full-precision repr.
 """
 
 from __future__ import annotations
@@ -45,9 +46,11 @@ def write_table(path, head, rows) -> None:
             buf.truncate()
 
 
-def read_table(path, head, n_fields: int):
+def read_table(path, head, columns):
     """Check the top lines, then yield (lineno, row) for every CSV row;
-    lineno is the file line the row starts on."""
+    lineno is the file line the row starts on.  columns holds one
+    converter per field (str, float, ...); a field it rejects with a
+    ValueError is reported as a TableError naming path:line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, expected in enumerate(head, start=1):
             line = fh.readline().rstrip("\r\n")
@@ -59,10 +62,19 @@ def read_table(path, head, n_fields: int):
             lineno, start = start, len(head) + reader.line_num + 1
             if not row:
                 continue
-            if len(row) != n_fields:
-                raise TableError(f"{path}:{lineno}: expected {n_fields} fields, "
+            if len(row) != len(columns):
+                raise TableError(f"{path}:{lineno}: expected {len(columns)} fields, "
                                  f"got {len(row)}")
-            yield lineno, row
+            try:
+                fields = [convert(v) for convert, v in zip(columns, row)]
+            except ValueError as exc:
+                raise TableError(f"{path}:{lineno}: {exc}") from None
+            yield lineno, fields
+
+
+def optional(convert):
+    """Column converter for a field that may be empty, which reads as None."""
+    return lambda v: convert(v) if v else None
 
 
 def write_arrays(path, header: str, arrays: dict) -> None:
@@ -78,7 +90,7 @@ def write_arrays(path, header: str, arrays: dict) -> None:
 def read_arrays(path, header: str, names) -> dict:
     """The named arrays of a model file written by write_arrays."""
     arrays = {}
-    for lineno, (name, shape, values) in read_table(path, [header, _ARRAY_COLUMNS], 3):
+    for lineno, (name, shape, values) in read_table(path, [header, _ARRAY_COLUMNS], (str,) * 3):
         try:
             dims = [int(s) for s in shape.split()]
             arrays[name] = np.array([float(v) for v in values.split()]).reshape(dims)

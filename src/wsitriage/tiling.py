@@ -27,23 +27,36 @@ class Tile:
     tissue_fraction: float
 
 
-def segment_tissue(raster: np.ndarray, config: TilingConfig = TilingConfig()) -> np.ndarray:
-    """Boolean tissue mask: saturation >= s_min or luminance <= l_max.
+def color_planes(pixels: np.ndarray):
+    """(saturation, luma) float32 planes of an (..., 3) RGB stack.
 
-    Saturation is (max - min) / max over the RGB channels and luminance is
-    Rec. 601 luma, both on the normalized 0..1 scale.  Works on any
-    (..., 3) stack of rasters.
+    Saturation is (max - min) / max over the raw 0..255 channel levels;
+    luma is Rec. 601 luma divided by 255, on the normalized 0..1 scale.
     """
-    if raster.size == 0:
-        raise ValueError("empty raster")
-    r = raster[..., 0].astype(np.float32)
-    g = raster[..., 1].astype(np.float32)
-    b = raster[..., 2].astype(np.float32)
+    r = pixels[..., 0].astype(np.float32)
+    g = pixels[..., 1].astype(np.float32)
+    b = pixels[..., 2].astype(np.float32)
     mx = np.maximum(np.maximum(r, g), b)
     mn = np.minimum(np.minimum(r, g), b)
     saturation = (mx - mn) / np.maximum(mx, np.float32(1e-12))
-    luminance = np.float32(0.299) * r + np.float32(0.587) * g + np.float32(0.114) * b
-    return (saturation >= config.s_min) | (luminance <= config.l_max * 255.0)
+    luma = np.float32(0.299) * r + np.float32(0.587) * g + np.float32(0.114) * b
+    luma /= np.float32(255.0)
+    return saturation, luma
+
+
+def gradient_magnitude(plane: np.ndarray) -> np.ndarray:
+    """Central-difference gradient magnitude over the last two axes, so a
+    stack of tiles never mixes pixels across tiles."""
+    return np.hypot(np.gradient(plane, axis=-2), np.gradient(plane, axis=-1))
+
+
+def segment_tissue(raster: np.ndarray, config: TilingConfig = TilingConfig()) -> np.ndarray:
+    """Boolean tissue mask: saturation >= s_min or luma <= l_max, with the
+    planes of color_planes().  Works on any (..., 3) stack of rasters."""
+    if raster.size == 0:
+        raise ValueError("empty raster")
+    saturation, luma = color_planes(raster)
+    return (saturation >= config.s_min) | (luma <= config.l_max)
 
 
 def tile(raster: np.ndarray, mask: np.ndarray, slide_id: str = "",

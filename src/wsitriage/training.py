@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptation import AdapterModel, DomainStats, adapt, fit_stats
+from .adaptation import AdapterModel, DomainStats, adapt_tiles, fit_stats
 from .classifier import NetParams, accuracy, fine_tune, train
 from .config import Config
 from .confidence import ThresholdSet, calibrate_thresholds
@@ -29,14 +29,10 @@ from .synthesis import mask_path_for
 from . import tiling
 
 
-def _embed_task(record, models, config):
-    return embed_record(record, models, config)
-
-
 def collect_embeddings(records, models: Models, config: Config, workers: int = 1):
     """Embeddings and labels for every record with a non-empty ROI selection."""
     records = sorted(records, key=lambda r: r.slide_id)
-    fn = functools.partial(_embed_task, models=models, config=config)
+    fn = functools.partial(embed_record, models=models, config=config)
     embeddings = pmap(fn, records, workers=workers)
     xs, labels, kept = [], [], []
     for rec, emb in zip(records, embeddings):
@@ -49,34 +45,32 @@ def collect_embeddings(records, models: Models, config: Config, workers: int = 1
     return x, np.array(labels, dtype=int), kept
 
 
-def sample_tiles(records, config: Config, max_slides: int = 24):
-    """Unadapted tissue tiles from a deterministic sample of slides."""
-    tiles = []
+def _tissue_tiles(records, config: Config, max_slides: int):
+    """(record, unadapted tissue tiles) for the first max_slides records in
+    slide_id order."""
     for rec in sorted(records, key=lambda r: r.slide_id)[:max_slides]:
         raster = read_ppm(rec.raster_path)
         mask = tiling.segment_tissue(raster, config.tiling)
-        tiles.extend(tiling.tile(raster, mask, rec.slide_id, config.tiling))
-    return tiles
+        yield rec, tiling.tile(raster, mask, rec.slide_id, config.tiling)
+
+
+def sample_tiles(records, config: Config, max_slides: int = 24):
+    """Unadapted tissue tiles from a deterministic sample of slides."""
+    return [t for _, tiles in _tissue_tiles(records, config, max_slides) for t in tiles]
 
 
 def segmenter_pairs(records, adapter: AdapterModel | None, config: Config,
                     max_slides: int = 24, max_tiles: int = 600):
     """(adapted tile pixels, ground-truth lesion mask) training pairs."""
     pairs = []
-    for rec in sorted(records, key=lambda r: r.slide_id)[:max_slides]:
+    side = config.tiling.tile_px
+    for rec, tiles in _tissue_tiles(records, config, max_slides):
+        lesion = read_pgm(mask_path_for(rec.raster_path)) > 0
+        for t in adapt_tiles(tiles[:max_tiles - len(pairs)], adapter):
+            y, x = t.origin
+            pairs.append((t.pixels, lesion[y:y + side, x:x + side]))
         if len(pairs) >= max_tiles:
             break
-        raster = read_ppm(rec.raster_path)
-        lesion = read_pgm(mask_path_for(rec.raster_path)) > 0
-        mask = tiling.segment_tissue(raster, config.tiling)
-        for t in tiling.tile(raster, mask, rec.slide_id, config.tiling):
-            if len(pairs) >= max_tiles:
-                break
-            if adapter is not None:
-                t = adapt(t, adapter)
-            y, x = t.origin
-            side = config.tiling.tile_px
-            pairs.append((t.pixels, lesion[y:y + side, x:x + side]))
     return pairs
 
 

@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsitriage.classifier import (NetParams, StochasticMask, TrainConfig,
-                                  accuracy, draw_mask, featurize, fine_tune,
+from wsitriage.classifier import (NetParams, TrainConfig, accuracy,
+                                  dropout_scale, featurize, featurize_tiles,
+                                  fine_tune,
                                   init_params, load_params, loss_and_grad,
                                   one_hot, pool, predict, predict_class,
                                   save_params, train)
-from wsitriage.tiling import Tile
+from wsitriage.manifest import ClassLabel
+from wsitriage.synthesis import default_lab_profiles, generate_slide
+from wsitriage.tiling import Tile, TilingConfig, segment_tissue, tile
 
 
 def rand_tile(seed):
@@ -27,7 +30,43 @@ def separable_embeddings(n_per_class=30, seed=0):
     return np.concatenate(xs), np.array(ys)
 
 
+def reference_features(pixels, config=TilingConfig()):
+    """The 64-vector as featurize computed it before color_planes(): luma
+    from uint8 levels times float32 coefficients, then divided by 255."""
+    luma = (np.float32(0.299) * pixels[..., 0] + np.float32(0.587) * pixels[..., 1]
+            + np.float32(0.114) * pixels[..., 2]).astype(np.float32)
+    luma /= np.float32(255.0)
+    grad = np.hypot(np.gradient(luma, axis=0), np.gradient(luma, axis=1))
+    grad_bins = np.minimum((grad * (16 / 0.5)).astype(np.intp), 15)
+    tissue = pixels[segment_tissue(pixels, config)]
+    parts = []
+    for c in range(3):
+        if len(tissue):
+            hist = np.bincount(tissue[:, c] >> 4, minlength=16)
+            parts.append(hist / hist.sum())
+        else:
+            parts.append(np.full(16, 1.0 / 16))
+    hist = np.bincount(grad_bins.reshape(-1), minlength=16)
+    parts.append(hist / hist.sum())
+    return np.concatenate(parts)
+
+
 class TestFeaturize:
+    def test_random_tiles_match_reference_bitwise(self):
+        tiles = [rand_tile(seed) for seed in range(6)]
+        got = featurize_tiles(tiles)
+        for t, row in zip(tiles, got):
+            assert np.array_equal(row, reference_features(t.pixels))
+
+    def test_generated_tiles_match_reference_bitwise(self):
+        for i, profile in enumerate(default_lab_profiles()):
+            slide = generate_slide(ClassLabel(i % 4), profile, seed=21 + i)
+            tiles = tile(slide.raster, segment_tissue(slide.raster), "s")
+            assert tiles
+            got = featurize_tiles(tiles)
+            for t, row in zip(tiles, got):
+                assert np.array_equal(row, reference_features(t.pixels))
+
     def test_uniform_gray_tile_gradient_in_lowest_bin(self):
         pixels = np.full((128, 128, 3), 90, dtype=np.uint8)
         vec = featurize(Tile("s", (0, 0), pixels, 1.0))
@@ -93,15 +132,16 @@ class TestPredict:
     def test_full_keep_mask_equals_no_mask(self):
         params = init_params(3)
         emb = np.random.default_rng(4).random(64)
-        mask = StochasticMask(keep=np.ones(32, dtype=bool), keep_prob=1.0)
-        assert np.array_equal(predict(emb, params, mask), predict(emb, params))
+        scale = dropout_scale(np.random.default_rng(5), 32, 1.0)
+        assert np.array_equal(predict(emb, params, scale), predict(emb, params))
 
     def test_matches_independent_forward_pass(self):
         # second implementation written from scratch with explicit loops
         rng = np.random.default_rng(8)
         params = init_params(8)
         emb = rng.random(64)
-        mask = draw_mask(rng, 0.5)
+        keep = rng.random(32) < 0.5
+        scale = keep / 0.5
 
         hidden = np.empty(32)
         for j in range(32):
@@ -109,7 +149,7 @@ class TestPredict:
             for i in range(64):
                 acc += emb[i] * params.w1[i, j]
             hidden[j] = np.tanh(acc)
-        hidden = hidden * mask.keep / mask.keep_prob
+        hidden = hidden * keep / 0.5
         out = np.empty(4)
         for c in range(4):
             acc = params.b2[c]
@@ -117,7 +157,7 @@ class TestPredict:
                 acc += hidden[j] * params.w2[j, c]
             out[c] = 1.0 / (1.0 + np.exp(-acc))
 
-        got = predict(emb, params, mask)
+        got = predict(emb, params, scale)
         assert np.all(np.abs(got - out) < 1e-12)
 
     def test_outputs_in_open_interval(self):
@@ -186,6 +226,12 @@ class TestTrain:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             train(np.empty((0, 64)), [], TrainConfig())
+
+    @pytest.mark.parametrize("keep_prob", [0.0, 1.5])
+    def test_keep_prob_outside_unit_interval_rejected(self, keep_prob):
+        x, y = separable_embeddings(5)
+        with pytest.raises(ValueError, match="keep_prob"):
+            train(x, y, TrainConfig(epochs=1, keep_prob=keep_prob))
 
 
 class TestFineTune:

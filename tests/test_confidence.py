@@ -53,6 +53,25 @@ class TestMcPredict:
         with pytest.raises(ValueError):
             mc_predict(np.zeros(64), init_params(0), t=0)
 
+    @pytest.mark.parametrize("seed,t,keep_prob", [(0, 30, 0.3), (5, 7, 0.5), (9, 1, 1.0),
+                                                   (12, 50, 0.05)])
+    def test_rows_match_one_draw_of_32_uniforms_each(self, seed, t, keep_prob):
+        from wsitriage.classifier import predict
+        params = init_params(seed)
+        emb = np.random.default_rng(seed + 100).random(64)
+        rng = np.random.default_rng(seed)
+        rows = []
+        for _ in range(t):
+            keep = rng.random(32) < keep_prob
+            rows.append(predict(emb, params, keep.astype(np.float64) / keep_prob))
+        matrix = mc_predict(emb, params, t=t, keep_prob=keep_prob, seed=seed)
+        assert np.array_equal(matrix, np.stack(rows))
+
+    @pytest.mark.parametrize("keep_prob", [0.0, -0.1, 1.5])
+    def test_bad_keep_prob(self, keep_prob):
+        with pytest.raises(ValueError, match="keep_prob"):
+            mc_predict(np.zeros(64), init_params(0), keep_prob=keep_prob)
+
 
 class TestScore:
     def test_two_row_oracle(self):

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from wsitriage.config import Config
-from wsitriage.manifest import ClassLabel, SlideRecord, Split
+from wsitriage.manifest import ClassLabel, SlideRecord, Split, load_manifest
 from wsitriage.pipeline import (Models, StageTiming, build_run_manifest,
                                 load_timings, profile, run_corpus, run_slide,
                                 save_run_manifest, save_timings)
 from wsitriage.pnm import write_ppm
-from wsitriage.synthesis import generate_slide, identity_profile
+from wsitriage.synthesis import (default_lab_profiles, generate_corpus, generate_slide,
+                                 identity_profile)
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +51,17 @@ class TestRunSlide:
         assert result.predicted is ClassLabel.BASALOID
         assert result.matrix.shape == (30, 4)
         assert timing.total_ms > 0
+
+    def test_corpus_runs_from_another_working_directory(self, tmp_path, monkeypatch,
+                                                         pipeline_models, config):
+        monkeypatch.chdir(tmp_path)
+        generate_corpus(1, [default_lab_profiles()[0]], slides_per_specimen_range=(1, 1),
+                        seed=3, out_dir="corpus")
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        record = load_manifest(tmp_path / "corpus" / "manifest.txt").records[0]
+        result, _ = run_slide(record, pipeline_models, config, 0)
+        assert result.error is None
 
     def test_unreadable_raster_becomes_error_result(self, pipeline_models, config):
         record = SlideRecord("gone", "sp", "reference", ClassLabel.OTHER,

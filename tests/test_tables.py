@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wsitriage.adaptation import AdapterModel, DomainStats, load_adapter, save_adapter
-from wsitriage.aggregation import (SlideResult, SpecimenResult, load_noroi_slide_ids,
+from wsitriage.aggregation import (CLASS_SCORES_HEAD, RESULTS_HEAD, SlideResult,
+                                   SpecimenResult, load_noroi_slide_ids,
                                    load_specimen_results, save_class_scores,
                                    save_slide_results, save_specimen_results)
 from wsitriage.classifier import NetParams, load_params, save_params
-from wsitriage.confidence import (UNREACHABLE, ThresholdSet, load_thresholds,
-                                  save_thresholds)
+from wsitriage.confidence import (THRESHOLDS_HEAD, UNREACHABLE, ThresholdSet,
+                                  load_thresholds, save_thresholds)
 from wsitriage.evaluation import CONFUSION_COLS, evaluate, write_report
 from wsitriage.manifest import (ClassLabel, DatasetManifest, SlideRecord, Split,
                                 load_manifest, save_manifest)
-from wsitriage.pipeline import StageTiming, load_timings, save_timings
+from wsitriage.pipeline import TIMINGS_HEADER, StageTiming, load_timings, save_timings
 from wsitriage.roi import PixelSegmenter, load_segmenter, save_segmenter
 from wsitriage.tables import TableError, read_table, write_table
 
@@ -40,27 +41,59 @@ def path(tmp_path_factory):
 class TestReadTable:
     def test_rows_and_line_numbers(self, path):
         write_table(path, ["head v1", "a,b"], [("x", "multi\nline"), ("y", 'q"uote')])
-        rows = list(read_table(path, ["head v1", "a,b"], 2))
+        rows = list(read_table(path, ["head v1", "a,b"], (str, str)))
         assert rows == [(3, ["x", "multi\nline"]), (5, ["y", 'q"uote'])]
 
     def test_wrong_top_line_names_line(self, path):
         path.write_text("head v1\nx,y\n")
         with pytest.raises(TableError, match=f"{path}:2:"):
-            list(read_table(path, ["head v1", "a,b"], 2))
+            list(read_table(path, ["head v1", "a,b"], (str, str)))
         with pytest.raises(TableError, match=f"{path}:1:"):
-            list(read_table(path, ["head v2"], 2))
+            list(read_table(path, ["head v2"], (str, str)))
 
     def test_wrong_field_count_names_line(self, path):
         path.write_text('h\na,b\n"c\nd",e\nf\n')
         with pytest.raises(TableError, match=f"{path}:5: expected 2 fields, got 1"):
-            list(read_table(path, ["h"], 2))
+            list(read_table(path, ["h"], (str, str)))
 
     def test_blank_lines_ignored(self, path):
         path.write_text("h\n\na,b\n\n")
-        assert list(read_table(path, ["h"], 2)) == [(3, ["a", "b"])]
+        assert list(read_table(path, ["h"], (str, str))) == [(3, ["a", "b"])]
 
     def test_error_is_value_error(self):
         assert issubclass(TableError, ValueError)
+
+
+class TestNumericFields:
+    """A field that does not convert names path:line, in every format."""
+
+    def test_timings(self, path):
+        path.write_text(TIMINGS_HEADER + "\na,x,1,1,1,1,1,1\n")
+        with pytest.raises(TableError, match=f"{path}:2: could not convert"):
+            load_timings(path)
+
+    def test_thresholds(self, path):
+        path.write_text("\n".join(THRESHOLDS_HEAD) + "\n1,0.9,high\n")
+        with pytest.raises(TableError, match=f"{path}:3: could not convert"):
+            load_thresholds(path)
+
+    def test_specimen_results(self, path):
+        path.write_text("\n".join(RESULTS_HEAD) + "\nsp,Classified,Basaloid,x,1,s\n")
+        with pytest.raises(TableError, match=f"{path}:3: could not convert"):
+            load_specimen_results(path)
+
+    def test_class_scores(self, tmp_path):
+        results = tmp_path / "results.csv"
+        results.write_text("\n".join(RESULTS_HEAD) + "\nsp,Classified,Basaloid,0.9,1,s\n")
+        scores = tmp_path / "scores.csv"
+        scores.write_text("\n".join(CLASS_SCORES_HEAD) + "\nsp,0.9,0.1,nan?,0.1\n")
+        with pytest.raises(TableError, match=f"{scores}:3: could not convert"):
+            load_specimen_results(results, scores)
+
+    def test_classified_specimen_without_score(self, path):
+        path.write_text("\n".join(RESULTS_HEAD) + "\nsp,Classified,Basaloid,,1,s\n")
+        with pytest.raises(TableError, match=f"{path}:3:"):
+            load_specimen_results(path)
 
 
 class TestModelFiles:
@@ -167,7 +200,7 @@ def slide_results(draw):
 def test_slide_results_round_trip(path, results):
     save_slide_results(results, path)
     head = ["wsi-triage-slide-results v1", "slide_id,specimen_id,outcome,class,score,error"]
-    rows = [row for _, row in read_table(path, head, 6)]
+    rows = [row for _, row in read_table(path, head, (str,) * 6)]
     expected = []
     for r in sorted(results, key=lambda r: r.slide_id):
         if r.error is not None:
@@ -242,7 +275,7 @@ def test_report_tables_round_trip(tmp_path_factory, draws, ts):
     levels = sorted(report.levels.items())
 
     rows = [row for _, row in read_table(
-        out / "accuracy_coverage.csv", ["level,threshold,accuracy,coverage,n_retained"], 5)]
+        out / "accuracy_coverage.csv", ["level,threshold,accuracy,coverage,n_retained"], (str,) * 5)]
     assert len(rows) == len(levels)
     for (lv, m), (level, thr, acc, cov, n) in zip(levels, rows):
         assert int(level) == lv and int(n) == m.n_retained
@@ -257,11 +290,12 @@ def test_report_tables_round_trip(tmp_path_factory, draws, ts):
             assert float(acc) == m.accuracy
 
     rows = [row for _, row in read_table(
-        out / "confusion.csv", ["level,truth," + ",".join(CONFUSION_COLS)], 8)]
+        out / "confusion.csv", ["level,truth," + ",".join(CONFUSION_COLS)], (str,) * 8)]
     assert rows == [[str(lv), c.token, *(str(v) for v in m.confusion[int(c)])]
                     for lv, m in levels for c in ClassLabel]
 
-    rows = [row for _, row in read_table(out / "roc_points.csv", ["level,class,fpr,tpr"], 4)]
+    rows = [row for _, row in read_table(
+        out / "roc_points.csv", ["level,class,fpr,tpr"], (str,) * 4)]
     assert [(int(lv), ClassLabel.from_token(c), float(f), float(t)) for lv, c, f, t in rows] == \
         [(lv, c, f, t) for lv, m in levels for c, curve in zip(ClassLabel, m.curves)
          if curve is not None for f, t in curve.points]

@@ -8,7 +8,29 @@ from wsitriage.synthesis import default_lab_profiles, generate_slide, identity_p
 from wsitriage.tiling import TilingConfig, segment_tissue, tile
 
 
+def raw_level_tissue_mask(raster, config):
+    """The tissue test as it was written before color_planes(): saturation
+    and luma over raw 0..255 levels, luma compared with l_max * 255."""
+    r = raster[..., 0].astype(np.float32)
+    g = raster[..., 1].astype(np.float32)
+    b = raster[..., 2].astype(np.float32)
+    mx = np.maximum(np.maximum(r, g), b)
+    mn = np.minimum(np.minimum(r, g), b)
+    saturation = (mx - mn) / np.maximum(mx, np.float32(1e-12))
+    luminance = np.float32(0.299) * r + np.float32(0.587) * g + np.float32(0.114) * b
+    return (saturation >= config.s_min) | (luminance <= config.l_max * 255.0)
+
+
 class TestSegmentTissue:
+    @pytest.mark.parametrize("config", [TilingConfig(), TilingConfig(s_min=0.2, l_max=0.7)])
+    def test_every_rgb_code_matches_raw_level_formula(self, config):
+        for start in range(0, 1 << 24, 1 << 20):
+            codes = np.arange(start, start + (1 << 20), dtype=np.uint32)
+            pixels = np.stack([codes >> 16, (codes >> 8) & 255, codes & 255],
+                              axis=-1).astype(np.uint8)
+            got = segment_tissue(pixels, config)
+            assert np.array_equal(got, raw_level_tissue_mask(pixels, config)), start
+
     def test_all_white_is_background(self):
         raster = np.full((64, 64, 3), 255, dtype=np.uint8)
         assert not segment_tissue(raster).any()
