@@ -130,17 +130,19 @@ def adapt_pixels(pixels: np.ndarray, model: AdapterModel,
     return out
 
 
-def adapt(t: Tile, model: AdapterModel) -> Tile:
+def adapt(t: Tile, model: AdapterModel, config: TilingConfig = TilingConfig()) -> Tile:
     """Map one tile into the target domain; shape and metadata preserved."""
-    return Tile(t.slide_id, t.origin, adapt_pixels(t.pixels, model), t.tissue_fraction)
+    return Tile(t.slide_id, t.origin, adapt_pixels(t.pixels, model, config),
+                t.tissue_fraction)
 
 
-def adapt_tiles(tiles, model: AdapterModel | None) -> list:
+def adapt_tiles(tiles, model: AdapterModel | None,
+                config: TilingConfig = TilingConfig()) -> list:
     """Batch form of adapt(); None passes tiles through unchanged."""
     tiles = list(tiles)
     if model is None or not tiles:
         return tiles
-    stacked = adapt_pixels(np.stack([t.pixels for t in tiles]), model)
+    stacked = adapt_pixels(np.stack([t.pixels for t in tiles]), model, config)
     return [Tile(t.slide_id, t.origin, px, t.tissue_fraction)
             for t, px in zip(tiles, stacked)]
 

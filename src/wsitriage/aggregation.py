@@ -24,6 +24,8 @@ SLIDE_RESULTS_HEAD = ("wsi-triage-slide-results v1",
 CLASS_SCORES_HEAD = ("wsi-triage-class-scores v1",
                      "specimen_id,basaloid,squamous,melanocytic,other")
 
+REPORT_LEVEL = 1   # specimen results' `final` is the outcome at this level
+
 
 class FinalOutcome(enum.Enum):
     CLASSIFIED = "Classified"
@@ -103,14 +105,13 @@ def attained_level(specimen: SpecimenResult, thresholds: ThresholdSet) -> int:
     return level
 
 
-def save_specimen_results(specimens, thresholds: ThresholdSet, path,
-                          report_level: int = 1) -> None:
+def save_specimen_results(specimens, thresholds: ThresholdSet, path) -> None:
     """One row per specimen: specimen_id,final,class,score,level,source_slide.
 
-    `final` is the outcome at report_level's threshold; `level` is the
+    `final` is the outcome at REPORT_LEVEL's threshold; `level` is the
     highest level the specimen's score attains.
     """
-    threshold = thresholds.value(report_level) if thresholds.levels else 0.0
+    threshold = thresholds.value(REPORT_LEVEL) if thresholds.levels else 0.0
     rows = []
     for spec in sorted(specimens, key=lambda s: s.specimen_id):
         final = finalize(spec, threshold).final

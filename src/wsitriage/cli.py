@@ -2,12 +2,14 @@
 calibration, frozen runs, evaluation, and timing profiles.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (missing or
-malformed input files, the offending path named on stderr).
+malformed input files, the offending path named on stderr; a run with any
+Error slide, after its outputs are written).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -19,8 +21,8 @@ from .classifier import load_params, save_params
 from .config import Config, ConfigError, load_config
 from .confidence import load_thresholds, save_thresholds
 from .evaluation import evaluate, format_report, write_report
-from .manifest import (DatasetManifest, ManifestError, Split, build_splits,
-                       load_manifest, save_manifest)
+from .manifest import (DatasetManifest, Split, build_splits, load_manifest,
+                       save_manifest)
 from .pipeline import (Models, build_run_manifest, format_profile,
                        load_timings, profile, run_corpus, save_run_manifest,
                        save_timings)
@@ -44,15 +46,19 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message, code=USAGE_ERROR)
 
 
-def _load_config(path) -> Config:
-    if path is None:
-        return Config()
-    if not os.path.exists(path):
-        raise CliError(f"config file not found: {path}")
-    try:
-        return load_config(path)
-    except ConfigError as exc:
-        raise CliError(str(exc), code=USAGE_ERROR) from None
+def _load_config(args) -> Config:
+    """The effective config of a command: the --config file (or the
+    defaults) with --seed and --workers applied over it."""
+    config = Config()
+    if args.config is not None:
+        try:
+            config = load_config(_require(args.config, "config"))
+        except ConfigError as exc:
+            raise CliError(str(exc), code=USAGE_ERROR) from None
+    for key in ("seed", "workers"):
+        if getattr(args, key) is not None:
+            config.values[key] = getattr(args, key)
+    return config
 
 
 def _require(path, kind="input"):
@@ -62,15 +68,11 @@ def _require(path, kind="input"):
 
 
 def _load_manifest(path) -> DatasetManifest:
-    _require(path, "manifest")
-    try:
-        return load_manifest(path)
-    except ManifestError as exc:
-        raise CliError(str(exc)) from None
+    return load_manifest(_require(path, "manifest"))
 
 
 def cmd_synth(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     profiles = {p.lab_id: p for p in default_lab_profiles()}
     labs = args.labs.split(",") if args.labs else list(profiles)
     unknown = [lab for lab in labs if lab not in profiles]
@@ -81,9 +83,9 @@ def cmd_synth(args) -> int:
         n_specimens_per_lab=args.specimens,
         labs=[profiles[lab] for lab in labs],
         slides_per_specimen_range=(args.slides_min, args.slides_max),
-        seed=args.seed if args.seed is not None else config["seed"],
+        seed=config["seed"],
         out_dir=out,
-        workers=args.workers or config["workers"],
+        workers=config["workers"],
     )
     print(f"wrote {len(manifest.records)} slides for {len(labs)} labs to {out}")
     return 0
@@ -114,26 +116,32 @@ def cmd_split(args) -> int:
 
 
 def _model_paths(models_dir, lab=None):
-    base = lambda name: os.path.join(models_dir, name)
-    if lab is None:
-        return {
-            "adapter": base("reference.adapter"),
-            "segmenter": base("segmenter.txt"),
-            "classifier": base("classifier.txt"),
-            "thresholds": base("reference.thresholds"),
-        }
-    return {
-        "adapter": base(f"{lab}.adapter"),
-        "segmenter": base("segmenter.txt"),
-        "classifier": base(f"{lab}.classifier.txt"),
-        "thresholds": base(f"{lab}.thresholds"),
+    """The four files of one lab's model set; lab None is the reference set."""
+    prefix = "reference" if lab is None else lab
+    names = {
+        "adapter": f"{prefix}.adapter",
+        "segmenter": "segmenter.txt",
+        "classifier": "classifier.txt" if lab is None else f"{lab}.classifier.txt",
+        "thresholds": f"{prefix}.thresholds",
     }
+    return {kind: os.path.join(models_dir, name) for kind, name in names.items()}
+
+
+def _load_model_set(models_dir, lab=None):
+    """Load all four files of one lab's model set, each required; returns
+    (models, thresholds, paths read)."""
+    paths = {name: _require(path, "model")
+             for name, path in _model_paths(models_dir, lab).items()}
+    models = Models(segmenter=load_segmenter(paths["segmenter"]),
+                    classifier=load_params(paths["classifier"]),
+                    adapter=load_adapter(paths["adapter"]))
+    return models, load_thresholds(paths["thresholds"]), paths
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     manifest = _load_manifest(args.manifest)
-    trained = train_models(manifest, config, workers=args.workers or config["workers"])
+    trained = train_models(manifest, config, workers=config["workers"])
     os.makedirs(args.models, exist_ok=True)
     paths = _model_paths(args.models)
     save_adapter(AdapterModel(trained.reference_stats, trained.reference_stats),
@@ -141,8 +149,8 @@ def cmd_train(args) -> int:
     save_segmenter(trained.segmenter, paths["segmenter"])
     save_params(trained.classifier, paths["classifier"])
     thresholds = calibrate_reference(
-        manifest, trained, config, workers=args.workers or config["workers"],
-        global_seed=args.seed if args.seed is not None else config["seed"])
+        manifest, trained, config, workers=config["workers"],
+        global_seed=config["seed"])
     save_thresholds(thresholds, paths["thresholds"])
     print(f"trained on {trained.n_train_slides} slides; "
           f"training accuracy {trained.train_accuracy:.4f}")
@@ -150,26 +158,23 @@ def cmd_train(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     manifest = _load_manifest(args.manifest)
-    base_paths = _model_paths(args.models)
-    for name in ("adapter", "segmenter", "classifier"):
-        _require(base_paths[name], "model")
-    reference = load_adapter(base_paths["adapter"])
+    reference, _, _ = _load_model_set(args.models)
+    ref_stats = reference.adapter.target
     base = TrainedModels(
-        reference_stats=reference.target,
-        segmenter=load_segmenter(base_paths["segmenter"]),
-        classifier=load_params(base_paths["classifier"]),
+        reference_stats=ref_stats,
+        segmenter=reference.segmenter,
+        classifier=reference.classifier,
         train_accuracy=float("nan"),
         n_train_slides=0,
     )
-    cal = calibrate_lab(manifest, base, config,
-                        workers=args.workers or config["workers"],
-                        global_seed=args.seed if args.seed is not None else config["seed"],
+    cal = calibrate_lab(manifest, base, config, workers=config["workers"],
+                        global_seed=config["seed"],
                         with_adaptation=not args.no_adaptation)
     paths = _model_paths(args.models, cal.lab_id)
-    if cal.adapter is not None:
-        save_adapter(cal.adapter, paths["adapter"])
+    # without adaptation the lab's set holds the identity adapter, a no-op
+    save_adapter(cal.adapter or AdapterModel(ref_stats, ref_stats), paths["adapter"])
     save_params(cal.classifier, paths["classifier"])
     save_thresholds(cal.thresholds, paths["thresholds"])
     print(f"lab {cal.lab_id}: validation accuracy {cal.validation_accuracy:.4f} "
@@ -179,40 +184,20 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _load_models(models_dir, lab=None, with_adaptation=True) -> Models:
-    paths = _model_paths(models_dir, lab)
-    if lab is not None and not os.path.exists(paths["classifier"]):
-        paths = _model_paths(models_dir)  # fall back to base models
-    _require(paths["segmenter"], "model")
-    _require(paths["classifier"], "model")
-    adapter = None
-    if with_adaptation and os.path.exists(paths["adapter"]):
-        adapter = load_adapter(paths["adapter"])
-    return Models(segmenter=load_segmenter(paths["segmenter"]),
-                  classifier=load_params(paths["classifier"]),
-                  adapter=adapter)
-
-
 def cmd_run(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     manifest = _load_manifest(args.manifest)
-    models = _load_models(args.models, args.lab, with_adaptation=not args.no_adaptation)
-    seed = args.seed if args.seed is not None else config["seed"]
-    workers = args.workers or config["workers"]
+    models, thresholds, model_paths = _load_model_set(args.models, args.lab)
+    if args.no_adaptation:
+        models = dataclasses.replace(models, adapter=None)
     try:
         split = Split(args.split) if args.split else None
     except ValueError:
         raise CliError(f"unknown split {args.split!r}", code=USAGE_ERROR) from None
     out = args.out or os.path.join(config["paths.workdir"], "run")
 
-    run = run_corpus(manifest, models, config, workers=workers,
-                     global_seed=seed, split=split)
-
-    thresholds_path = _model_paths(args.models, args.lab)["thresholds"]
-    if not os.path.exists(thresholds_path):
-        thresholds_path = _model_paths(args.models)["thresholds"]
-    _require(thresholds_path, "thresholds")
-    thresholds = load_thresholds(thresholds_path)
+    run = run_corpus(manifest, models, config, workers=config["workers"],
+                     global_seed=config["seed"], split=split)
 
     os.makedirs(out, exist_ok=True)
     save_slide_results(run.slide_results, os.path.join(out, "slide_results.csv"))
@@ -223,14 +208,16 @@ def cmd_run(args) -> int:
     save_thresholds(thresholds, os.path.join(out, "thresholds.txt"))
     rm = build_run_manifest(
         run_id=os.path.basename(os.path.normpath(out)),
-        global_seed=seed, workers=workers, input_manifest=args.manifest,
-        model_paths={k: p for k, p in _model_paths(args.models, args.lab).items()
-                     if os.path.exists(p)},
-        config=config)
+        global_seed=config["seed"], workers=config["workers"],
+        input_manifest=args.manifest, model_paths=model_paths, config=config)
     save_run_manifest(rm, os.path.join(out, "run_manifest.txt"), wall_ms=run.wall_ms)
     print(f"processed {len(run.slide_results)} slides "
           f"({len(run.specimens)} specimens) in {run.wall_ms:.0f} ms; "
           f"throughput {run.throughput_per_hour:.0f} slides/hour")
+    errors = [r for r in run.slide_results if r.error is not None]
+    if errors:
+        raise CliError(f"{len(errors)} of {len(run.slide_results)} slides ended in "
+                       f"Error, the first {errors[0].slide_id}: {errors[0].error}")
     return 0
 
 
@@ -241,11 +228,7 @@ def cmd_evaluate(args) -> int:
     specimens = load_specimen_results(
         results_path, scores_path if os.path.exists(scores_path) else None)
     thresholds = load_thresholds(_require(args.thresholds, "thresholds"))
-    truths = manifest.truth_by_specimen()
-    try:
-        report = evaluate(specimens, truths, thresholds)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    report = evaluate(specimens, manifest.truth_by_specimen(), thresholds)
     if args.out:
         write_report(report, args.out)
         print(f"wrote report to {args.out}")
@@ -321,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--models", required=True)
-    p.add_argument("--lab", help="use this lab's calibrated models")
+    p.add_argument("--lab", help="use this lab's model set (default: the reference set)")
     p.add_argument("--split", help="restrict to one split (e.g. Test)")
     p.add_argument("--no-adaptation", action="store_true")
     p.add_argument("--out", help="run output directory "
@@ -350,8 +333,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ManifestError, ConfigError, ValueError) as exc:
-        # library-level validation failures are data errors
+    except ValueError as exc:
+        # library-level validation failures (ManifestError, ConfigError
+        # and the rest) are data errors
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

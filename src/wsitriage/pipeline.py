@@ -78,7 +78,7 @@ def select_tiles(raster: np.ndarray, slide_id: str, models: Models, config: Conf
     segment_ms = timer.lap_ms()
     tiles = tiling.tile(raster, mask, slide_id, config.tiling)
     tile_ms = timer.lap_ms()
-    tiles = adapt_tiles(tiles, models.adapter)
+    tiles = adapt_tiles(tiles, models.adapter, config.tiling)
     adapt_ms = timer.lap_ms()
     segmaps = segment_tiles(tiles, models.segmenter)
     selection = select(tiles, segmaps, theta=config["roi.theta"])

@@ -29,6 +29,9 @@ BACKGROUND_LEVEL = 235
 TISSUE_RGB = (232.0, 195.0, 210.0)
 INK_RGB = (28.0, 36.0, 88.0)
 
+OTHER_NO_LESION_FRACTION = 0.25
+EXTRA_SLIDE_NO_LESION_FRACTION = 0.15
+
 ARTIFACT_KINDS = ("pen_ink", "blur_patch", "bubble", "blank")
 
 ARRANGEMENTS = ("nested_clusters", "ridges", "dense_islands", "sparse_background")
@@ -386,8 +389,6 @@ def _render_and_store(spec):
 def generate_corpus(n_specimens_per_lab: int, labs: list[LabProfile],
                     slides_per_specimen_range=(1, 2), seed: int = 0,
                     out_dir: str = "corpus", workers: int = 1,
-                    other_no_lesion_fraction: float = 0.25,
-                    extra_slide_no_lesion_fraction: float = 0.15,
                     shape=(SLIDE_H, SLIDE_W)) -> DatasetManifest:
     """Generate a balanced multi-lab corpus and store it under out_dir,
     recording absolute raster paths so any working directory can run it.
@@ -417,9 +418,9 @@ def generate_corpus(n_specimens_per_lab: int, labs: list[LabProfile],
             for j in range(n_slides):
                 slide_id = f"{specimen_id}-{j}"
                 if label is ClassLabel.OTHER:
-                    no_lesion = rng.random() < other_no_lesion_fraction
+                    no_lesion = rng.random() < OTHER_NO_LESION_FRACTION
                 else:
-                    no_lesion = j > 0 and rng.random() < extra_slide_no_lesion_fraction
+                    no_lesion = j > 0 and rng.random() < EXTRA_SLIDE_NO_LESION_FRACTION
                 raster_path = os.path.join(out_dir, f"{slide_id}.ppm")
                 specs.append((label, profile, stable_seed(seed, slide_id),
                               slide_id, specimen_id, raster_path, no_lesion, shape))

@@ -45,31 +45,36 @@ def collect_embeddings(records, models: Models, config: Config, workers: int = 1
     return x, np.array(labels, dtype=int), kept
 
 
-def _tissue_tiles(records, config: Config, max_slides: int):
-    """(record, unadapted tissue tiles) for the first max_slides records in
-    slide_id order."""
-    for rec in sorted(records, key=lambda r: r.slide_id)[:max_slides]:
+SAMPLE_SLIDES = 24
+SEGMENTER_MAX_TILES = 600
+
+
+def _tissue_tiles(records, config: Config):
+    """(record, unadapted tissue tiles) for the first SAMPLE_SLIDES records
+    in slide_id order."""
+    for rec in sorted(records, key=lambda r: r.slide_id)[:SAMPLE_SLIDES]:
         raster = read_ppm(rec.raster_path)
         mask = tiling.segment_tissue(raster, config.tiling)
         yield rec, tiling.tile(raster, mask, rec.slide_id, config.tiling)
 
 
-def sample_tiles(records, config: Config, max_slides: int = 24):
+def sample_tiles(records, config: Config):
     """Unadapted tissue tiles from a deterministic sample of slides."""
-    return [t for _, tiles in _tissue_tiles(records, config, max_slides) for t in tiles]
+    return [t for _, tiles in _tissue_tiles(records, config) for t in tiles]
 
 
-def segmenter_pairs(records, adapter: AdapterModel | None, config: Config,
-                    max_slides: int = 24, max_tiles: int = 600):
-    """(adapted tile pixels, ground-truth lesion mask) training pairs."""
+def segmenter_pairs(records, adapter: AdapterModel | None, config: Config):
+    """Up to SEGMENTER_MAX_TILES (adapted tile pixels, ground-truth lesion
+    mask) training pairs."""
     pairs = []
     side = config.tiling.tile_px
-    for rec, tiles in _tissue_tiles(records, config, max_slides):
+    for rec, tiles in _tissue_tiles(records, config):
         lesion = read_pgm(mask_path_for(rec.raster_path)) > 0
-        for t in adapt_tiles(tiles[:max_tiles - len(pairs)], adapter):
+        for t in adapt_tiles(tiles[:SEGMENTER_MAX_TILES - len(pairs)], adapter,
+                             config.tiling):
             y, x = t.origin
             pairs.append((t.pixels, lesion[y:y + side, x:x + side]))
-        if len(pairs) >= max_tiles:
+        if len(pairs) >= SEGMENTER_MAX_TILES:
             break
     return pairs
 

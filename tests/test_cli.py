@@ -1,9 +1,15 @@
+import dataclasses
+import hashlib
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from wsitriage.aggregation import SLIDE_RESULTS_HEAD
 from wsitriage.cli import main
+from wsitriage.manifest import Split, load_manifest, save_manifest
+from wsitriage.tables import read_table
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +43,23 @@ def workflow(tmp_path_factory):
                  "--workers", "2", "--seed", "5"]) == 0
     return {"root": root, "corpus": corpus, "models": models, "run": run_dir,
             "ref_manifest": ref_manifest, "lab_manifest": lab_manifest}
+
+
+def read_run_manifest(run_dir):
+    """(run fields, [config] snapshot) of a run's run_manifest.txt."""
+    fields, snapshot, section = {}, {}, None
+    with open(os.path.join(run_dir, "run_manifest.txt"), encoding="utf-8") as fh:
+        for line in fh.read().splitlines()[1:]:
+            if line == "[config]":
+                section = snapshot
+            elif line:
+                key, _, value = line.partition("=")
+                (fields if section is None else section)[key] = value
+    return fields, snapshot
+
+
+def digest(path):
+    return hashlib.sha256(open(path, "rb").read()).hexdigest()[:16]
 
 
 class TestWorkflow:
@@ -84,6 +107,44 @@ class TestWorkflow:
             assert a == b
 
 
+    def test_seed_and_workers_options_in_config_snapshot(self, workflow):
+        fields, snapshot = read_run_manifest(workflow["run"])
+        assert (fields["global_seed"], fields["worker_count"]) == ("5", "2")
+        assert (snapshot["seed"], snapshot["workers"]) == ("5", "2")
+
+    def test_run_manifest_digests_the_labs_model_set(self, workflow):
+        fields, _ = read_run_manifest(workflow["run"])
+        models = workflow["models"]
+        for kind, name in (("adapter", "lab_a.adapter"), ("segmenter", "segmenter.txt"),
+                           ("classifier", "lab_a.classifier.txt"),
+                           ("thresholds", "lab_a.thresholds")):
+            assert fields[f"model.{kind}"] == digest(os.path.join(models, name))
+
+    def test_calibrate_without_adaptation_writes_identity_adapter(self, workflow,
+                                                                  tmp_path):
+        models = str(tmp_path / "models")
+        os.makedirs(models)
+        for name in ("reference.adapter", "segmenter.txt", "classifier.txt",
+                     "reference.thresholds"):
+            shutil.copy(os.path.join(workflow["models"], name), models)
+        assert main(["calibrate", "--manifest", workflow["lab_manifest"],
+                     "--models", models, "--workers", "2", "--seed", "5",
+                     "--no-adaptation"]) == 0
+        assert os.path.exists(os.path.join(models, "lab_a.adapter"))
+        runs = {}
+        for name, extra in (("lab", []), ("unadapted", ["--no-adaptation"])):
+            runs[name] = str(tmp_path / name)
+            assert main(["run", "--manifest", workflow["lab_manifest"],
+                         "--models", models, "--lab", "lab_a", "--split", "Test",
+                         "--out", runs[name], "--workers", "2", "--seed", "5"]
+                        + extra) == 0
+        for name in ("slide_results.csv", "specimen_results.csv",
+                     "class_scores.csv"):
+            a = open(os.path.join(runs["lab"], name), "rb").read()
+            b = open(os.path.join(runs["unadapted"], name), "rb").read()
+            assert a == b
+
+
 class TestErrors:
     def test_missing_manifest_is_data_error(self, tmp_path):
         code = main(["split", "--manifest", str(tmp_path / "nope.txt"),
@@ -111,6 +172,11 @@ class TestErrors:
     def test_unknown_lab_profile(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "c"),
                      "--labs", "lab_zz", "--specimens", "1"]) == 1
+
+    def test_zero_workers_is_data_error(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "c"), "--labs", "reference",
+                     "--specimens", "1", "--workers", "0"]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_bad_ratio_values(self, tmp_path, workflow):
         code = main(["split", "--manifest", workflow["ref_manifest"],
@@ -144,6 +210,38 @@ class TestErrors:
                      "--workers", "1"])
         assert code == 0
         assert os.path.exists(os.path.join(out, "specimen_results.csv"))
+
+
+    def test_uncalibrated_lab_is_data_error(self, workflow, tmp_path, capsys):
+        out = str(tmp_path / "r")
+        code = main(["run", "--manifest", workflow["lab_manifest"],
+                     "--models", workflow["models"], "--lab", "lab_zz",
+                     "--split", "Test", "--out", out, "--workers", "1"])
+        assert code == 2
+        assert os.path.join(workflow["models"], "lab_zz.") in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_error_slide_exits_2_after_writing_outputs(self, workflow, tmp_path,
+                                                      capsys):
+        manifest = load_manifest(workflow["lab_manifest"])
+        broken = manifest.records_in(Split.TEST)[0]
+        manifest.records[manifest.records.index(broken)] = dataclasses.replace(
+            broken, raster_path=str(tmp_path / "gone.ppm"))
+        path = str(tmp_path / "broken.manifest")
+        save_manifest(manifest, path)
+        out = str(tmp_path / "r")
+        code = main(["run", "--manifest", path, "--models", workflow["models"],
+                     "--lab", "lab_a", "--split", "Test", "--out", out,
+                     "--workers", "1", "--seed", "5"])
+        assert code == 2
+        assert broken.slide_id in capsys.readouterr().err
+        rows = {row[0]: row for _, row in read_table(
+            os.path.join(out, "slide_results.csv"), SLIDE_RESULTS_HEAD, (str,) * 6)}
+        assert rows[broken.slide_id][2] == "Error"
+        assert "gone.ppm" in rows[broken.slide_id][5]
+        for name in ("specimen_results.csv", "class_scores.csv", "timings.csv",
+                     "thresholds.txt", "run_manifest.txt"):
+            assert os.path.exists(os.path.join(out, name))
 
 
 class TestConfigFile:

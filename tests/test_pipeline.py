@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from wsitriage.adaptation import AdapterModel, DomainStats, adapt_pixels, fit_stats
 from wsitriage.config import Config
 from wsitriage.manifest import ClassLabel, SlideRecord, Split, load_manifest
 from wsitriage.pipeline import (Models, StageTiming, build_run_manifest,
                                 load_timings, profile, run_corpus, run_slide,
-                                save_run_manifest, save_timings)
+                                save_run_manifest, save_timings, select_tiles)
 from wsitriage.pnm import write_ppm
+from wsitriage.roi import N_PIXEL_FEATURES, PixelSegmenter
+from wsitriage import tiling
 from wsitriage.synthesis import (default_lab_profiles, generate_corpus, generate_slide,
                                  identity_profile)
 
@@ -82,6 +85,29 @@ class TestRunSlide:
         c, _ = run_slide(record, pipeline_models, config, 43)
         assert results_equal(a, b)
         assert not np.array_equal(a.matrix, c.matrix)   # seed matters
+
+
+class TestSelectTiles:
+    def test_adapts_over_configured_tissue_mask(self):
+        config = Config({"tiling.s_min": 0.2, "tiling.l_max": 0.7})
+        lab_a = {p.lab_id: p for p in default_lab_profiles()}["lab_a"]
+        raster = generate_slide(ClassLabel.BASALOID, lab_a, 21).raster
+        mask = tiling.segment_tissue(raster, config.tiling)
+        stack = np.stack([t.pixels for t in
+                          tiling.tile(raster, mask, "s", config.tiling)])
+        source = fit_stats(list(stack), config.tiling)
+        adapter = AdapterModel(source, DomainStats(source.mean + [0.05, -0.03, 0.02],
+                                                   source.std * 1.2))
+        # every pixel scores positive, so every tile is selected
+        keep_all = PixelSegmenter(weights=np.zeros(N_PIXEL_FEATURES), bias=1.0,
+                                  feat_mean=np.zeros(N_PIXEL_FEATURES),
+                                  feat_std=np.ones(N_PIXEL_FEATURES))
+        selection, _ = select_tiles(raster, "s", Models(keep_all, adapter=adapter),
+                                    config)
+        selected = np.stack([t.pixels for t in selection.selected])
+        expected = adapt_pixels(stack, adapter, config.tiling)
+        assert not np.array_equal(expected, adapt_pixels(stack, adapter))
+        assert np.array_equal(selected, expected)
 
 
 class TestRunCorpus:
