@@ -130,10 +130,9 @@ def adapt_pixels(pixels: np.ndarray, model: AdapterModel,
     return out
 
 
-def adapt(t: Tile, model: AdapterModel, config: TilingConfig = TilingConfig()) -> Tile:
+def adapt(t: Tile, model: AdapterModel) -> Tile:
     """Map one tile into the target domain; shape and metadata preserved."""
-    return Tile(t.slide_id, t.origin, adapt_pixels(t.pixels, model, config),
-                t.tissue_fraction)
+    return Tile(t.slide_id, t.origin, adapt_pixels(t.pixels, model), t.tissue_fraction)
 
 
 def adapt_tiles(tiles, model: AdapterModel | None,

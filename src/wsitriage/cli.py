@@ -9,7 +9,6 @@ Error slide, after its outputs are written).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -18,7 +17,7 @@ from .aggregation import (load_noroi_slide_ids, load_specimen_results,
                           save_class_scores, save_slide_results,
                           save_specimen_results)
 from .classifier import load_params, save_params
-from .config import Config, ConfigError, load_config
+from .config import CONFIG_KEYS, Config, ConfigError, load_config
 from .confidence import load_thresholds, save_thresholds
 from .evaluation import evaluate, format_report, write_report
 from .manifest import (DatasetManifest, Split, build_splits, load_manifest,
@@ -57,7 +56,9 @@ def _load_config(args) -> Config:
             raise CliError(str(exc), code=USAGE_ERROR) from None
     for key in ("seed", "workers"):
         if getattr(args, key) is not None:
-            config.values[key] = getattr(args, key)
+            config.values[key] = CONFIG_KEYS[key][0](getattr(args, key))
+    if config["workers"] < 1:
+        raise CliError(f"workers must be >= 1, got {config['workers']}")
     return config
 
 
@@ -127,15 +128,16 @@ def _model_paths(models_dir, lab=None):
     return {kind: os.path.join(models_dir, name) for kind, name in names.items()}
 
 
-def _load_model_set(models_dir, lab=None):
-    """Load all four files of one lab's model set, each required; returns
-    (models, thresholds, paths read)."""
-    paths = {name: _require(path, "model")
-             for name, path in _model_paths(models_dir, lab).items()}
+def _load_model_set(paths):
+    """Load the model files in paths, each required; an adapter or thresholds
+    left out of paths loads as None. Returns (models, thresholds)."""
+    for path in paths.values():
+        _require(path, "model")
+    adapter = load_adapter(paths["adapter"]) if "adapter" in paths else None
+    thresholds = load_thresholds(paths["thresholds"]) if "thresholds" in paths else None
     models = Models(segmenter=load_segmenter(paths["segmenter"]),
-                    classifier=load_params(paths["classifier"]),
-                    adapter=load_adapter(paths["adapter"]))
-    return models, load_thresholds(paths["thresholds"]), paths
+                    classifier=load_params(paths["classifier"]), adapter=adapter)
+    return models, thresholds
 
 
 def cmd_train(args) -> int:
@@ -160,7 +162,9 @@ def cmd_train(args) -> int:
 def cmd_calibrate(args) -> int:
     config = _load_config(args)
     manifest = _load_manifest(args.manifest)
-    reference, _, _ = _load_model_set(args.models)
+    ref_paths = _model_paths(args.models)
+    del ref_paths["thresholds"]   # the reference thresholds play no part in calibration
+    reference, _ = _load_model_set(ref_paths)
     ref_stats = reference.adapter.target
     base = TrainedModels(
         reference_stats=ref_stats,
@@ -187,9 +191,10 @@ def cmd_calibrate(args) -> int:
 def cmd_run(args) -> int:
     config = _load_config(args)
     manifest = _load_manifest(args.manifest)
-    models, thresholds, model_paths = _load_model_set(args.models, args.lab)
+    model_paths = _model_paths(args.models, args.lab)
     if args.no_adaptation:
-        models = dataclasses.replace(models, adapter=None)
+        del model_paths["adapter"]   # neither required, applied nor digested
+    models, thresholds = _load_model_set(model_paths)
     try:
         split = Split(args.split) if args.split else None
     except ValueError:

@@ -124,8 +124,8 @@ class TestWorkflow:
                                                                   tmp_path):
         models = str(tmp_path / "models")
         os.makedirs(models)
-        for name in ("reference.adapter", "segmenter.txt", "classifier.txt",
-                     "reference.thresholds"):
+        # calibration reads no reference thresholds
+        for name in ("reference.adapter", "segmenter.txt", "classifier.txt"):
             shutil.copy(os.path.join(workflow["models"], name), models)
         assert main(["calibrate", "--manifest", workflow["lab_manifest"],
                      "--models", models, "--workers", "2", "--seed", "5",
@@ -143,6 +143,22 @@ class TestWorkflow:
             a = open(os.path.join(runs["lab"], name), "rb").read()
             b = open(os.path.join(runs["unadapted"], name), "rb").read()
             assert a == b
+
+    def test_unadapted_run_needs_and_records_no_adapter(self, workflow, tmp_path):
+        models = str(tmp_path / "models")
+        os.makedirs(models)
+        for name in ("segmenter.txt", "lab_a.classifier.txt", "lab_a.thresholds"):
+            shutil.copy(os.path.join(workflow["models"], name), models)
+        run_dir = str(tmp_path / "run")
+        assert main(["run", "--manifest", workflow["lab_manifest"],
+                     "--models", models, "--lab", "lab_a", "--split", "Test",
+                     "--out", run_dir, "--no-adaptation"]) == 0
+        fields, _ = read_run_manifest(run_dir)
+        assert "model.adapter" not in fields
+        for kind, name in (("segmenter", "segmenter.txt"),
+                           ("classifier", "lab_a.classifier.txt"),
+                           ("thresholds", "lab_a.thresholds")):
+            assert fields[f"model.{kind}"] == digest(os.path.join(models, name))
 
 
 class TestErrors:
@@ -173,10 +189,16 @@ class TestErrors:
         assert main(["synth", "--out", str(tmp_path / "c"),
                      "--labs", "lab_zz", "--specimens", "1"]) == 1
 
-    def test_zero_workers_is_data_error(self, tmp_path, capsys):
+    def test_zero_workers_is_data_error(self, tmp_path, capsys, workflow):
         assert main(["synth", "--out", str(tmp_path / "c"), "--labs", "reference",
                      "--specimens", "1", "--workers", "0"]) == 2
         assert "workers must be >= 1" in capsys.readouterr().err
+        # rejected before any slide is read or model written
+        models = str(tmp_path / "m")
+        assert main(["train", "--manifest", workflow["ref_manifest"],
+                     "--models", models, "--workers", "0"]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not os.path.exists(models)
 
     def test_bad_ratio_values(self, tmp_path, workflow):
         code = main(["split", "--manifest", workflow["ref_manifest"],
