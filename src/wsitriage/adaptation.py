@@ -100,21 +100,28 @@ def fit_stats(tiles, config: TilingConfig = TilingConfig()) -> DomainStats:
     return DomainStats(mean=vals.mean(axis=0), std=vals.std(axis=0))
 
 
-def adapt_pixels(pixels: np.ndarray, model: AdapterModel,
-                 config: TilingConfig = TilingConfig()) -> np.ndarray:
-    """Standardize an (..., 3) RGB array; returns uint8 of the same shape.
+def _pack(rgb: np.ndarray) -> np.ndarray:
+    """(n, 3) uint8 rows -> (n,) uint32 codes (r << 16) | (g << 8) | b."""
+    return ((rgb[:, 0].astype(np.uint32) << 16) | (rgb[:, 1].astype(np.uint32) << 8)
+            | rgb[:, 2])
 
-    Only tissue pixels are transformed, mirroring the tissue-only fit;
-    background glass is already standard and dragging it through the
-    transfer would tint it into phantom tissue.  The per-pixel transform
-    runs in float32 (the result is rounded to 8-bit gray levels anyway);
-    statistics fitting stays float64.
-    """
-    out = np.asarray(pixels, dtype=np.uint8).copy()
-    if model.is_identity:
-        return out
-    mask = segment_tissue(out, config)
-    flat = out[mask].astype(np.float32) / np.float32(255.0)
+
+def _unpack(codes: np.ndarray, rgb: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of _pack, written into rgb when given."""
+    if rgb is None:
+        rgb = np.empty((len(codes), 3), dtype=np.uint8)
+    rgb[:, 0] = codes >> 16
+    rgb[:, 1] = codes >> 8
+    rgb[:, 2] = codes
+    return rgb
+
+
+def _transfer(rgb: np.ndarray, model: AdapterModel) -> np.ndarray:
+    """Reinhard transfer of (n, 3) uint8 rows in float32 log-LMS space;
+    returns the adapted (n, 3) uint8 rows.  The per-pixel transform runs
+    in float32 (the result is rounded to 8-bit gray levels anyway);
+    statistics fitting stays float64."""
+    flat = rgb.astype(np.float32) / np.float32(255.0)
     lms = np.maximum(flat @ _RGB2LMS.T.astype(np.float32), np.float32(_LMS_FLOOR))
     vals = np.log10(lms) @ _DECOR.T.astype(np.float32)
     scale = (model.target.std / model.source.std).astype(np.float32)
@@ -126,7 +133,41 @@ def adapt_pixels(pixels: np.ndarray, model: AdapterModel,
     adapted = (lms @ _LMS2RGB.T.astype(np.float32)) * np.float32(255.0)
     np.rint(adapted, out=adapted)
     np.clip(adapted, 0, 255, out=adapted)
-    out[mask] = adapted.astype(np.uint8)
+    return adapted.astype(np.uint8)
+
+
+def adapt_pixels(pixels: np.ndarray, model: AdapterModel,
+                 config: TilingConfig = TilingConfig()) -> np.ndarray:
+    """Standardize an (..., 3) RGB array; returns a new uint8 array of the
+    same shape.
+
+    Only tissue pixels are transformed, mirroring the tissue-only fit;
+    background glass is already standard and dragging it through the
+    transfer would tint it into phantom tissue.  A pixel's result depends
+    on its RGB code alone, so the tissue test and the transfer run once
+    per distinct code (the palette) and are scattered back to the pixels:
+    one sort of (code << 32 | position) keys finds the palette as runs of
+    equal codes and, in its low half, where each pixel goes.
+    """
+    out = np.asarray(pixels, dtype=np.uint8).copy()
+    if model.is_identity:
+        return out
+    if out.size == 0:
+        raise ValueError("empty raster")
+    flat = out.reshape(-1, 3)
+    keys = _pack(flat).astype(np.uint64)
+    keys <<= np.uint64(32)
+    keys |= np.arange(len(flat), dtype=np.uint64)
+    keys.sort()
+    sorted_codes = (keys >> np.uint64(32)).astype(np.uint32)
+    starts = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
+    palette = _unpack(sorted_codes[np.concatenate(([0], starts))])
+    tissue = segment_tissue(palette, config)
+    palette[tissue] = _transfer(palette[tissue], model)
+    counts = np.diff(np.concatenate(([0], starts, [len(flat)])))
+    codes = np.empty(len(flat), dtype=np.uint32)
+    codes[(keys & np.uint64(0xFFFFFFFF)).astype(np.intp)] = np.repeat(_pack(palette), counts)
+    _unpack(codes, flat)
     return out
 
 

@@ -137,9 +137,10 @@ def save_slide_results(results, path) -> None:
     write_table(path, SLIDE_RESULTS_HEAD, rows)
 
 
-def load_noroi_slide_ids(path) -> set:
+def load_slide_ids(path, outcome: str) -> set:
+    """Ids of the slides whose outcome (Classified, NoROI, Error) is outcome."""
     return {row[0] for _, row in read_table(path, SLIDE_RESULTS_HEAD, (str,) * 6)
-            if row[2] == "NoROI"}
+            if row[2] == outcome}
 
 
 def save_class_scores(specimens, path) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 from .manifest import N_CLASSES, stable_seed
 from .tables import read_arrays, write_arrays
 from .tiling import (Tile, TilingConfig, color_planes, gradient_magnitude,
-                     segment_tissue)
+                     tissue_mask)
 
 CLASSIFIER_HEADER = "wsi-triage-classifier v2"
 
@@ -36,28 +36,31 @@ def featurize_tiles(tiles, config: TilingConfig = TilingConfig()) -> np.ndarray:
         return np.empty((0, N_FEATURES))
     stack = np.stack([t.pixels if isinstance(t, Tile) else np.asarray(t)
                       for t in tiles])
-    masks = segment_tissue(stack, config)
-    _, luma = color_planes(stack)
+    saturation, luma = color_planes(stack)
+    masks = tissue_mask(saturation, luma, config)
     grad_bins = np.minimum(
         (gradient_magnitude(luma) * (N_GRAD_BINS / GRAD_RANGE)).astype(np.intp),
         N_GRAD_BINS - 1)
 
-    out = np.empty((len(tiles), N_FEATURES))
-    uniform = np.full(N_COLOR_BINS, 1.0 / N_COLOR_BINS)
-    for i in range(len(tiles)):
-        tissue = stack[i][masks[i]]
-        parts = []
-        if len(tissue):
-            # uint8 values bucketed into 16 bins of width 16
-            for c in range(3):
-                hist = np.bincount(tissue[:, c] >> 4, minlength=N_COLOR_BINS)
-                parts.append(hist / hist.sum())
-        else:
-            parts.extend([uniform] * 3)
-        hist = np.bincount(grad_bins[i].reshape(-1), minlength=N_GRAD_BINS)
-        parts.append(hist / hist.sum())
-        out[i] = np.concatenate(parts)
-    return out
+    # one bincount per histogram kind over all tiles: tile i counts into
+    # bins [16 i, 16 i + 16); non-tissue pixels count into a spare last tile
+    n = len(tiles)
+    offsets = (np.arange(n, dtype=np.intp) * N_COLOR_BINS)[:, None, None]
+    color_base = np.where(masks, offsets, n * N_COLOR_BINS)
+    color = np.stack([
+        np.bincount((color_base + (stack[..., c] >> 4)).reshape(-1),
+                    minlength=(n + 1) * N_COLOR_BINS)[:n * N_COLOR_BINS]
+        .reshape(n, N_COLOR_BINS)
+        for c in range(3)], axis=1)
+    grad = np.bincount((grad_bins + offsets).reshape(-1),
+                       minlength=n * N_GRAD_BINS).reshape(n, N_GRAD_BINS)
+
+    # a tile without tissue keeps uniform color histograms
+    n_tissue = masks.sum(axis=(1, 2))[:, None, None]
+    color_hists = np.full((n, 3, N_COLOR_BINS), 1.0 / N_COLOR_BINS)
+    np.divide(color, n_tissue, out=color_hists, where=n_tissue > 0)
+    return np.concatenate([color_hists.reshape(n, 3 * N_COLOR_BINS),
+                           grad / grad.sum(axis=1, keepdims=True)], axis=1)
 
 
 def featurize(t: Tile, config: TilingConfig = TilingConfig()) -> np.ndarray:

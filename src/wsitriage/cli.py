@@ -13,7 +13,7 @@ import os
 import sys
 
 from .adaptation import AdapterModel, load_adapter, save_adapter
-from .aggregation import (load_noroi_slide_ids, load_specimen_results,
+from .aggregation import (load_slide_ids, load_specimen_results,
                           save_class_scores, save_slide_results,
                           save_specimen_results)
 from .classifier import load_params, save_params
@@ -246,10 +246,11 @@ def cmd_profile(args) -> int:
     timings = load_timings(_require(os.path.join(args.run, "timings.csv"), "timings"))
     if not timings:
         raise CliError(f"no timings in {args.run}")
-    noroi = set()
+    noroi = errors = set()
     slide_results = os.path.join(args.run, "slide_results.csv")
     if os.path.exists(slide_results):
-        noroi = load_noroi_slide_ids(slide_results)
+        noroi = load_slide_ids(slide_results, "NoROI")
+        errors = load_slide_ids(slide_results, "Error")
     wall_ms = None
     rm_path = os.path.join(args.run, "run_manifest.txt")
     if os.path.exists(rm_path):
@@ -257,7 +258,8 @@ def cmd_profile(args) -> int:
             for line in fh:
                 if line.startswith("wall_ms="):
                     wall_ms = float(line.split("=", 1)[1])
-    print(format_profile(profile(timings, noroi_slide_ids=noroi, wall_ms=wall_ms)))
+    print(format_profile(profile(timings, noroi_slide_ids=noroi, wall_ms=wall_ms,
+                                 error_slide_ids=errors)))
     return 0
 
 

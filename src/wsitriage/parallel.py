@@ -2,8 +2,10 @@
 
 Work is distributed across processes (fork) but results are returned in
 input order, so any function whose per-item output is a pure function of
-the item produces identical results at every worker count.  Falls back to
-in-process execution when workers == 1 or process pools are unavailable.
+the item produces identical results at every worker count.  It runs in
+process when workers == 1 or there is at most one item.  An error raised
+by fn in a worker, or a pool that cannot start, propagates to the caller;
+no item is ever run a second time.
 
 Each worker process runs BLAS single-threaded: a forked worker inherits the
 parent's multi-threaded OpenBLAS, and N workers each running one BLAS
@@ -78,15 +80,8 @@ def pmap(fn, items, workers: int = 1):
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:
-        return [fn(item) for item in items]
-    try:
-        with ctx.Pool(processes=workers, initializer=_init_worker, initargs=(fn,)) as pool:
-            # one item per task: items are whole slides, so dispatch costs
-            # little and no worker is left holding a long last chunk
-            return pool.map(_call_worker, items, chunksize=1)
-    except OSError:
-        # Restricted environments may forbid semaphores; degrade gracefully.
-        return [fn(item) for item in items]
+    ctx = mp.get_context("fork")
+    with ctx.Pool(processes=workers, initializer=_init_worker, initargs=(fn,)) as pool:
+        # one item per task: items are whole slides, so dispatch costs
+        # little and no worker is left holding a long last chunk
+        return pool.map(_call_worker, items, chunksize=1)

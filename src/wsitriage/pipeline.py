@@ -143,6 +143,9 @@ class CorpusRun:
         return {r.slide_id for r in self.slide_results
                 if r.error is None and not r.classified}
 
+    def error_slide_ids(self) -> set:
+        return {r.slide_id for r in self.slide_results if r.error is not None}
+
     @property
     def throughput_per_hour(self) -> float:
         """Slides completed without an error per hour of wall time."""
@@ -187,6 +190,7 @@ def run_corpus(manifest: DatasetManifest, models: Models, config: Config,
 @dataclass(frozen=True)
 class ProfileSummary:
     n_slides: int
+    n_errors: int              # Error slides, left out of every statistic
     stage_median_ms: dict      # stage -> (q1, median, q3)
     median_total_ms: float
     median_total_classified_ms: float   # excluding no-ROI slides
@@ -194,43 +198,52 @@ class ProfileSummary:
     wall_ms: float | None
 
 
-def profile(timings, noroi_slide_ids=(), wall_ms: float | None = None) -> ProfileSummary:
+def profile(timings, noroi_slide_ids=(), wall_ms: float | None = None,
+            error_slide_ids=()) -> ProfileSummary:
     """Per-stage quartiles and medians, and corpus throughput when the
-    wall-clock time of the run is known."""
+    wall-clock time of the run is known.  Error slides did not run their
+    stages, so they are counted and left out of every statistic."""
     timings = list(timings)
     if not timings:
         raise ValueError("no timings to profile")
     noroi = set(noroi_slide_ids)
+    errors = set(error_slide_ids)
+    done = [t for t in timings if t.slide_id not in errors]
 
     def quartiles(values):
+        if not values:
+            return (float("nan"),) * 3
         q1, q2, q3 = np.percentile(values, [25, 50, 75])
         return float(q1), float(q2), float(q3)
 
+    def median(values):
+        return float(np.median(values)) if values else float("nan")
+
     stage_stats = {}
     for stage in STAGES:
-        stage_stats[stage] = quartiles([getattr(t, f"{stage}_ms") for t in timings])
+        stage_stats[stage] = quartiles([getattr(t, f"{stage}_ms") for t in done])
 
-    totals = [t.total_ms for t in timings]
-    classified = [t.total_ms for t in timings if t.slide_id not in noroi]
+    classified = [t.total_ms for t in done if t.slide_id not in noroi]
     throughput = None
     if wall_ms is not None and wall_ms > 0:
-        throughput = len(timings) / (wall_ms / 3_600_000.0)
+        throughput = len(done) / (wall_ms / 3_600_000.0)
     return ProfileSummary(
         n_slides=len(timings),
+        n_errors=len(timings) - len(done),
         stage_median_ms=stage_stats,
-        median_total_ms=float(np.median(totals)),
-        median_total_classified_ms=float(np.median(classified)) if classified else float("nan"),
+        median_total_ms=median([t.total_ms for t in done]),
+        median_total_classified_ms=median(classified),
         throughput_per_hour=throughput,
         wall_ms=wall_ms,
     )
 
 
 def format_profile(summary: ProfileSummary) -> str:
-    lines = [f"slides: {summary.n_slides}"]
+    lines = [f"slides: {summary.n_slides} (Error: {summary.n_errors}, left out below)"]
     lines.append("stage      q1_ms      median_ms  q3_ms")
     for stage, (q1, q2, q3) in summary.stage_median_ms.items():
         lines.append(f"{stage:<10} {q1:<10.2f} {q2:<10.2f} {q3:.2f}")
-    lines.append(f"median total (all slides):        {summary.median_total_ms:.2f} ms")
+    lines.append(f"median total (no Error):          {summary.median_total_ms:.2f} ms")
     lines.append(f"median total (excluding no-ROI):  {summary.median_total_classified_ms:.2f} ms")
     if summary.wall_ms is not None:
         lines.append(f"wall clock: {summary.wall_ms:.1f} ms")

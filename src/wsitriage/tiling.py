@@ -55,7 +55,12 @@ def segment_tissue(raster: np.ndarray, config: TilingConfig = TilingConfig()) ->
     planes of color_planes().  Works on any (..., 3) stack of rasters."""
     if raster.size == 0:
         raise ValueError("empty raster")
-    saturation, luma = color_planes(raster)
+    return tissue_mask(*color_planes(raster), config)
+
+
+def tissue_mask(saturation: np.ndarray, luma: np.ndarray,
+                config: TilingConfig = TilingConfig()) -> np.ndarray:
+    """The tissue test on planes already taken with color_planes()."""
     return (saturation >= config.s_min) | (luma <= config.l_max)
 
 

@@ -1,12 +1,36 @@
 import numpy as np
 import pytest
 
-from wsitriage.adaptation import (AdapterModel, adapt, adapt_tiles,
-                                  fit_stats, from_decorrelated, load_adapter,
-                                  save_adapter, to_decorrelated)
+from wsitriage.adaptation import (_DECOR, _DECOR_INV, _LMS2RGB, _LMS_FLOOR,
+                                  _RGB2LMS, AdapterModel, adapt, adapt_pixels,
+                                  adapt_tiles, fit_stats, from_decorrelated,
+                                  load_adapter, save_adapter, to_decorrelated)
 from wsitriage.manifest import ClassLabel
 from wsitriage.synthesis import default_lab_profiles, generate_slide, identity_profile
-from wsitriage.tiling import Tile, segment_tissue, tile
+from wsitriage.tiling import Tile, TilingConfig, segment_tissue, tile
+
+
+def reference_adapt(pixels, model, config=TilingConfig()):
+    """adapt_pixels as it was before the palette transfer: the tissue mask
+    over every pixel, then the float32 transfer on the masked pixels."""
+    out = np.asarray(pixels, dtype=np.uint8).copy()
+    if model.is_identity:
+        return out
+    mask = segment_tissue(out, config)
+    flat = out[mask].astype(np.float32) / np.float32(255.0)
+    lms = np.maximum(flat @ _RGB2LMS.T.astype(np.float32), np.float32(_LMS_FLOOR))
+    vals = np.log10(lms) @ _DECOR.T.astype(np.float32)
+    scale = (model.target.std / model.source.std).astype(np.float32)
+    shift = (model.target.mean - model.source.mean * model.target.std
+             / model.source.std).astype(np.float32)
+    vals *= scale
+    vals += shift
+    lms = np.power(np.float32(10.0), vals @ _DECOR_INV.T.astype(np.float32))
+    adapted = (lms @ _LMS2RGB.T.astype(np.float32)) * np.float32(255.0)
+    np.rint(adapted, out=adapted)
+    np.clip(adapted, 0, 255, out=adapted)
+    out[mask] = adapted.astype(np.uint8)
+    return out
 
 
 def tiles_for(profile, seed, label=ClassLabel.BASALOID):
@@ -121,6 +145,41 @@ class TestAdapt:
         assert out.pixels.shape == (128, 128, 3)
         assert out.origin == t.origin
         assert out.tissue_fraction == t.tissue_fraction
+
+    def test_identity_returns_copy(self, reference_tiles):
+        stats = fit_stats(reference_tiles)
+        pixels = reference_tiles[0].pixels
+        out = adapt_pixels(pixels, AdapterModel(stats, stats))
+        assert not np.shares_memory(out, pixels)
+        assert np.array_equal(out, pixels)
+
+    @pytest.mark.parametrize("config", [TilingConfig(),
+                                        TilingConfig(s_min=0.2, l_max=0.7)])
+    def test_every_rgb_code_matches_reference(self, config, shifted_tiles,
+                                              reference_tiles):
+        model = AdapterModel(source=fit_stats(shifted_tiles),
+                             target=fit_stats(reference_tiles))
+        chunk = 1 << 20
+        for start in range(0, 1 << 24, chunk):
+            # an odd multiplier permutes the 2^24 codes, so each chunk holds
+            # codes out of order and all chunks together hold every code
+            codes = (np.arange(start, start + chunk, dtype=np.uint32)
+                     * np.uint32(2654435761)) & np.uint32(0xFFFFFF)
+            pixels = np.stack([codes >> 16, codes >> 8, codes], axis=-1).astype(np.uint8)
+            pixels = pixels.reshape(1024, 1024, 3)
+            assert np.array_equal(adapt_pixels(pixels, model, config),
+                                  reference_adapt(pixels, model, config))
+
+    def test_lab_a_stacks_match_reference(self, reference_tiles):
+        lab_a = default_lab_profiles()[1]
+        stacks = [np.stack([t.pixels for t in tiles_for(lab_a, seed, ClassLabel(seed % 4))])
+                  for seed in (3, 4)]
+        model = AdapterModel(source=fit_stats(list(stacks[0])),
+                             target=fit_stats(reference_tiles))
+        for stack in stacks:
+            expected = reference_adapt(stack, model)
+            assert np.array_equal(adapt_pixels(stack, model), expected)
+            assert np.array_equal(adapt_pixels(np.asfortranarray(stack), model), expected)
 
     def test_batch_matches_single(self, shifted_tiles, reference_tiles):
         model = AdapterModel(source=fit_stats(shifted_tiles),

@@ -5,7 +5,7 @@ import pytest
 
 from wsitriage.aggregation import (FinalOutcome, SlideResult, SpecimenResult,
                                    aggregate, attained_level, finalize,
-                                   load_noroi_slide_ids, load_specimen_results,
+                                   load_slide_ids, load_specimen_results,
                                    save_class_scores, save_slide_results,
                                    save_specimen_results)
 from wsitriage.confidence import UNREACHABLE, ThresholdSet
@@ -169,7 +169,8 @@ class TestResultsIO:
             rows = list(csv.reader(fh))[2:]
         assert all(len(row) == 6 for row in rows)
         assert rows[0] == ["s0", "sp0", "Error", "", "", error]
-        assert load_noroi_slide_ids(path) == {"s1", "s3"}
+        assert load_slide_ids(path, "NoROI") == {"s1", "s3"}
+        assert load_slide_ids(path, "Error") == {"s0"}
 
     def test_malformed_class_score_row_names_line(self, tmp_path):
         thresholds = ThresholdSet(targets=(0.90,), values=(0.3,))

@@ -83,10 +83,19 @@ class TestFeaturize:
         for start in (0, 16, 32, 48):
             assert abs(vec[start:start + 16].sum() - 1.0) < 1e-12
 
+    @pytest.mark.filterwarnings("error")
     def test_no_tissue_uniform_fallback(self):
         glass = np.full((128, 128, 3), 255, dtype=np.uint8)
         vec = featurize(Tile("s", (0, 0), glass, 0.0))
         assert np.all(vec[:48] == 1.0 / 16)
+
+    @pytest.mark.filterwarnings("error")
+    def test_glass_among_tissue_tiles_matches_reference_bitwise(self):
+        glass = np.full((128, 128, 3), 250, dtype=np.uint8)
+        stacks = [rand_tile(1).pixels, glass, rand_tile(2).pixels, glass]
+        got = featurize_tiles(stacks)
+        for pixels, row in zip(stacks, got):
+            assert np.array_equal(row, reference_features(pixels))
 
     def test_all_finite(self):
         vec = featurize(rand_tile(17))

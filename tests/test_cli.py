@@ -264,6 +264,8 @@ class TestErrors:
         for name in ("specimen_results.csv", "class_scores.csv", "timings.csv",
                      "thresholds.txt", "run_manifest.txt"):
             assert os.path.exists(os.path.join(out, name))
+        assert main(["profile", "--run", out]) == 0
+        assert "(Error: 1, left out below)" in capsys.readouterr().out
 
 
 class TestConfigFile:

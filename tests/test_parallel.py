@@ -1,3 +1,6 @@
+import functools
+import os
+
 import numpy  # noqa: F401  (maps numpy's OpenBLAS into the process)
 import pytest
 
@@ -22,3 +25,23 @@ class TestBlasThreads:
         before = blas_threads()
         assert pmap(blas_threads, range(4), workers=1) == [before] * 4
         assert blas_threads() == before
+
+
+PARENT_CALLS = []
+
+
+def fail_third_in_workers(item, parent_pid):
+    if os.getpid() == parent_pid:
+        PARENT_CALLS.append(item)
+    elif item == 3:
+        raise FileNotFoundError(f"item {item}")
+    return item
+
+
+class TestErrors:
+    def test_worker_error_propagates_without_rerun(self):
+        PARENT_CALLS.clear()
+        fn = functools.partial(fail_third_in_workers, parent_pid=os.getpid())
+        with pytest.raises(FileNotFoundError, match="item 3"):
+            pmap(fn, range(6), workers=2)
+        assert PARENT_CALLS == []

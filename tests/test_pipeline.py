@@ -5,7 +5,7 @@ from wsitriage.adaptation import AdapterModel, DomainStats, adapt_pixels, fit_st
 from wsitriage.config import Config
 from wsitriage.manifest import ClassLabel, SlideRecord, Split, load_manifest
 from wsitriage.pipeline import (Models, StageTiming, build_run_manifest,
-                                load_timings, profile, run_corpus, run_slide,
+                                format_profile, load_timings, profile, run_corpus, run_slide,
                                 save_run_manifest, save_timings, select_tiles)
 from wsitriage.pnm import write_ppm
 from wsitriage.roi import N_PIXEL_FEATURES, PixelSegmenter
@@ -166,6 +166,7 @@ class TestRunCorpus:
         by_id = {r.slide_id: r for r in run.slide_results}
         assert by_id["zz-missing"].error is not None
         assert len(run.slide_results) == 4
+        assert run.error_slide_ids() == {"zz-missing"}
 
 
 class TestProfile:
@@ -196,6 +197,26 @@ class TestProfile:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             profile([])
+
+    def test_error_slides_left_out_and_counted(self):
+        timings = [StageTiming("err", total_ms=0.5),
+                   StageTiming("b", 10.0, 1.0, 30.0, 20.0, 5.0, 0.1, 70.0),
+                   StageTiming("c", 20.0, 1.0, 40.0, 30.0, 5.0, 0.1, 100.0)]
+        summary = profile(timings, wall_ms=3600.0, error_slide_ids={"err"})
+        assert summary.n_slides == 3
+        assert summary.n_errors == 1
+        assert summary.stage_median_ms["adapt"] == (32.5, 35.0, 37.5)
+        assert summary.median_total_ms == 85.0
+        assert summary.median_total_classified_ms == 85.0
+        assert summary.throughput_per_hour == pytest.approx(2000.0)
+        assert "slides: 3 (Error: 1, left out below)" in format_profile(summary)
+
+    @pytest.mark.filterwarnings("error")
+    def test_only_error_slides(self):
+        summary = profile([StageTiming("err")], error_slide_ids={"err"})
+        assert summary.n_errors == 1
+        assert np.isnan(summary.median_total_ms)
+        assert all(np.isnan(v) for q in summary.stage_median_ms.values() for v in q)
 
     def test_stage_sums_bounded_by_total(self, small_corpus, pipeline_models,
                                          config):

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from wsitriage.adaptation import AdapterModel, DomainStats, load_adapter, save_adapter
 from wsitriage.aggregation import (CLASS_SCORES_HEAD, RESULTS_HEAD, SlideResult,
-                                   SpecimenResult, load_noroi_slide_ids,
+                                   SpecimenResult, load_slide_ids,
                                    load_specimen_results, save_class_scores,
                                    save_slide_results, save_specimen_results)
 from wsitriage.classifier import NetParams, load_params, save_params
@@ -211,8 +211,8 @@ def test_slide_results_round_trip(path, results):
         else:
             expected.append([r.slide_id, r.specimen_id, "NoROI", "", "", ""])
     assert rows == expected
-    assert load_noroi_slide_ids(path) == {r.slide_id for r in results
-                                          if r.error is None and not r.classified}
+    assert load_slide_ids(path, "NoROI") == {r.slide_id for r in results
+                                             if r.error is None and not r.classified}
 
 
 @st.composite
