@@ -13,7 +13,7 @@ import tempfile
 from wsitriage.config import Config
 from wsitriage.manifest import Split, build_splits
 from wsitriage.pnm import read_pgm, read_ppm
-from wsitriage.roi import segment
+from wsitriage.roi import segment_tiles
 from wsitriage.synthesis import default_lab_profiles, generate_corpus, mask_path_for
 from wsitriage.tiling import segment_tissue, tile
 from wsitriage.training import train_models
@@ -35,8 +35,7 @@ lesion = read_pgm(mask_path_for(record.raster_path)) > 0
 tiles = tile(raster, segment_tissue(raster), record.slide_id)
 print(f"\nslide {record.slide_id} ({record.truth.token}):")
 print("tile origin      predicted  truth")
-for t in tiles[:8]:
+for t, seg in zip(tiles[:8], segment_tiles(tiles[:8], trained.segmenter)):
     y, x = t.origin
-    seg = segment(t, trained.segmenter)
     truth = lesion[y:y + 128, x:x + 128].mean()
     print(f"  {str(t.origin):<14} {seg.positive_fraction:<10.3f} {truth:.3f}")

@@ -3,7 +3,8 @@
 Mirrors the deployment story: everything is developed on the reference
 lab; for a new lab only its color statistics, a fine-tuned classifier,
 and its confidence thresholds are fit (on calibration splits), after
-which the system runs once on the lab's test split.
+which the system runs once on the lab's test split.  calibrate_lab returns
+the lab's run-ready model set.
 
 Run:  python demos/05_full_pipeline.py       (takes a minute or two)
 """
@@ -14,7 +15,8 @@ import tempfile
 from wsitriage.config import Config
 from wsitriage.evaluation import evaluate, format_report
 from wsitriage.manifest import Split, build_splits
-from wsitriage.pipeline import Models, format_profile, profile, run_corpus
+from wsitriage.confidence import format_evidence
+from wsitriage.pipeline import format_profile, profile, run_corpus
 from wsitriage.synthesis import default_lab_profiles, generate_corpus
 from wsitriage.training import calibrate_lab, train_models
 
@@ -39,13 +41,10 @@ print(f"  training accuracy {trained.train_accuracy:.3f}")
 print("calibrating lab_c (stats, fine-tune, thresholds) ...")
 cal = calibrate_lab(lab, trained, config, workers=workers, global_seed=9)
 print(f"  lab validation accuracy {cal.validation_accuracy:.3f}")
-print(f"  thresholds: " + ", ".join(
-    f"L{lv}={cal.thresholds.value(lv)!r}" for lv in cal.thresholds.levels))
+print(format_evidence(cal.validation, cal.thresholds))
 
 print("frozen run on the lab_c test split ...")
-models = Models(segmenter=trained.segmenter, classifier=cal.classifier,
-                adapter=cal.adapter)
-run = run_corpus(lab, models, config, workers=workers, global_seed=9,
+run = run_corpus(lab, cal, config, workers=workers, global_seed=9,
                  split=Split.TEST)
 
 report = evaluate(run.specimens, lab.truth_by_specimen(), cal.thresholds)

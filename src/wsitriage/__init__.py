@@ -3,10 +3,10 @@ Monte-Carlo confidence scoring, a-priori threshold calibration, and
 specimen-level reporting, exercised end to end on a synthetic multi-lab
 corpus with known ground truth."""
 
-from .adaptation import AdapterModel, DomainStats, adapt, fit_stats
+from .adaptation import AdapterModel, DomainStats, adapt_tiles, fit_stats
 from .aggregation import (FinalOutcome, SlideResult, SpecimenResult, aggregate,
                           finalize)
-from .classifier import NetParams, featurize, fine_tune, pool, predict, train
+from .classifier import NetParams, featurize_tiles, fine_tune, pool, predict, train
 from .config import Config, load_config
 from .confidence import (UNREACHABLE, ConfidenceScore, ThresholdSet,
                          apply_threshold, calibrate_thresholds, mc_predict,
@@ -15,7 +15,7 @@ from .evaluation import EvalReport, ROCCurve, domain_gap, evaluate, roc_auc
 from .manifest import (ClassLabel, DatasetManifest, SlideRecord, Split,
                        build_splits, load_manifest, save_manifest)
 from .pipeline import CorpusRun, Models, StageTiming, profile, run_corpus, run_slide
-from .roi import ROISelection, SegMap, segment, select, train_segmenter
+from .roi import ROISelection, SegMap, segment_tiles, select, train_segmenter
 from .synthesis import (LabProfile, SynthSlide, TextureRecipe,
                         default_lab_profiles, generate_corpus, generate_slide,
                         inject_artifact)

@@ -171,14 +171,10 @@ def adapt_pixels(pixels: np.ndarray, model: AdapterModel,
     return out
 
 
-def adapt(t: Tile, model: AdapterModel) -> Tile:
-    """Map one tile into the target domain; shape and metadata preserved."""
-    return Tile(t.slide_id, t.origin, adapt_pixels(t.pixels, model), t.tissue_fraction)
-
-
 def adapt_tiles(tiles, model: AdapterModel | None,
                 config: TilingConfig = TilingConfig()) -> list:
-    """Batch form of adapt(); None passes tiles through unchanged."""
+    """Map tiles into the target domain, shape and metadata preserved;
+    None passes tiles through unchanged."""
     tiles = list(tiles)
     if model is None or not tiles:
         return tiles

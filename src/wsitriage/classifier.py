@@ -30,7 +30,10 @@ KEEP_PROB = 0.30
 
 
 def featurize_tiles(tiles, config: TilingConfig = TilingConfig()) -> np.ndarray:
-    """(N, 64) feature matrix for a batch of tiles in one vectorized pass."""
+    """(N, 64) features of tiles in one vectorized pass: per tile, a 16-bin
+    color histogram per channel over its tissue pixels (uniform without
+    tissue), then a 16-bin gradient-magnitude histogram over the whole
+    tile; each of the four histograms is L1-normalized."""
     tiles = list(tiles)
     if not tiles:
         return np.empty((0, N_FEATURES))
@@ -61,16 +64,6 @@ def featurize_tiles(tiles, config: TilingConfig = TilingConfig()) -> np.ndarray:
     np.divide(color, n_tissue, out=color_hists, where=n_tissue > 0)
     return np.concatenate([color_hists.reshape(n, 3 * N_COLOR_BINS),
                            grad / grad.sum(axis=1, keepdims=True)], axis=1)
-
-
-def featurize(t: Tile, config: TilingConfig = TilingConfig()) -> np.ndarray:
-    """64-vector: 16-bin color histogram per channel over tissue pixels,
-    plus a 16-bin gradient-magnitude histogram over the whole tile.
-
-    Each of the four histograms is L1-normalized; a tile without tissue
-    pixels falls back to uniform color histograms.
-    """
-    return featurize_tiles([t], config)[0]
 
 
 def pool(vectors) -> np.ndarray:

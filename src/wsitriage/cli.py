@@ -12,13 +12,13 @@ import argparse
 import os
 import sys
 
-from .adaptation import AdapterModel, load_adapter, save_adapter
+from .adaptation import load_adapter, save_adapter
 from .aggregation import (load_slide_ids, load_specimen_results,
                           save_class_scores, save_slide_results,
                           save_specimen_results)
 from .classifier import load_params, save_params
 from .config import CONFIG_KEYS, Config, ConfigError, load_config
-from .confidence import load_thresholds, save_thresholds
+from .confidence import format_evidence, load_thresholds, save_thresholds
 from .evaluation import evaluate, format_report, write_report
 from .manifest import (DatasetManifest, Split, build_splits, load_manifest,
                        save_manifest)
@@ -27,7 +27,7 @@ from .pipeline import (Models, build_run_manifest, format_profile,
                        save_timings)
 from .roi import load_segmenter, save_segmenter
 from .synthesis import default_lab_profiles, generate_corpus
-from .training import TrainedModels, calibrate_lab, calibrate_reference, train_models
+from .training import calibrate_lab, calibrate_reference, train_models
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -128,32 +128,39 @@ def _model_paths(models_dir, lab=None):
     return {kind: os.path.join(models_dir, name) for kind, name in names.items()}
 
 
+# the loader and saver of each kind of model file
+_MODEL_FILES = {"adapter": (load_adapter, save_adapter),
+                "segmenter": (load_segmenter, save_segmenter),
+                "classifier": (load_params, save_params),
+                "thresholds": (load_thresholds, save_thresholds)}
+
+
 def _load_model_set(paths):
     """Load the model files in paths, each required; an adapter or thresholds
     left out of paths loads as None. Returns (models, thresholds)."""
     for path in paths.values():
         _require(path, "model")
-    adapter = load_adapter(paths["adapter"]) if "adapter" in paths else None
-    thresholds = load_thresholds(paths["thresholds"]) if "thresholds" in paths else None
-    models = Models(segmenter=load_segmenter(paths["segmenter"]),
-                    classifier=load_params(paths["classifier"]), adapter=adapter)
-    return models, thresholds
+    loaded = {kind: _MODEL_FILES[kind][0](path) for kind, path in paths.items()}
+    thresholds = loaded.pop("thresholds", None)
+    return Models(**loaded), thresholds
+
+
+def _save_model_set(models: Models, thresholds, paths):
+    """Write the model files in paths; the inverse of _load_model_set."""
+    for kind, path in paths.items():
+        value = thresholds if kind == "thresholds" else getattr(models, kind)
+        _MODEL_FILES[kind][1](value, path)
 
 
 def cmd_train(args) -> int:
     config = _load_config(args)
     manifest = _load_manifest(args.manifest)
     trained = train_models(manifest, config, workers=config["workers"])
-    os.makedirs(args.models, exist_ok=True)
-    paths = _model_paths(args.models)
-    save_adapter(AdapterModel(trained.reference_stats, trained.reference_stats),
-                 paths["adapter"])
-    save_segmenter(trained.segmenter, paths["segmenter"])
-    save_params(trained.classifier, paths["classifier"])
     thresholds = calibrate_reference(
         manifest, trained, config, workers=config["workers"],
         global_seed=config["seed"])
-    save_thresholds(thresholds, paths["thresholds"])
+    os.makedirs(args.models, exist_ok=True)
+    _save_model_set(trained, thresholds, _model_paths(args.models))
     print(f"trained on {trained.n_train_slides} slides; "
           f"training accuracy {trained.train_accuracy:.4f}")
     return 0
@@ -165,26 +172,15 @@ def cmd_calibrate(args) -> int:
     ref_paths = _model_paths(args.models)
     del ref_paths["thresholds"]   # the reference thresholds play no part in calibration
     reference, _ = _load_model_set(ref_paths)
-    ref_stats = reference.adapter.target
-    base = TrainedModels(
-        reference_stats=ref_stats,
-        segmenter=reference.segmenter,
-        classifier=reference.classifier,
-        train_accuracy=float("nan"),
-        n_train_slides=0,
-    )
-    cal = calibrate_lab(manifest, base, config, workers=config["workers"],
+    cal = calibrate_lab(manifest, reference, config, workers=config["workers"],
                         global_seed=config["seed"],
                         with_adaptation=not args.no_adaptation)
     paths = _model_paths(args.models, cal.lab_id)
-    # without adaptation the lab's set holds the identity adapter, a no-op
-    save_adapter(cal.adapter or AdapterModel(ref_stats, ref_stats), paths["adapter"])
-    save_params(cal.classifier, paths["classifier"])
-    save_thresholds(cal.thresholds, paths["thresholds"])
+    del paths["segmenter"]   # the reference's, shared by every lab
+    _save_model_set(cal, cal.thresholds, paths)
     print(f"lab {cal.lab_id}: validation accuracy {cal.validation_accuracy:.4f} "
-          f"over {cal.n_validation_specimens} specimens")
-    print("thresholds: " + ", ".join(
-        f"level {lv} -> {cal.thresholds.value(lv)!r}" for lv in cal.thresholds.levels))
+          f"over {len(cal.validation)} scored specimens")
+    print(format_evidence(cal.validation, cal.thresholds))
     return 0
 
 

@@ -167,6 +167,25 @@ def apply_threshold(s, threshold) -> bool:
     return value >= threshold
 
 
+def format_evidence(results, thresholds: ThresholdSet) -> str:
+    """One line per level: the (score, correct) results its threshold
+    retains, their accuracy and its one-sided 95% Clopper-Pearson lower
+    bound, n/a when nothing is retained."""
+    from scipy.stats import beta   # here, not at the top: a 0.7 s import
+    lines = []
+    for level, target, value in zip(thresholds.levels, thresholds.targets,
+                                    thresholds.values):
+        kept = [bool(ok) for s, ok in results if apply_threshold(s, value)]
+        n, k = len(kept), sum(kept)
+        acc = bound = "n/a"
+        if n:
+            acc = f"{k / n:.3f}"
+            bound = f"{beta.ppf(0.05, k, n - k + 1) if k else 0.0:.3f}"
+        lines.append(f"level {level} (target {target}): threshold {value!r}, "
+                     f"{n} retained, accuracy {acc}, 95% lower bound {bound}")
+    return "\n".join(lines)
+
+
 def save_thresholds(thresholds: ThresholdSet, path) -> None:
     write_table(path, THRESHOLDS_HEAD, (
         (level, float(target), "unreachable" if v is UNREACHABLE else float(v))

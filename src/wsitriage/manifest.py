@@ -58,7 +58,6 @@ class Split(enum.Enum):
 
 
 DEV_SPLITS = (Split.TRAIN, Split.VALIDATION, Split.TEST)
-CALIB_SPLITS = (Split.CALIB_FINETUNE, Split.CALIB_VALIDATION, Split.TEST)
 
 
 @dataclass(frozen=True)

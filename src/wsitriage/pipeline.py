@@ -37,6 +37,9 @@ STAGES = ("segment", "tile", "adapt", "roi", "classify", "score")
 
 @dataclass(frozen=True)
 class Models:
+    """One lab's model set, frozen for a run.  train_models and
+    calibrate_lab return it run-ready, as the subclasses TrainedModels and
+    LabCalibration, and a lab's model files hold the same set."""
     segmenter: PixelSegmenter
     classifier: NetParams | None = None   # not needed for embedding-only use
     adapter: AdapterModel | None = None   # None disables appearance adaptation

@@ -17,7 +17,7 @@ from scipy import ndimage
 
 from .manifest import stable_seed
 from .tables import read_arrays, write_arrays
-from .tiling import Tile, color_planes, gradient_magnitude
+from .tiling import color_planes, gradient_magnitude
 
 THETA_ROI = 0.05
 
@@ -83,14 +83,9 @@ class PixelSegmenter:
         return pixel_features(pixels) @ folded_w + folded_b
 
 
-def segment(t: Tile, model: PixelSegmenter) -> SegMap:
-    """Binary lesion map for one (adapted) tile; threshold 0.5 on the
-    logistic output, i.e. 0 on the logit."""
-    return SegMap.from_mask(model.scores(t.pixels) >= 0.0)
-
-
 def segment_tiles(tiles, model: PixelSegmenter) -> list[SegMap]:
-    """Segmentation maps for a batch of tiles in one vectorized pass."""
+    """Binary lesion maps of (adapted) tiles in one vectorized pass;
+    threshold 0.5 on the logistic output, i.e. 0 on the logit."""
     tiles = list(tiles)
     if not tiles:
         return []

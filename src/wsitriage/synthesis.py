@@ -34,8 +34,6 @@ EXTRA_SLIDE_NO_LESION_FRACTION = 0.15
 
 ARTIFACT_KINDS = ("pen_ink", "blur_patch", "bubble", "blank")
 
-ARRANGEMENTS = ("nested_clusters", "ridges", "dense_islands", "sparse_background")
-
 
 @dataclass(frozen=True)
 class LabProfile:

@@ -7,6 +7,10 @@ color statistics, fine-tunes the classifier on the lab's calibration
 slides, and fixes the lab's confidence thresholds on its held-out
 calibration validation specimens; after that everything is frozen for a
 single test run.
+
+train_models and calibrate_lab each return a run-ready model set (a
+pipeline.Models that run_corpus takes as it is), the set a lab's model
+files hold.
 """
 
 from __future__ import annotations
@@ -17,14 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptation import AdapterModel, DomainStats, adapt_tiles, fit_stats
-from .classifier import NetParams, accuracy, fine_tune, train
+from .classifier import accuracy, fine_tune, train
 from .config import Config
 from .confidence import ThresholdSet, calibrate_thresholds
 from .manifest import DatasetManifest, Split
 from .parallel import pmap
 from .pipeline import Models, embed_record, run_corpus
 from .pnm import read_pgm, read_ppm
-from .roi import PixelSegmenter, train_segmenter
+from .roi import train_segmenter
 from .synthesis import mask_path_for
 from . import tiling
 
@@ -79,13 +83,16 @@ def segmenter_pairs(records, adapter: AdapterModel | None, config: Config):
     return pairs
 
 
-@dataclass
-class TrainedModels:
-    reference_stats: DomainStats
-    segmenter: PixelSegmenter
-    classifier: NetParams
+@dataclass(frozen=True, kw_only=True)
+class TrainedModels(Models):
+    """The reference lab's run-ready model set, with the identity adapter
+    over the reference stats, and how well it fits its training slides."""
     train_accuracy: float
     n_train_slides: int
+
+    @property
+    def reference_stats(self) -> DomainStats:
+        return self.adapter.target
 
 
 def train_models(manifest: DatasetManifest, config: Config,
@@ -107,61 +114,66 @@ def train_models(manifest: DatasetManifest, config: Config,
     if len(x) == 0:
         raise ValueError("no training slide produced an ROI selection")
     params = train(x, labels, config.train)
-    return TrainedModels(
-        reference_stats=ref_stats,
-        segmenter=segmenter,
-        classifier=params,
-        train_accuracy=accuracy(params, x, labels),
-        n_train_slides=len(kept),
-    )
+    return TrainedModels(segmenter=segmenter, classifier=params, adapter=identity,
+                         train_accuracy=accuracy(params, x, labels),
+                         n_train_slides=len(kept))
 
 
-def calibrate_reference(manifest: DatasetManifest, trained: TrainedModels,
+def _fit_thresholds(manifest: DatasetManifest, models: Models, split: Split,
+                    config: Config, workers: int, global_seed: int):
+    """Run split with models and fix the confidence thresholds on its scored
+    specimens; returns (thresholds, (score, correct) per scored specimen)."""
+    run = run_corpus(manifest, models, config, workers=workers,
+                     global_seed=global_seed, split=split)
+    truths = manifest.truth_by_specimen()
+    scored = tuple((s.score, s.predicted == truths[s.specimen_id])
+                   for s in run.specimens if s.classified)
+    if not scored:
+        raise ValueError(f"no {split.value} specimen of {manifest.lab_ids()} was scored")
+    return calibrate_thresholds(scored, targets=config["confidence.targets"]), scored
+
+
+def calibrate_reference(manifest: DatasetManifest, trained: Models,
                         config: Config, workers: int = 1,
                         global_seed: int = 0) -> ThresholdSet:
     """Fix confidence thresholds on the reference validation split."""
-    identity = AdapterModel(trained.reference_stats, trained.reference_stats)
-    models = Models(segmenter=trained.segmenter, classifier=trained.classifier,
-                    adapter=identity)
-    run = run_corpus(manifest, models, config, workers=workers,
-                     global_seed=global_seed, split=Split.VALIDATION)
-    truths = manifest.truth_by_specimen()
-    scored = [(s.score, s.predicted == truths[s.specimen_id])
-              for s in run.specimens if s.classified]
-    if not scored:
-        raise ValueError("no Validation specimen was scored")
-    return calibrate_thresholds(scored, targets=config["confidence.targets"])
+    return _fit_thresholds(manifest, trained, Split.VALIDATION, config, workers,
+                           global_seed)[0]
 
 
-@dataclass
-class LabCalibration:
+@dataclass(frozen=True, kw_only=True)
+class LabCalibration(Models):
+    """A calibrated lab's run-ready model set: the reference segmenter, the
+    lab's adapter (the identity without adaptation) and fine-tuned
+    classifier, and the thresholds fixed on its CalibValidation specimens."""
     lab_id: str
-    adapter: AdapterModel | None
-    classifier: NetParams
     thresholds: ThresholdSet
-    validation_accuracy: float      # specimen-level, unthresholded
-    n_validation_specimens: int
+    validation: tuple               # (score, correct) per scored specimen
+
+    @property
+    def validation_accuracy(self) -> float:   # specimen-level, unthresholded
+        return float(np.mean([correct for _, correct in self.validation]))
 
 
-def calibrate_lab(lab_manifest: DatasetManifest, base: TrainedModels,
+def calibrate_lab(lab_manifest: DatasetManifest, base: Models,
                   config: Config, workers: int = 1, global_seed: int = 0,
                   with_adaptation: bool = True) -> LabCalibration:
     """Fit lab stats, fine-tune the classifier, and fix confidence
-    thresholds, using only the lab's calibration splits."""
+    thresholds, using only the lab's calibration splits.  base is the
+    reference set, whose adapter's target is the reference stats."""
     lab_ids = lab_manifest.lab_ids()
     if len(lab_ids) != 1:
         raise ValueError(f"calibration manifest must cover one lab, got {lab_ids}")
     lab_id = lab_ids[0]
 
     cf_records = lab_manifest.records_in(Split.CALIB_FINETUNE)
-    cv_records = lab_manifest.records_in(Split.CALIB_VALIDATION)
-    if not cf_records or not cv_records:
+    if not cf_records or not lab_manifest.records_in(Split.CALIB_VALIDATION):
         raise ValueError(f"lab {lab_id!r} needs CalibFinetune and CalibValidation splits")
 
-    adapter = None
-    if with_adaptation:
-        lab_stats = fit_stats(sample_tiles(cf_records, config), config.tiling)
-        adapter = AdapterModel(source=lab_stats, target=base.reference_stats)
+    ref_stats = base.adapter.target
+    lab_stats = (fit_stats(sample_tiles(cf_records, config), config.tiling)
+                 if with_adaptation else ref_stats)
+    adapter = AdapterModel(source=lab_stats, target=ref_stats)
 
     embed_models = Models(segmenter=base.segmenter, adapter=adapter)
     x, labels, _ = collect_embeddings(cf_records, embed_models, config, workers)
@@ -169,21 +181,8 @@ def calibrate_lab(lab_manifest: DatasetManifest, base: TrainedModels,
         raise ValueError(f"lab {lab_id!r}: no fine-tuning slide produced an ROI")
     tuned = fine_tune(base.classifier, x, labels, config.train)
 
-    models = Models(segmenter=base.segmenter, classifier=tuned, adapter=adapter)
-    cv_run = run_corpus(lab_manifest, models, config, workers=workers,
-                        global_seed=global_seed, split=Split.CALIB_VALIDATION)
-    truths = lab_manifest.truth_by_specimen()
-    scored = [(s.score, s.predicted == truths[s.specimen_id])
-              for s in cv_run.specimens if s.classified]
-    if not scored:
-        raise ValueError(f"lab {lab_id!r}: no CalibValidation specimen was scored")
-    thresholds = calibrate_thresholds(scored, targets=config["confidence.targets"])
-    val_acc = float(np.mean([correct for _, correct in scored]))
-    return LabCalibration(
-        lab_id=lab_id,
-        adapter=adapter,
-        classifier=tuned,
-        thresholds=thresholds,
-        validation_accuracy=val_acc,
-        n_validation_specimens=len(cv_run.specimens),
-    )
+    thresholds, scored = _fit_thresholds(
+        lab_manifest, Models(base.segmenter, tuned, adapter), Split.CALIB_VALIDATION,
+        config, workers, global_seed)
+    return LabCalibration(segmenter=base.segmenter, classifier=tuned, adapter=adapter,
+                          lab_id=lab_id, thresholds=thresholds, validation=scored)

@@ -5,10 +5,8 @@ import os
 
 import pytest
 
-from wsitriage.adaptation import AdapterModel
 from wsitriage.config import Config
 from wsitriage.manifest import build_splits
-from wsitriage.pipeline import Models
 from wsitriage.synthesis import default_lab_profiles, generate_corpus
 from wsitriage.training import train_models
 
@@ -27,12 +25,6 @@ def small_corpus(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def small_models(small_corpus):
-    """Segmenter + classifier + reference stats trained on the small corpus."""
+    """The run-ready reference model set trained on the small corpus."""
     return train_models(small_corpus, Config(), workers=N_WORKERS)
 
-
-@pytest.fixture(scope="session")
-def pipeline_models(small_models):
-    identity = AdapterModel(small_models.reference_stats, small_models.reference_stats)
-    return Models(segmenter=small_models.segmenter,
-                  classifier=small_models.classifier, adapter=identity)

@@ -20,7 +20,7 @@ from wsitriage.config import Config
 from wsitriage.confidence import (UNREACHABLE, calibrate_thresholds, score)
 from wsitriage.evaluation import domain_gap, evaluate, roc_auc
 from wsitriage.manifest import ClassLabel, Split, build_splits
-from wsitriage.pipeline import Models, profile, run_corpus
+from wsitriage.pipeline import profile, run_corpus
 from wsitriage.pnm import read_ppm
 from wsitriage.synthesis import default_lab_profiles, generate_corpus
 from wsitriage.tiling import segment_tissue, tile
@@ -75,9 +75,7 @@ def experiment(tmp_path_factory):
     for lab in test_labs:
         cal = calibrate_lab(lab_manifests[lab], trained, CONFIG,
                             workers=WORKERS, global_seed=GLOBAL_SEED)
-        models = Models(segmenter=trained.segmenter, classifier=cal.classifier,
-                        adapter=cal.adapter)
-        run = run_corpus(lab_manifests[lab], models, CONFIG, workers=WORKERS,
+        run = run_corpus(lab_manifests[lab], cal, CONFIG, workers=WORKERS,
                          global_seed=GLOBAL_SEED, split=Split.TEST)
         truths = lab_manifests[lab].truth_by_specimen()
         calibrations[lab] = cal
@@ -95,16 +93,15 @@ def experiment(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def no_adaptation_arm(experiment):
-    """Paired no-adaptation run: same corpus and base models, adapter off."""
+    """Paired no-adaptation run: same corpus and base models, the lab's
+    adapter the identity."""
     trained = experiment["trained"]
     runs, reports = {}, {}
     for lab in experiment["labs"]:
         manifest = experiment["lab_manifests"][lab]
         cal = calibrate_lab(manifest, trained, CONFIG, workers=WORKERS,
                             global_seed=GLOBAL_SEED, with_adaptation=False)
-        models = Models(segmenter=trained.segmenter, classifier=cal.classifier,
-                        adapter=None)
-        run = run_corpus(manifest, models, CONFIG, workers=WORKERS,
+        run = run_corpus(manifest, cal, CONFIG, workers=WORKERS,
                          global_seed=GLOBAL_SEED, split=Split.TEST)
         runs[lab] = run
         reports[lab] = evaluate(run.specimens, manifest.truth_by_specimen(),
@@ -184,9 +181,7 @@ def test_criterion_03_calibration_guarantee(experiment):
     for lab in experiment["labs"]:
         cal = experiment["calibrations"][lab]
         manifest = experiment["lab_manifests"][lab]
-        models = Models(segmenter=experiment["trained"].segmenter,
-                        classifier=cal.classifier, adapter=cal.adapter)
-        cv_run = run_corpus(manifest, models, CONFIG, workers=WORKERS,
+        cv_run = run_corpus(manifest, cal, CONFIG, workers=WORKERS,
                             global_seed=GLOBAL_SEED,
                             split=Split.CALIB_VALIDATION)
         truths = manifest.truth_by_specimen()
@@ -418,14 +413,12 @@ def test_criterion_09_determinism_and_speedup(experiment):
     manifest = experiment["lab_manifests"][lab]
     assert len(manifest.records) >= 200, "corpus for this criterion is >= 200 slides"
     cal = experiment["calibrations"][lab]
-    models = Models(segmenter=experiment["trained"].segmenter,
-                    classifier=cal.classifier, adapter=cal.adapter)
 
     runs = {}
     walls = {}
     for workers in (1, 4, 8):
         t0 = time.perf_counter()
-        runs[workers] = run_corpus(manifest, models, CONFIG, workers=workers,
+        runs[workers] = run_corpus(manifest, cal, CONFIG, workers=workers,
                                    global_seed=GLOBAL_SEED)
         walls[workers] = time.perf_counter() - t0
     assert slide_results_identical(runs[1].slide_results, runs[4].slide_results)

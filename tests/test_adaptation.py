@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wsitriage.adaptation import (_DECOR, _DECOR_INV, _LMS2RGB, _LMS_FLOOR,
-                                  _RGB2LMS, AdapterModel, adapt, adapt_pixels,
+                                  _RGB2LMS, AdapterModel, adapt_pixels,
                                   adapt_tiles, fit_stats, from_decorrelated,
                                   load_adapter, save_adapter, to_decorrelated)
 from wsitriage.manifest import ClassLabel
@@ -105,7 +105,7 @@ class TestAdapt:
     def test_identity_is_bit_exact(self, reference_tiles):
         stats = fit_stats(reference_tiles)
         model = AdapterModel(stats, stats)
-        out = adapt(reference_tiles[0], model)
+        out = adapt_tiles([reference_tiles[0]], model)[0]
         assert np.array_equal(out.pixels, reference_tiles[0].pixels)
 
     def test_shifted_batch_means_match_target(self, reference_tiles, shifted_tiles):
@@ -126,7 +126,7 @@ class TestAdapt:
         model = AdapterModel(source=fit_stats(shifted_tiles),
                              target=fit_stats(reference_tiles))
         black = Tile("s", (0, 0), np.zeros((128, 128, 3), dtype=np.uint8), 1.0)
-        out = adapt(black, model)
+        out = adapt_tiles([black], model)[0]
         assert out.pixels.dtype == np.uint8  # clamped, no overflow or NaN
 
     def test_idempotent_after_refit(self, reference_tiles, shifted_tiles):
@@ -141,7 +141,7 @@ class TestAdapt:
         model = AdapterModel(source=fit_stats(shifted_tiles),
                              target=fit_stats(reference_tiles))
         t = shifted_tiles[0]
-        out = adapt(t, model)
+        out = adapt_tiles([t], model)[0]
         assert out.pixels.shape == (128, 128, 3)
         assert out.origin == t.origin
         assert out.tissue_fraction == t.tissue_fraction
@@ -186,7 +186,7 @@ class TestAdapt:
                              target=fit_stats(reference_tiles))
         batch = adapt_tiles(shifted_tiles[:4], model)
         for t, b in zip(shifted_tiles[:4], batch):
-            assert np.array_equal(adapt(t, model).pixels, b.pixels)
+            assert np.array_equal(adapt_tiles([t], model)[0].pixels, b.pixels)
 
 
 class TestPersistence:

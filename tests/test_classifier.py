@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsitriage.classifier import (NetParams, TrainConfig, accuracy,
-                                  dropout_scale, featurize, featurize_tiles,
+                                  dropout_scale, featurize_tiles,
                                   fine_tune,
                                   init_params, load_params, loss_and_grad,
                                   one_hot, pool, predict, predict_class,
@@ -69,24 +69,24 @@ class TestFeaturize:
 
     def test_uniform_gray_tile_gradient_in_lowest_bin(self):
         pixels = np.full((128, 128, 3), 90, dtype=np.uint8)
-        vec = featurize(Tile("s", (0, 0), pixels, 1.0))
+        vec = featurize_tiles([Tile("s", (0, 0), pixels, 1.0)])[0]
         assert vec[48] == 1.0
         assert np.all(vec[49:] == 0.0)
 
     def test_identical_tiles_identical_vectors(self):
-        a = featurize(rand_tile(4))
-        b = featurize(rand_tile(4))
+        a = featurize_tiles([rand_tile(4)])[0]
+        b = featurize_tiles([rand_tile(4)])[0]
         assert np.array_equal(a, b)
 
     def test_histogram_groups_sum_to_one(self):
-        vec = featurize(rand_tile(9))
+        vec = featurize_tiles([rand_tile(9)])[0]
         for start in (0, 16, 32, 48):
             assert abs(vec[start:start + 16].sum() - 1.0) < 1e-12
 
     @pytest.mark.filterwarnings("error")
     def test_no_tissue_uniform_fallback(self):
         glass = np.full((128, 128, 3), 255, dtype=np.uint8)
-        vec = featurize(Tile("s", (0, 0), glass, 0.0))
+        vec = featurize_tiles([Tile("s", (0, 0), glass, 0.0)])[0]
         assert np.all(vec[:48] == 1.0 / 16)
 
     @pytest.mark.filterwarnings("error")
@@ -98,7 +98,7 @@ class TestFeaturize:
             assert np.array_equal(row, reference_features(pixels))
 
     def test_all_finite(self):
-        vec = featurize(rand_tile(17))
+        vec = featurize_tiles([rand_tile(17)])[0]
         assert np.all(np.isfinite(vec))
         assert len(vec) == 64
 

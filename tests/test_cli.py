@@ -6,10 +6,17 @@ import shutil
 import numpy as np
 import pytest
 
-from wsitriage.aggregation import SLIDE_RESULTS_HEAD
-from wsitriage.cli import main
+from wsitriage.adaptation import load_adapter
+from wsitriage.aggregation import (SLIDE_RESULTS_HEAD, save_class_scores,
+                                   save_slide_results)
+from wsitriage.classifier import load_params
+from wsitriage.cli import _load_model_set, _model_paths, main
+from wsitriage.config import Config
+from wsitriage.confidence import load_thresholds
 from wsitriage.manifest import Split, load_manifest, save_manifest
+from wsitriage.pipeline import run_corpus
 from wsitriage.tables import read_table
+from wsitriage.training import calibrate_lab, train_models
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +128,7 @@ class TestWorkflow:
             assert fields[f"model.{kind}"] == digest(os.path.join(models, name))
 
     def test_calibrate_without_adaptation_writes_identity_adapter(self, workflow,
-                                                                  tmp_path):
+                                                                  tmp_path, capsys):
         models = str(tmp_path / "models")
         os.makedirs(models)
         # calibration reads no reference thresholds
@@ -131,6 +138,10 @@ class TestWorkflow:
                      "--models", models, "--workers", "2", "--seed", "5",
                      "--no-adaptation"]) == 0
         assert os.path.exists(os.path.join(models, "lab_a.adapter"))
+        out = capsys.readouterr().out
+        for level in (1, 2, 3):   # the evidence each threshold rests on
+            assert f"level {level} (target " in out
+        assert "retained, accuracy" in out and "95% lower bound" in out
         runs = {}
         for name, extra in (("lab", []), ("unadapted", ["--no-adaptation"])):
             runs[name] = str(tmp_path / name)
@@ -159,6 +170,54 @@ class TestWorkflow:
                            ("classifier", "lab_a.classifier.txt"),
                            ("thresholds", "lab_a.thresholds")):
             assert fields[f"model.{kind}"] == digest(os.path.join(models, name))
+
+
+@pytest.fixture(scope="module")
+def reference_sets(workflow):
+    """The reference set `train` wrote, read back as `calibrate` reads it,
+    and the same set trained in memory."""
+    paths = _model_paths(workflow["models"])
+    del paths["thresholds"]
+    loaded, _ = _load_model_set(paths)
+    trained = train_models(load_manifest(workflow["ref_manifest"]), Config(), workers=2)
+    return loaded, trained
+
+
+class TestCalibrateLab:
+    def test_from_model_files_equals_in_memory(self, workflow, reference_sets):
+        lab = load_manifest(workflow["lab_manifest"])
+        from_files, in_memory = (calibrate_lab(lab, base, Config(), workers=2,
+                                               global_seed=5)
+                                 for base in reference_sets)
+        assert from_files.adapter == in_memory.adapter
+        assert from_files.thresholds == in_memory.thresholds
+        # and `calibrate` wrote the same set
+        models = workflow["models"]
+        written = load_params(os.path.join(models, "lab_a.classifier.txt"))
+        for name in ("w1", "b1", "w2", "b2"):
+            for other in (in_memory.classifier, written):
+                assert np.array_equal(getattr(from_files.classifier, name),
+                                      getattr(other, name))
+        assert load_adapter(os.path.join(models, "lab_a.adapter")) == from_files.adapter
+        assert (load_thresholds(os.path.join(models, "lab_a.thresholds"))
+                == from_files.thresholds)
+
+    def test_without_adaptation_keeps_identity_adapter(self, workflow, reference_sets,
+                                                       tmp_path):
+        lab = load_manifest(workflow["lab_manifest"])
+        cal = calibrate_lab(lab, reference_sets[0], Config(), workers=2,
+                            global_seed=5, with_adaptation=False)
+        assert cal.adapter.is_identity
+        # the identity adapter changes no output of a run
+        for name, models in (("identity", cal),
+                             ("none", dataclasses.replace(cal, adapter=None))):
+            run = run_corpus(lab, models, Config(), workers=2, global_seed=5,
+                             split=Split.TEST)
+            save_slide_results(run.slide_results, tmp_path / f"{name}.slides")
+            save_class_scores(run.specimens, tmp_path / f"{name}.scores")
+        for kind in ("slides", "scores"):
+            assert ((tmp_path / f"identity.{kind}").read_bytes()
+                    == (tmp_path / f"none.{kind}").read_bytes())
 
 
 class TestErrors:

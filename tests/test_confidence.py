@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsitriage.classifier import init_params
-from wsitriage.confidence import (UNREACHABLE, ConfidenceScore, ThresholdSet,
-                                  apply_threshold, calibrate_thresholds,
+from wsitriage.confidence import (DEFAULT_TARGETS, UNREACHABLE, ConfidenceScore,
+                                  ThresholdSet, apply_threshold,
+                                  calibrate_thresholds, format_evidence,
                                   load_thresholds, mc_predict, save_thresholds,
                                   score, validate_matrix)
 from wsitriage.manifest import ClassLabel
@@ -168,6 +169,26 @@ class TestCalibrate:
                 continue
             kept = [ok for s, ok in pairs if s >= value]
             assert sum(kept) / len(kept) >= target
+
+
+class TestEvidence:
+    def test_fifteen_of_fifteen_clopper_pearson_bound(self):
+        pairs = [(0.9, True)] * 15
+        lines = format_evidence(pairs, calibrate_thresholds(pairs)).splitlines()
+        assert len(lines) == 3
+        bound = 0.05 ** (1 / 15)   # one-sided 95% Clopper-Pearson, k = n
+        assert f"{bound:.3f}" == "0.819"
+        for level, line in enumerate(lines, start=1):
+            assert line == (f"level {level} (target {DEFAULT_TARGETS[level - 1]}): "
+                            f"threshold 0.0, 15 retained, accuracy 1.000, "
+                            f"95% lower bound {bound:.3f}")
+
+    def test_nothing_retained_is_na(self):
+        thresholds = ThresholdSet(targets=(0.9, 0.95), values=(0.5, UNREACHABLE))
+        lines = format_evidence([(0.4, True), (0.6, False)], thresholds).splitlines()
+        assert lines[0].endswith("1 retained, accuracy 0.000, 95% lower bound 0.000")
+        assert lines[1] == ("level 2 (target 0.95): threshold UNREACHABLE, "
+                            "0 retained, accuracy n/a, 95% lower bound n/a")
 
 
 class TestApplyThreshold:

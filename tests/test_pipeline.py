@@ -30,59 +30,59 @@ def results_equal(a, b):
 
 class TestRunSlide:
     def test_blank_slide_noroi_with_zero_classify_time(self, tmp_path,
-                                                       pipeline_models, config):
+                                                       small_models, config):
         profile_blank = identity_profile(artifact_rates={"blank": 1.0})
         slide = generate_slide(ClassLabel.OTHER, profile_blank, 1)
         path = str(tmp_path / "blank.ppm")
         write_ppm(path, slide.raster)
         record = SlideRecord("blank", "sp", "reference", ClassLabel.OTHER, path)
-        result, timing = run_slide(record, pipeline_models, config, 0)
+        result, timing = run_slide(record, small_models, config, 0)
         assert not result.classified
         assert result.error is None
         assert timing.classify_ms == 0.0
         assert timing.score_ms == 0.0
 
-    def test_lesion_slide_classified_correctly(self, tmp_path, pipeline_models,
+    def test_lesion_slide_classified_correctly(self, tmp_path, small_models,
                                                config):
         slide = generate_slide(ClassLabel.BASALOID,
                                identity_profile(noise_sigma=1.0), 33)
         path = str(tmp_path / "bas.ppm")
         write_ppm(path, slide.raster)
         record = SlideRecord("bas", "sp", "reference", ClassLabel.BASALOID, path)
-        result, timing = run_slide(record, pipeline_models, config, 0)
+        result, timing = run_slide(record, small_models, config, 0)
         assert result.classified
         assert result.predicted is ClassLabel.BASALOID
         assert result.matrix.shape == (30, 4)
         assert timing.total_ms > 0
 
     def test_corpus_runs_from_another_working_directory(self, tmp_path, monkeypatch,
-                                                         pipeline_models, config):
+                                                         small_models, config):
         monkeypatch.chdir(tmp_path)
         generate_corpus(1, [default_lab_profiles()[0]], slides_per_specimen_range=(1, 1),
                         seed=3, out_dir="corpus")
         (tmp_path / "elsewhere").mkdir()
         monkeypatch.chdir(tmp_path / "elsewhere")
         record = load_manifest(tmp_path / "corpus" / "manifest.txt").records[0]
-        result, _ = run_slide(record, pipeline_models, config, 0)
+        result, _ = run_slide(record, small_models, config, 0)
         assert result.error is None
 
-    def test_unreadable_raster_becomes_error_result(self, pipeline_models, config):
+    def test_unreadable_raster_becomes_error_result(self, small_models, config):
         record = SlideRecord("gone", "sp", "reference", ClassLabel.OTHER,
                              "/nonexistent/path.ppm")
-        result, timing = run_slide(record, pipeline_models, config, 0)
+        result, timing = run_slide(record, small_models, config, 0)
         assert result.error is not None
         assert not result.classified
         assert timing.slide_id == "gone"
 
-    def test_deterministic_given_seed(self, tmp_path, pipeline_models, config):
+    def test_deterministic_given_seed(self, tmp_path, small_models, config):
         slide = generate_slide(ClassLabel.MELANOCYTIC,
                                identity_profile(noise_sigma=1.0), 5)
         path = str(tmp_path / "mel.ppm")
         write_ppm(path, slide.raster)
         record = SlideRecord("mel", "sp", "reference", ClassLabel.MELANOCYTIC, path)
-        a, _ = run_slide(record, pipeline_models, config, 42)
-        b, _ = run_slide(record, pipeline_models, config, 42)
-        c, _ = run_slide(record, pipeline_models, config, 43)
+        a, _ = run_slide(record, small_models, config, 42)
+        b, _ = run_slide(record, small_models, config, 42)
+        c, _ = run_slide(record, small_models, config, 43)
         assert results_equal(a, b)
         assert not np.array_equal(a.matrix, c.matrix)   # seed matters
 
@@ -111,58 +111,58 @@ class TestSelectTiles:
 
 
 class TestRunCorpus:
-    def test_worker_counts_bit_identical(self, small_corpus, pipeline_models,
+    def test_worker_counts_bit_identical(self, small_corpus, small_models,
                                          config):
-        runs = [run_corpus(small_corpus, pipeline_models, config, workers=w,
+        runs = [run_corpus(small_corpus, small_models, config, workers=w,
                            global_seed=7) for w in (1, 2)]
         for a, b in zip(runs[0].slide_results, runs[1].slide_results):
             assert results_equal(a, b)
 
     def test_every_slide_exactly_once_ordered(self, small_corpus,
-                                              pipeline_models, config):
-        run = run_corpus(small_corpus, pipeline_models, config, workers=2,
+                                              small_models, config):
+        run = run_corpus(small_corpus, small_models, config, workers=2,
                          global_seed=7)
         ids = [r.slide_id for r in run.slide_results]
         assert ids == sorted(r.slide_id for r in small_corpus.records)
         assert len(set(ids)) == len(small_corpus.records)
 
-    def test_split_filter(self, small_corpus, pipeline_models, config):
-        run = run_corpus(small_corpus, pipeline_models, config, workers=1,
+    def test_split_filter(self, small_corpus, small_models, config):
+        run = run_corpus(small_corpus, small_models, config, workers=1,
                          global_seed=7, split=Split.TEST)
         expected = {r.slide_id for r in small_corpus.records_in(Split.TEST)}
         assert {r.slide_id for r in run.slide_results} == expected
 
-    def test_empty_manifest(self, pipeline_models, config):
+    def test_empty_manifest(self, small_models, config):
         from wsitriage.manifest import DatasetManifest
-        run = run_corpus(DatasetManifest(records=[]), pipeline_models, config,
+        run = run_corpus(DatasetManifest(records=[]), small_models, config,
                          workers=1)
         assert run.slide_results == []
         assert run.specimens == []
         assert run.throughput_per_hour == 0.0
 
-    def test_throughput_counts_no_error_slides(self, tmp_path, pipeline_models, config):
+    def test_throughput_counts_no_error_slides(self, tmp_path, small_models, config):
         from wsitriage.manifest import DatasetManifest
         missing = SlideRecord("gone", "sp", "reference", ClassLabel.OTHER,
                               str(tmp_path / "missing.ppm"))
-        run = run_corpus(DatasetManifest(records=[missing]), pipeline_models, config,
+        run = run_corpus(DatasetManifest(records=[missing]), small_models, config,
                          workers=1)
         assert run.slide_results[0].error is not None
         assert run.throughput_per_hour == 0.0
 
-    def test_specimen_aggregation_present(self, small_corpus, pipeline_models,
+    def test_specimen_aggregation_present(self, small_corpus, small_models,
                                           config):
-        run = run_corpus(small_corpus, pipeline_models, config, workers=2,
+        run = run_corpus(small_corpus, small_models, config, workers=2,
                          global_seed=7)
         assert len(run.specimens) == len(small_corpus.specimen_ids())
 
     def test_failed_slide_recorded_not_fatal(self, small_corpus,
-                                             pipeline_models, config, tmp_path):
+                                             small_models, config, tmp_path):
         from wsitriage.manifest import DatasetManifest
         records = list(small_corpus.records[:3])
         records.append(SlideRecord("zz-missing", "zz", "reference",
                                    ClassLabel.OTHER, "/missing.ppm"))
         manifest = DatasetManifest(records=records)
-        run = run_corpus(manifest, pipeline_models, config, workers=2)
+        run = run_corpus(manifest, small_models, config, workers=2)
         by_id = {r.slide_id: r for r in run.slide_results}
         assert by_id["zz-missing"].error is not None
         assert len(run.slide_results) == 4
@@ -218,9 +218,9 @@ class TestProfile:
         assert np.isnan(summary.median_total_ms)
         assert all(np.isnan(v) for q in summary.stage_median_ms.values() for v in q)
 
-    def test_stage_sums_bounded_by_total(self, small_corpus, pipeline_models,
+    def test_stage_sums_bounded_by_total(self, small_corpus, small_models,
                                          config):
-        run = run_corpus(small_corpus, pipeline_models, config, workers=1,
+        run = run_corpus(small_corpus, small_models, config, workers=1,
                          global_seed=3)
         for t in run.timings:
             assert t.stage_sum() <= t.total_ms * 1.05

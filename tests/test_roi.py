@@ -3,7 +3,7 @@ import pytest
 
 from wsitriage.pnm import read_pgm, read_ppm
 from wsitriage.roi import (SegMap, load_segmenter, save_segmenter,
-                           segment, segment_tiles, select, train_segmenter)
+                           segment_tiles, select, train_segmenter)
 from wsitriage.synthesis import mask_path_for
 from wsitriage.tiling import Tile, segment_tissue, tile
 
@@ -30,25 +30,25 @@ def lesion_tiles(small_corpus, small_models):
 class TestSegment:
     def test_background_tile_all_zero(self, small_models):
         glass = np.full((128, 128, 3), 235, dtype=np.uint8)
-        sm = segment(Tile("s", (0, 0), glass, 0.0), small_models.segmenter)
+        sm = segment_tiles([Tile("s", (0, 0), glass, 0.0)], small_models.segmenter)[0]
         assert sm.positive_fraction == 0.0
 
     def test_positive_fraction_near_truth(self, lesion_tiles, small_models):
         checked = 0
         for t, truth in lesion_tiles:
-            sm = segment(t, small_models.segmenter)
+            sm = segment_tiles([t], small_models.segmenter)[0]
             assert abs(sm.positive_fraction - truth.mean()) <= 0.15
             checked += 1
         assert checked > 0
 
     def test_positive_fraction_definitional(self, lesion_tiles, small_models):
         t, _ = lesion_tiles[0]
-        sm = segment(t, small_models.segmenter)
+        sm = segment_tiles([t], small_models.segmenter)[0]
         assert sm.positive_fraction == sm.mask.sum() / 16384
 
     def test_batch_matches_single(self, lesion_tiles, small_models):
         tiles = [t for t, _ in lesion_tiles[:5]]
-        singles = [segment(t, small_models.segmenter) for t in tiles]
+        singles = [segment_tiles([t], small_models.segmenter)[0] for t in tiles]
         batched = segment_tiles(tiles, small_models.segmenter)
         for a, b in zip(singles, batched):
             assert np.array_equal(a.mask, b.mask)
