@@ -46,13 +46,6 @@ def to_decorrelated(rgb: np.ndarray) -> np.ndarray:
     return (np.log10(lms) @ _DECOR.T).reshape(np.shape(rgb))
 
 
-def from_decorrelated(vals: np.ndarray) -> np.ndarray:
-    """Inverse of to_decorrelated; returns float RGB in gray levels (unclamped)."""
-    flat = np.asarray(vals, dtype=np.float64).reshape(-1, 3)
-    lms = np.power(10.0, flat @ _DECOR_INV.T)
-    return (lms @ _LMS2RGB.T).reshape(np.shape(vals)) * 255.0
-
-
 @dataclass(frozen=True)
 class DomainStats:
     mean: np.ndarray

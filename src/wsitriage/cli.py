@@ -9,23 +9,21 @@ Error slide, after its outputs are written).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
-from .adaptation import load_adapter, save_adapter
 from .aggregation import (load_slide_ids, load_specimen_results,
                           save_class_scores, save_slide_results,
                           save_specimen_results)
-from .classifier import load_params, save_params
 from .config import CONFIG_KEYS, Config, ConfigError, load_config
 from .confidence import format_evidence, load_thresholds, save_thresholds
 from .evaluation import evaluate, format_report, write_report
 from .manifest import (DatasetManifest, Split, build_splits, load_manifest,
                        save_manifest)
-from .pipeline import (Models, build_run_manifest, format_profile,
-                       load_timings, profile, run_corpus, save_run_manifest,
-                       save_timings)
-from .roi import load_segmenter, save_segmenter
+from .pipeline import (format_profile, load_models, load_run_manifest,
+                       load_timings, model_paths, profile, run_corpus,
+                       save_models, save_run_manifest, save_timings)
 from .synthesis import default_lab_profiles, generate_corpus
 from .training import calibrate_lab, calibrate_reference, train_models
 
@@ -116,51 +114,15 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _model_paths(models_dir, lab=None):
-    """The four files of one lab's model set; lab None is the reference set."""
-    prefix = "reference" if lab is None else lab
-    names = {
-        "adapter": f"{prefix}.adapter",
-        "segmenter": "segmenter.txt",
-        "classifier": "classifier.txt" if lab is None else f"{lab}.classifier.txt",
-        "thresholds": f"{prefix}.thresholds",
-    }
-    return {kind: os.path.join(models_dir, name) for kind, name in names.items()}
-
-
-# the loader and saver of each kind of model file
-_MODEL_FILES = {"adapter": (load_adapter, save_adapter),
-                "segmenter": (load_segmenter, save_segmenter),
-                "classifier": (load_params, save_params),
-                "thresholds": (load_thresholds, save_thresholds)}
-
-
-def _load_model_set(paths):
-    """Load the model files in paths, each required; an adapter or thresholds
-    left out of paths loads as None. Returns (models, thresholds)."""
-    for path in paths.values():
-        _require(path, "model")
-    loaded = {kind: _MODEL_FILES[kind][0](path) for kind, path in paths.items()}
-    thresholds = loaded.pop("thresholds", None)
-    return Models(**loaded), thresholds
-
-
-def _save_model_set(models: Models, thresholds, paths):
-    """Write the model files in paths; the inverse of _load_model_set."""
-    for kind, path in paths.items():
-        value = thresholds if kind == "thresholds" else getattr(models, kind)
-        _MODEL_FILES[kind][1](value, path)
-
-
 def cmd_train(args) -> int:
     config = _load_config(args)
     manifest = _load_manifest(args.manifest)
     trained = train_models(manifest, config, workers=config["workers"])
-    thresholds = calibrate_reference(
+    trained = dataclasses.replace(trained, thresholds=calibrate_reference(
         manifest, trained, config, workers=config["workers"],
-        global_seed=config["seed"])
+        global_seed=config["seed"]))
     os.makedirs(args.models, exist_ok=True)
-    _save_model_set(trained, thresholds, _model_paths(args.models))
+    save_models(trained, model_paths(args.models))
     print(f"trained on {trained.n_train_slides} slides; "
           f"training accuracy {trained.train_accuracy:.4f}")
     return 0
@@ -169,15 +131,16 @@ def cmd_train(args) -> int:
 def cmd_calibrate(args) -> int:
     config = _load_config(args)
     manifest = _load_manifest(args.manifest)
-    ref_paths = _model_paths(args.models)
+    ref_paths = model_paths(args.models)
     del ref_paths["thresholds"]   # the reference thresholds play no part in calibration
-    reference, _ = _load_model_set(ref_paths)
+    reference = load_models({kind: _require(path, "model")
+                             for kind, path in ref_paths.items()})
     cal = calibrate_lab(manifest, reference, config, workers=config["workers"],
                         global_seed=config["seed"],
                         with_adaptation=not args.no_adaptation)
-    paths = _model_paths(args.models, cal.lab_id)
+    paths = model_paths(args.models, cal.lab_id)
     del paths["segmenter"]   # the reference's, shared by every lab
-    _save_model_set(cal, cal.thresholds, paths)
+    save_models(cal, paths)
     print(f"lab {cal.lab_id}: validation accuracy {cal.validation_accuracy:.4f} "
           f"over {len(cal.validation)} scored specimens")
     print(format_evidence(cal.validation, cal.thresholds))
@@ -187,10 +150,8 @@ def cmd_calibrate(args) -> int:
 def cmd_run(args) -> int:
     config = _load_config(args)
     manifest = _load_manifest(args.manifest)
-    model_paths = _model_paths(args.models, args.lab)
-    if args.no_adaptation:
-        del model_paths["adapter"]   # neither required, applied nor digested
-    models, thresholds = _load_model_set(model_paths)
+    paths = model_paths(args.models, args.lab)
+    models = load_models({kind: _require(path, "model") for kind, path in paths.items()})
     try:
         split = Split(args.split) if args.split else None
     except ValueError:
@@ -202,16 +163,17 @@ def cmd_run(args) -> int:
 
     os.makedirs(out, exist_ok=True)
     save_slide_results(run.slide_results, os.path.join(out, "slide_results.csv"))
-    save_specimen_results(run.specimens, thresholds,
+    save_specimen_results(run.specimens, models.thresholds,
                           os.path.join(out, "specimen_results.csv"))
     save_class_scores(run.specimens, os.path.join(out, "class_scores.csv"))
     save_timings(run.timings, os.path.join(out, "timings.csv"))
-    save_thresholds(thresholds, os.path.join(out, "thresholds.txt"))
-    rm = build_run_manifest(
+    save_thresholds(models.thresholds, os.path.join(out, "thresholds.txt"))
+    save_run_manifest(
+        os.path.join(out, "run_manifest.txt"),
         run_id=os.path.basename(os.path.normpath(out)),
         global_seed=config["seed"], workers=config["workers"],
-        input_manifest=args.manifest, model_paths=model_paths, config=config)
-    save_run_manifest(rm, os.path.join(out, "run_manifest.txt"), wall_ms=run.wall_ms)
+        input_manifest=args.manifest, model_files=paths, config=config,
+        wall_ms=run.wall_ms)
     print(f"processed {len(run.slide_results)} slides "
           f"({len(run.specimens)} specimens) in {run.wall_ms:.0f} ms; "
           f"throughput {run.throughput_per_hour:.0f} slides/hour")
@@ -250,10 +212,7 @@ def cmd_profile(args) -> int:
     wall_ms = None
     rm_path = os.path.join(args.run, "run_manifest.txt")
     if os.path.exists(rm_path):
-        with open(rm_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("wall_ms="):
-                    wall_ms = float(line.split("=", 1)[1])
+        wall_ms = load_run_manifest(rm_path)["wall_ms"]
     print(format_profile(profile(timings, noroi_slide_ids=noroi, wall_ms=wall_ms,
                                  error_slide_ids=errors)))
     return 0
@@ -309,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", required=True)
     p.add_argument("--lab", help="use this lab's model set (default: the reference set)")
     p.add_argument("--split", help="restrict to one split (e.g. Test)")
-    p.add_argument("--no-adaptation", action="store_true")
     p.add_argument("--out", help="run output directory "
                    "(default: <paths.workdir>/run)")
     p.set_defaults(fn=cmd_run)

@@ -193,9 +193,18 @@ def save_thresholds(thresholds: ThresholdSet, path) -> None:
                                     thresholds.values)))
 
 
+def _threshold(text):
+    if text == "unreachable":
+        return UNREACHABLE
+    value = float(text)
+    if not 0.0 <= value <= 1.0:   # NaN too
+        raise ValueError(f"threshold must be in [0, 1], got {text}")
+    return value
+
+
 def load_thresholds(path) -> ThresholdSet:
     targets, values = [], []
-    columns = (str, float, lambda v: UNREACHABLE if v == "unreachable" else float(v))
+    columns = (str, float, _threshold)
     for lineno, (level, target, value) in read_table(path, THRESHOLDS_HEAD, columns):
         if level != str(len(targets) + 1):
             raise TableError(f"{path}:{lineno}: expected level {len(targets) + 1}, "

@@ -95,14 +95,13 @@ class Config:
             finetune_epochs=self["classifier.finetune_epochs"],
         )
 
-    def snapshot(self) -> str:
-        lines = []
+    def snapshot(self):
+        """(config.<key>, value text) for every key, in key order."""
         for key in sorted(self.values):
             value = self.values[key]
             if isinstance(value, tuple):
                 value = ",".join(repr(v) for v in value)
-            lines.append(f"{key}={value}")
-        return "\n".join(lines)
+            yield f"config.{key}", str(value)
 
 
 def load_config(path) -> Config:

@@ -86,11 +86,6 @@ class DatasetManifest:
             if sid not in seen:
                 raise ValueError(f"split assigned to unknown slide_id {sid!r}")
 
-    def __eq__(self, other):
-        if not isinstance(other, DatasetManifest):
-            return NotImplemented
-        return self.records == other.records and self.splits == other.splits
-
     def specimen_ids(self) -> list[str]:
         """Distinct specimen ids in first-appearance order."""
         out, seen = [], set()

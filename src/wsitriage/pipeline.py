@@ -12,37 +12,73 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import os
 import time
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .adaptation import AdapterModel, adapt_tiles
+from .adaptation import AdapterModel, adapt_tiles, load_adapter, save_adapter
 from .aggregation import SlideResult, aggregate
-from .classifier import NetParams, featurize_tiles, pool
+from .classifier import NetParams, featurize_tiles, load_params, pool, save_params
 from .config import Config
-from .confidence import mc_predict, score
+from .confidence import (ThresholdSet, load_thresholds, mc_predict, save_thresholds,
+                         score)
 from .manifest import DatasetManifest, SlideRecord, Split, stable_seed
 from .parallel import pmap
 from .pnm import read_ppm
 from . import tiling
-from .roi import PixelSegmenter, segment_tiles, select
-from .tables import read_table, write_table
+from .roi import PixelSegmenter, load_segmenter, save_segmenter, segment_tiles, select
+from .tables import TableError, read_table, write_table
 
 TIMINGS_HEADER = "slide_id,segment_ms,tile_ms,adapt_ms,roi_ms,classify_ms,score_ms,total_ms"
-RUN_MANIFEST_HEADER = "wsi-triage-run v1"
+RUN_MANIFEST_HEAD = ("wsi-triage-run v2", "key,value")
 
 STAGES = ("segment", "tile", "adapt", "roi", "classify", "score")
 
 
 @dataclass(frozen=True)
 class Models:
-    """One lab's model set, frozen for a run.  train_models and
-    calibrate_lab return it run-ready, as the subclasses TrainedModels and
-    LabCalibration, and a lab's model files hold the same set."""
+    """One lab's model set, frozen for a run: its four fields are the lab's
+    four model files (model_paths, load_models, save_models).  train_models
+    and calibrate_lab return it run-ready, as the subclasses TrainedModels
+    and LabCalibration."""
     segmenter: PixelSegmenter
     classifier: NetParams | None = None   # not needed for embedding-only use
     adapter: AdapterModel | None = None   # None disables appearance adaptation
+    thresholds: ThresholdSet | None = None   # a-priori confidence-level thresholds
+
+
+# the loader and saver of the model file of each Models field
+_MODEL_FILES = {"adapter": (load_adapter, save_adapter),
+                "segmenter": (load_segmenter, save_segmenter),
+                "classifier": (load_params, save_params),
+                "thresholds": (load_thresholds, save_thresholds)}
+
+
+def model_paths(models_dir, lab=None) -> dict:
+    """The four files of one lab's model set, by Models field; lab None is
+    the reference set."""
+    prefix = "reference" if lab is None else lab
+    names = {
+        "adapter": f"{prefix}.adapter",
+        "segmenter": "segmenter.txt",
+        "classifier": "classifier.txt" if lab is None else f"{lab}.classifier.txt",
+        "thresholds": f"{prefix}.thresholds",
+    }
+    return {kind: os.path.join(models_dir, name) for kind, name in names.items()}
+
+
+def load_models(paths) -> Models:
+    """The model set in the files of paths (Models field -> path); a field
+    left out of paths is None."""
+    return Models(**{kind: _MODEL_FILES[kind][0](path) for kind, path in paths.items()})
+
+
+def save_models(models: Models, paths) -> None:
+    """Write the model files of paths; the inverse of load_models."""
+    for kind, path in paths.items():
+        _MODEL_FILES[kind][1](getattr(models, kind), path)
 
 
 @dataclass(frozen=True)
@@ -273,35 +309,37 @@ def _file_digest(path) -> str:
     return h.hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    run_id: str
-    global_seed: int
-    worker_count: int
-    input_manifest: str
-    model_versions: dict       # model name -> content digest
-    config_snapshot: str
+# the typed fields of a run manifest; model.<kind> and config.<key> rows
+# are text
+_RUN_FIELDS = {"run_id": str, "global_seed": int, "worker_count": int,
+               "input_manifest": str, "wall_ms": float}
 
 
-def build_run_manifest(run_id: str, global_seed: int, workers: int,
-                       input_manifest: str, model_paths: dict,
-                       config: Config) -> RunManifest:
-    versions = {name: _file_digest(p) for name, p in sorted(model_paths.items())}
-    return RunManifest(run_id=run_id, global_seed=global_seed,
-                       worker_count=workers, input_manifest=str(input_manifest),
-                       model_versions=versions, config_snapshot=config.snapshot())
+def save_run_manifest(path, run_id: str, global_seed: int, workers: int,
+                      input_manifest, model_files: dict, config: Config,
+                      wall_ms: float) -> None:
+    """What a run used: its seed, worker count, input manifest (absolute),
+    a digest of each model file, every config value and its wall time."""
+    rows = [("run_id", run_id), ("global_seed", global_seed),
+            ("worker_count", workers),
+            ("input_manifest", os.path.abspath(input_manifest)),
+            ("wall_ms", float(wall_ms))]
+    rows += [(f"model.{kind}", _file_digest(p)) for kind, p in sorted(model_files.items())]
+    rows += config.snapshot()
+    write_table(path, RUN_MANIFEST_HEAD, rows)
 
 
-def save_run_manifest(rm: RunManifest, path, wall_ms: float | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(RUN_MANIFEST_HEADER + "\n")
-        fh.write(f"run_id={rm.run_id}\n")
-        fh.write(f"global_seed={rm.global_seed}\n")
-        fh.write(f"worker_count={rm.worker_count}\n")
-        fh.write(f"input_manifest={rm.input_manifest}\n")
-        if wall_ms is not None:
-            fh.write(f"wall_ms={wall_ms!r}\n")
-        for name, digest in rm.model_versions.items():
-            fh.write(f"model.{name}={digest}\n")
-        fh.write("[config]\n")
-        fh.write(rm.config_snapshot + "\n")
+def load_run_manifest(path) -> dict:
+    """key -> value of a run manifest written by save_run_manifest."""
+    fields = {}
+    for lineno, (key, value) in read_table(path, RUN_MANIFEST_HEAD, (str, str)):
+        if key in fields:
+            raise TableError(f"{path}:{lineno}: duplicate key {key!r}")
+        try:
+            fields[key] = _RUN_FIELDS.get(key, str)(value)
+        except ValueError as exc:
+            raise TableError(f"{path}:{lineno}: {exc}") from None
+    missing = [key for key in _RUN_FIELDS if key not in fields]
+    if missing:
+        raise TableError(f"{path}: missing keys {missing}")
+    return fields

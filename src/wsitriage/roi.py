@@ -30,12 +30,11 @@ def pixel_features(pixels: np.ndarray) -> np.ndarray:
     """(..., H, W, 7) feature stack: rgb, saturation, darkness, gradient,
     local std.  Accepts one tile (H, W, 3) or a stack (N, H, W, 3); the
     local filters never mix pixels across tiles."""
-    pixels = np.asarray(pixels)
+    pixels = np.asarray(pixels).astype(np.float32)   # each channel converted once
     one = np.float32(1.0)
-    r = pixels[..., 0].astype(np.float32) / np.float32(255.0)
-    g = pixels[..., 1].astype(np.float32) / np.float32(255.0)
-    b = pixels[..., 2].astype(np.float32) / np.float32(255.0)
+    r, g, b = (pixels[..., c] / np.float32(255.0) for c in range(3))
     saturation, luma = color_planes(pixels)
+    del pixels   # held to the end, the float32 stack would raise the peak memory
     grad = gradient_magnitude(luma)
     size = (1,) * (luma.ndim - 2) + (5, 5)
     m = ndimage.uniform_filter(luma, size=size, mode="nearest")

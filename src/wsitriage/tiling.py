@@ -28,14 +28,13 @@ class Tile:
 
 
 def color_planes(pixels: np.ndarray):
-    """(saturation, luma) float32 planes of an (..., 3) RGB stack.
+    """(saturation, luma) float32 planes of an (..., 3) RGB stack, uint8 or
+    already float32 over 0..255.
 
     Saturation is (max - min) / max over the raw 0..255 channel levels;
     luma is Rec. 601 luma divided by 255, on the normalized 0..1 scale.
     """
-    r = pixels[..., 0].astype(np.float32)
-    g = pixels[..., 1].astype(np.float32)
-    b = pixels[..., 2].astype(np.float32)
+    r, g, b = (pixels[..., c].astype(np.float32, copy=False) for c in range(3))
     mx = np.maximum(np.maximum(r, g), b)
     mn = np.minimum(np.minimum(r, g), b)
     saturation = (mx - mn) / np.maximum(mx, np.float32(1e-12))

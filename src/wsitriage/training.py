@@ -10,7 +10,7 @@ single test run.
 
 train_models and calibrate_lab each return a run-ready model set (a
 pipeline.Models that run_corpus takes as it is), the set a lab's model
-files hold.
+files hold; train_models leaves its thresholds to calibrate_reference.
 """
 
 from __future__ import annotations
@@ -147,7 +147,6 @@ class LabCalibration(Models):
     lab's adapter (the identity without adaptation) and fine-tuned
     classifier, and the thresholds fixed on its CalibValidation specimens."""
     lab_id: str
-    thresholds: ThresholdSet
     validation: tuple               # (score, correct) per scored specimen
 
     @property

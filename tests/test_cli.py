@@ -10,11 +10,11 @@ from wsitriage.adaptation import load_adapter
 from wsitriage.aggregation import (SLIDE_RESULTS_HEAD, save_class_scores,
                                    save_slide_results)
 from wsitriage.classifier import load_params
-from wsitriage.cli import _load_model_set, _model_paths, main
+from wsitriage.cli import main
 from wsitriage.config import Config
 from wsitriage.confidence import load_thresholds
 from wsitriage.manifest import Split, load_manifest, save_manifest
-from wsitriage.pipeline import run_corpus
+from wsitriage.pipeline import load_models, load_run_manifest, model_paths, run_corpus
 from wsitriage.tables import read_table
 from wsitriage.training import calibrate_lab, train_models
 
@@ -50,19 +50,6 @@ def workflow(tmp_path_factory):
                  "--workers", "2", "--seed", "5"]) == 0
     return {"root": root, "corpus": corpus, "models": models, "run": run_dir,
             "ref_manifest": ref_manifest, "lab_manifest": lab_manifest}
-
-
-def read_run_manifest(run_dir):
-    """(run fields, [config] snapshot) of a run's run_manifest.txt."""
-    fields, snapshot, section = {}, {}, None
-    with open(os.path.join(run_dir, "run_manifest.txt"), encoding="utf-8") as fh:
-        for line in fh.read().splitlines()[1:]:
-            if line == "[config]":
-                section = snapshot
-            elif line:
-                key, _, value = line.partition("=")
-                (fields if section is None else section)[key] = value
-    return fields, snapshot
 
 
 def digest(path):
@@ -115,12 +102,13 @@ class TestWorkflow:
 
 
     def test_seed_and_workers_options_in_config_snapshot(self, workflow):
-        fields, snapshot = read_run_manifest(workflow["run"])
-        assert (fields["global_seed"], fields["worker_count"]) == ("5", "2")
-        assert (snapshot["seed"], snapshot["workers"]) == ("5", "2")
+        fields = load_run_manifest(os.path.join(workflow["run"], "run_manifest.txt"))
+        assert (fields["global_seed"], fields["worker_count"]) == (5, 2)
+        assert (fields["config.seed"], fields["config.workers"]) == ("5", "2")
+        assert fields["input_manifest"] == os.path.abspath(workflow["lab_manifest"])
 
     def test_run_manifest_digests_the_labs_model_set(self, workflow):
-        fields, _ = read_run_manifest(workflow["run"])
+        fields = load_run_manifest(os.path.join(workflow["run"], "run_manifest.txt"))
         models = workflow["models"]
         for kind, name in (("adapter", "lab_a.adapter"), ("segmenter", "segmenter.txt"),
                            ("classifier", "lab_a.classifier.txt"),
@@ -137,48 +125,29 @@ class TestWorkflow:
         assert main(["calibrate", "--manifest", workflow["lab_manifest"],
                      "--models", models, "--workers", "2", "--seed", "5",
                      "--no-adaptation"]) == 0
-        assert os.path.exists(os.path.join(models, "lab_a.adapter"))
+        assert load_adapter(os.path.join(models, "lab_a.adapter")).is_identity
         out = capsys.readouterr().out
         for level in (1, 2, 3):   # the evidence each threshold rests on
             assert f"level {level} (target " in out
         assert "retained, accuracy" in out and "95% lower bound" in out
-        runs = {}
-        for name, extra in (("lab", []), ("unadapted", ["--no-adaptation"])):
-            runs[name] = str(tmp_path / name)
-            assert main(["run", "--manifest", workflow["lab_manifest"],
-                         "--models", models, "--lab", "lab_a", "--split", "Test",
-                         "--out", runs[name], "--workers", "2", "--seed", "5"]
-                        + extra) == 0
-        for name in ("slide_results.csv", "specimen_results.csv",
-                     "class_scores.csv"):
-            a = open(os.path.join(runs["lab"], name), "rb").read()
-            b = open(os.path.join(runs["unadapted"], name), "rb").read()
-            assert a == b
 
-    def test_unadapted_run_needs_and_records_no_adapter(self, workflow, tmp_path):
-        models = str(tmp_path / "models")
-        os.makedirs(models)
-        for name in ("segmenter.txt", "lab_a.classifier.txt", "lab_a.thresholds"):
-            shutil.copy(os.path.join(workflow["models"], name), models)
-        run_dir = str(tmp_path / "run")
-        assert main(["run", "--manifest", workflow["lab_manifest"],
-                     "--models", models, "--lab", "lab_a", "--split", "Test",
-                     "--out", run_dir, "--no-adaptation"]) == 0
-        fields, _ = read_run_manifest(run_dir)
-        assert "model.adapter" not in fields
-        for kind, name in (("segmenter", "segmenter.txt"),
-                           ("classifier", "lab_a.classifier.txt"),
-                           ("thresholds", "lab_a.thresholds")):
-            assert fields[f"model.{kind}"] == digest(os.path.join(models, name))
+    def test_profile_rejects_v1_run_manifest(self, workflow, tmp_path, capsys):
+        run = str(tmp_path / "run")
+        shutil.copytree(workflow["run"], run)
+        rm_path = os.path.join(run, "run_manifest.txt")
+        with open(rm_path, "w", encoding="utf-8") as fh:
+            fh.write("wsi-triage-run v1\nrun_id=run\nwall_ms=1.0\n")
+        assert main(["profile", "--run", run]) == 2
+        assert f"{rm_path}:1:" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
 def reference_sets(workflow):
     """The reference set `train` wrote, read back as `calibrate` reads it,
     and the same set trained in memory."""
-    paths = _model_paths(workflow["models"])
+    paths = model_paths(workflow["models"])
     del paths["thresholds"]
-    loaded, _ = _load_model_set(paths)
+    loaded = load_models(paths)
     trained = train_models(load_manifest(workflow["ref_manifest"]), Config(), workers=2)
     return loaded, trained
 
@@ -300,6 +269,29 @@ class TestErrors:
                      "--split", "Test", "--out", out, "--workers", "1"])
         assert code == 2
         assert os.path.join(workflow["models"], "lab_zz.") in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_run_without_adaptation_is_usage_error(self, workflow, tmp_path):
+        out = str(tmp_path / "r")
+        assert main(["run", "--manifest", workflow["lab_manifest"],
+                     "--models", workflow["models"], "--lab", "lab_a",
+                     "--split", "Test", "--out", out, "--no-adaptation"]) == 1
+        assert not os.path.exists(out)
+
+    def test_out_of_range_threshold_is_data_error_before_run(self, workflow, tmp_path,
+                                                              capsys):
+        models = str(tmp_path / "models")
+        shutil.copytree(workflow["models"], models)
+        path = os.path.join(models, "lab_a.thresholds")
+        lines = open(path, encoding="utf-8").read().splitlines()
+        lines[3] = "2,0.95,1.5"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        out = str(tmp_path / "r")
+        assert main(["run", "--manifest", workflow["lab_manifest"],
+                     "--models", models, "--lab", "lab_a", "--split", "Test",
+                     "--out", out, "--workers", "1"]) == 2
+        assert f"{path}:4: threshold must be in [0, 1], got 1.5" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_error_slide_exits_2_after_writing_outputs(self, workflow, tmp_path,

@@ -4,14 +4,15 @@ import pytest
 from wsitriage.adaptation import AdapterModel, DomainStats, adapt_pixels, fit_stats
 from wsitriage.config import Config
 from wsitriage.manifest import ClassLabel, SlideRecord, Split, load_manifest
-from wsitriage.pipeline import (Models, StageTiming, build_run_manifest,
-                                format_profile, load_timings, profile, run_corpus, run_slide,
+from wsitriage.pipeline import (Models, StageTiming, format_profile, load_run_manifest,
+                                load_timings, profile, run_corpus, run_slide,
                                 save_run_manifest, save_timings, select_tiles)
 from wsitriage.pnm import write_ppm
 from wsitriage.roi import N_PIXEL_FEATURES, PixelSegmenter
 from wsitriage import tiling
 from wsitriage.synthesis import (default_lab_profiles, generate_corpus, generate_slide,
                                  identity_profile)
+from wsitriage.tables import TableError
 
 
 @pytest.fixture(scope="module")
@@ -243,16 +244,37 @@ class TestProfile:
 
 
 class TestRunManifest:
-    def test_build_and_save(self, tmp_path, config):
+    def test_save_and_load(self, tmp_path, config, monkeypatch):
         model_path = tmp_path / "model.txt"
         model_path.write_text("stub\n")
-        rm = build_run_manifest("run1", 7, 4, "manifest.txt",
-                                {"classifier": str(model_path)}, config)
-        assert rm.model_versions["classifier"]
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "run_manifest.txt"
-        save_run_manifest(rm, out, wall_ms=123.0)
-        text = out.read_text()
-        assert "global_seed=7" in text
-        assert "worker_count=4" in text
-        assert "wall_ms=123.0" in text
-        assert "confidence.T=30" in text
+        run_id = 'run,1 "a"\nb'   # survives CSV quoting
+        save_run_manifest(out, run_id, 7, 4, "manifest.txt",
+                          {"classifier": str(model_path)}, config, wall_ms=123.0)
+        fields = load_run_manifest(out)
+        assert fields["run_id"] == run_id
+        assert (fields["global_seed"], fields["worker_count"]) == (7, 4)
+        assert fields["wall_ms"] == 123.0
+        assert fields["input_manifest"] == str(tmp_path / "manifest.txt")
+        assert len(fields["model.classifier"]) == 16
+        assert fields["config.confidence.T"] == "30"
+        assert fields["config.confidence.targets"] == "0.9,0.95,0.98"
+
+    def test_v1_run_manifest_rejected_at_line_1(self, tmp_path):
+        out = tmp_path / "run_manifest.txt"
+        out.write_text("wsi-triage-run v1\nrun_id=r\nwall_ms=1.0\n")
+        with pytest.raises(TableError, match=f"{out}:1:"):
+            load_run_manifest(out)
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda t: t.replace("wall_ms,1.0", "wall_ms,fast"), ":7: could not convert"),
+        (lambda t: t + "global_seed,3\n", r":\d+: duplicate key 'global_seed'"),
+        (lambda t: t.replace("wall_ms,1.0\n", ""), r": missing keys \['wall_ms'\]"),
+    ])
+    def test_malformed_run_manifest_names_path(self, tmp_path, config, edit, error):
+        out = tmp_path / "run_manifest.txt"
+        save_run_manifest(out, "r", 0, 1, "m.txt", {}, config, wall_ms=1.0)
+        out.write_text(edit(out.read_text()))
+        with pytest.raises(TableError, match=f"{out}{error}"):
+            load_run_manifest(out)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from wsitriage.manifest import ClassLabel
 from wsitriage.pnm import read_pgm, read_ppm
-from wsitriage.roi import (SegMap, load_segmenter, save_segmenter,
+from wsitriage.roi import (SegMap, load_segmenter, pixel_features, save_segmenter,
                            segment_tiles, select, train_segmenter)
-from wsitriage.synthesis import mask_path_for
+from wsitriage.synthesis import default_lab_profiles, generate_slide, mask_path_for
 from wsitriage.tiling import Tile, segment_tissue, tile
 
 
@@ -25,6 +27,39 @@ def lesion_tiles(small_corpus, small_models):
         y, x = t.origin
         pairs.append((t, lesion[y:y + 128, x:x + 128]))
     return pairs
+
+
+def reference_pixel_features(pixels):
+    """pixel_features written out plane by plane, each channel converted
+    from uint8 on its own: the formula the one-cast version must match."""
+    f32 = np.float32
+    r, g, b = (pixels[..., c].astype(f32) / f32(255.0) for c in range(3))
+    r8, g8, b8 = (pixels[..., c].astype(f32) for c in range(3))
+    mx = np.maximum(np.maximum(r8, g8), b8)
+    mn = np.minimum(np.minimum(r8, g8), b8)
+    saturation = (mx - mn) / np.maximum(mx, f32(1e-12))
+    luma = f32(0.299) * r8 + f32(0.587) * g8 + f32(0.114) * b8
+    luma /= f32(255.0)
+    grad = np.hypot(np.gradient(luma, axis=-2), np.gradient(luma, axis=-1))
+    size = (1,) * (luma.ndim - 2) + (5, 5)
+    m = ndimage.uniform_filter(luma, size=size, mode="nearest")
+    m2 = ndimage.uniform_filter(luma * luma, size=size, mode="nearest")
+    local_std = np.sqrt(np.maximum(m2 - m * m, f32(0.0)))
+    return np.stack([r, g, b, saturation, f32(1.0) - luma, grad, local_std], axis=-1)
+
+
+class TestPixelFeatures:
+    def test_random_stack_bitwise(self):
+        pixels = np.random.default_rng(5).integers(0, 256, size=(34, 32, 32, 3),
+                                                   dtype=np.uint8)
+        assert np.array_equal(pixel_features(pixels), reference_pixel_features(pixels))
+
+    def test_lab_a_stack_bitwise(self):
+        lab_a = next(p for p in default_lab_profiles() if p.lab_id == "lab_a")
+        raster = generate_slide(ClassLabel.BASALOID, lab_a, 7).raster
+        pixels = np.stack([t.pixels for t in tile(raster, segment_tissue(raster), "s")])
+        assert len(pixels) > 1
+        assert np.array_equal(pixel_features(pixels), reference_pixel_features(pixels))
 
 
 class TestSegment:

@@ -77,6 +77,12 @@ class TestNumericFields:
         with pytest.raises(TableError, match=f"{path}:3: could not convert"):
             load_thresholds(path)
 
+    @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+    def test_threshold_outside_unit_interval(self, path, value):
+        path.write_text("\n".join(THRESHOLDS_HEAD) + f"\n1,0.9,0.5\n2,0.95,{value}\n")
+        with pytest.raises(TableError, match=f"{path}:4: threshold must be in"):
+            load_thresholds(path)
+
     def test_specimen_results(self, path):
         path.write_text("\n".join(RESULTS_HEAD) + "\nsp,Classified,Basaloid,x,1,s\n")
         with pytest.raises(TableError, match=f"{path}:3: could not convert"):
