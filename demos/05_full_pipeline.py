@@ -50,6 +50,4 @@ run = run_corpus(lab, cal, config, workers=workers, global_seed=9,
 report = evaluate(run.specimens, lab.truth_by_specimen(), cal.thresholds)
 print()
 print(format_report(report, title="lab_c test split"))
-print(format_profile(profile(run.timings, noroi_slide_ids=run.noroi_slide_ids(),
-                             wall_ms=run.wall_ms,
-                             error_slide_ids=run.error_slide_ids())))
+print(format_profile(profile(run.timings, wall_ms=run.wall_ms)))

@@ -26,6 +26,8 @@ CLASS_SCORES_HEAD = ("wsi-triage-class-scores v1",
 
 REPORT_LEVEL = 1   # specimen results' `final` is the outcome at this level
 
+SLIDE_OUTCOMES = ("Classified", "NoROI", "Error")
+
 
 class FinalOutcome(enum.Enum):
     CLASSIFIED = "Classified"
@@ -45,6 +47,13 @@ class SlideResult:
     @property
     def classified(self) -> bool:
         return self.predicted is not None and self.error is None
+
+    @property
+    def outcome(self) -> str:
+        """Classified, NoROI or Error (SLIDE_OUTCOMES)."""
+        if self.error is not None:
+            return "Error"
+        return "Classified" if self.classified else "NoROI"
 
     @property
     def class_means(self) -> np.ndarray | None:
@@ -127,20 +136,9 @@ def save_specimen_results(specimens, thresholds: ThresholdSet, path) -> None:
 def save_slide_results(results, path) -> None:
     rows = []
     for r in sorted(results, key=lambda r: r.slide_id):
-        if r.error is not None:
-            rows.append((r.slide_id, r.specimen_id, "Error", "", "", r.error))
-        elif r.classified:
-            rows.append((r.slide_id, r.specimen_id, "Classified", r.predicted.token,
-                         float(r.score), ""))
-        else:
-            rows.append((r.slide_id, r.specimen_id, "NoROI", "", "", ""))
+        cls, s = (r.predicted.token, float(r.score)) if r.classified else ("", "")
+        rows.append((r.slide_id, r.specimen_id, r.outcome, cls, s, r.error or ""))
     write_table(path, SLIDE_RESULTS_HEAD, rows)
-
-
-def load_slide_ids(path, outcome: str) -> set:
-    """Ids of the slides whose outcome (Classified, NoROI, Error) is outcome."""
-    return {row[0] for _, row in read_table(path, SLIDE_RESULTS_HEAD, (str,) * 6)
-            if row[2] == outcome}
 
 
 def save_class_scores(specimens, path) -> None:

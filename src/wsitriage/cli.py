@@ -13,9 +13,8 @@ import dataclasses
 import os
 import sys
 
-from .aggregation import (load_slide_ids, load_specimen_results,
-                          save_class_scores, save_slide_results,
-                          save_specimen_results)
+from .aggregation import (load_specimen_results, save_class_scores,
+                          save_slide_results, save_specimen_results)
 from .config import CONFIG_KEYS, Config, ConfigError, load_config
 from .confidence import format_evidence, load_thresholds, save_thresholds
 from .evaluation import evaluate, format_report, write_report
@@ -202,19 +201,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_profile(args) -> int:
     timings = load_timings(_require(os.path.join(args.run, "timings.csv"), "timings"))
-    if not timings:
-        raise CliError(f"no timings in {args.run}")
-    noroi = errors = set()
-    slide_results = os.path.join(args.run, "slide_results.csv")
-    if os.path.exists(slide_results):
-        noroi = load_slide_ids(slide_results, "NoROI")
-        errors = load_slide_ids(slide_results, "Error")
-    wall_ms = None
-    rm_path = os.path.join(args.run, "run_manifest.txt")
-    if os.path.exists(rm_path):
-        wall_ms = load_run_manifest(rm_path)["wall_ms"]
-    print(format_profile(profile(timings, noroi_slide_ids=noroi, wall_ms=wall_ms,
-                                 error_slide_ids=errors)))
+    run_manifest = load_run_manifest(
+        _require(os.path.join(args.run, "run_manifest.txt"), "run manifest"))
+    print(format_profile(profile(timings, wall_ms=run_manifest["wall_ms"])))
     return 0
 
 

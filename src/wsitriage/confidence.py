@@ -94,6 +94,8 @@ class ThresholdSet:
     def __post_init__(self):
         if len(self.targets) != len(self.values):
             raise ValueError("targets and values must have equal length")
+        for t in self.targets:
+            _target(t)
         if list(self.targets) != sorted(self.targets):
             raise ValueError("targets must be non-decreasing")
         last = -np.inf
@@ -167,22 +169,27 @@ def apply_threshold(s, threshold) -> bool:
     return value >= threshold
 
 
+def _lower_bound(k: int, n: int) -> str:
+    """The one-sided 95% Clopper-Pearson lower bound on an accuracy of k
+    correct in n, to three places; n/a when n is 0."""
+    if not n:
+        return "n/a"
+    from scipy.stats import beta   # here, not at the top: a 0.7 s import
+    return f"{beta.ppf(0.05, k, n - k + 1) if k else 0.0:.3f}"
+
+
 def format_evidence(results, thresholds: ThresholdSet) -> str:
     """One line per level: the (score, correct) results its threshold
     retains, their accuracy and its one-sided 95% Clopper-Pearson lower
     bound, n/a when nothing is retained."""
-    from scipy.stats import beta   # here, not at the top: a 0.7 s import
     lines = []
     for level, target, value in zip(thresholds.levels, thresholds.targets,
                                     thresholds.values):
         kept = [bool(ok) for s, ok in results if apply_threshold(s, value)]
         n, k = len(kept), sum(kept)
-        acc = bound = "n/a"
-        if n:
-            acc = f"{k / n:.3f}"
-            bound = f"{beta.ppf(0.05, k, n - k + 1) if k else 0.0:.3f}"
+        acc = f"{k / n:.3f}" if n else "n/a"
         lines.append(f"level {level} (target {target}): threshold {value!r}, "
-                     f"{n} retained, accuracy {acc}, 95% lower bound {bound}")
+                     f"{n} retained, accuracy {acc}, 95% lower bound {_lower_bound(k, n)}")
     return "\n".join(lines)
 
 
@@ -191,6 +198,13 @@ def save_thresholds(thresholds: ThresholdSet, path) -> None:
         (level, float(target), "unreachable" if v is UNREACHABLE else float(v))
         for level, target, v in zip(thresholds.levels, thresholds.targets,
                                     thresholds.values)))
+
+
+def _target(value) -> float:
+    value = float(value)
+    if not 0.0 < value <= 1.0:   # NaN too
+        raise ValueError(f"target must be in (0, 1], got {value}")
+    return value
 
 
 def _threshold(text):
@@ -204,7 +218,7 @@ def _threshold(text):
 
 def load_thresholds(path) -> ThresholdSet:
     targets, values = [], []
-    columns = (str, float, _threshold)
+    columns = (str, _target, _threshold)
     for lineno, (level, target, value) in read_table(path, THRESHOLDS_HEAD, columns):
         if level != str(len(targets) + 1):
             raise TableError(f"{path}:{lineno}: expected level {len(targets) + 1}, "

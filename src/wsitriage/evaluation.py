@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .aggregation import FinalOutcome, finalize
-from .confidence import UNREACHABLE, ThresholdSet
+from .confidence import UNREACHABLE, ThresholdSet, _lower_bound
 from .manifest import N_CLASSES, ClassLabel
 from .tables import write_table
 
@@ -91,11 +91,8 @@ def _level_metrics(level, threshold, specimens, truths) -> LevelMetrics:
 
     n = len(specimens)
     coverage = len(retained) / n if n else 0.0
-    if retained:
-        accuracy = float(np.mean([int(s.predicted) == int(truths[s.specimen_id])
-                                  for s in retained]))
-    else:
-        accuracy = float("nan")
+    # the retained specimens predicted right are the confusion diagonal
+    accuracy = int(np.trace(confusion)) / len(retained) if retained else float("nan")
 
     curves = []
     scored = [s for s in retained if s.class_means is not None]
@@ -160,12 +157,14 @@ def domain_gap(features: np.ndarray, lab_labels) -> float:
 
 def format_report(report: EvalReport, title: str = "evaluation") -> str:
     lines = [f"# {title}", f"specimens: {report.n_specimens}", ""]
-    lines.append("level  threshold    accuracy  coverage  retained")
+    lines.append("level  threshold    accuracy  coverage  retained  95% lower bound")
     for lv, m in sorted(report.levels.items()):
         thr = "unreachable" if m.threshold is UNREACHABLE else f"{float(m.threshold):.6f}"
         acc = "n/a" if np.isnan(m.accuracy) else f"{m.accuracy:.4f}"
         name = "none" if lv == LEVEL_NONE else str(lv)
-        lines.append(f"{name:<6} {thr:<12} {acc:<9} {m.coverage:<9.4f} {m.n_retained}")
+        bound = _lower_bound(int(np.trace(m.confusion)), m.n_retained)
+        lines.append(f"{name:<6} {thr:<12} {acc:<9} {m.coverage:<9.4f} "
+                     f"{m.n_retained:<9} {bound}")
     lines.append("")
     for lv, m in sorted(report.levels.items()):
         name = "none" if lv == LEVEL_NONE else f"level {lv}"

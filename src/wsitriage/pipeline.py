@@ -1,6 +1,6 @@
 """End-to-end slide pipeline: segment, tile, adapt, select ROIs, classify
 with repeated masked prediction, score; plus parallel corpus execution and
-per-stage timing.
+a per-slide record of outcome, tile counts and stage times.
 
 Parallelism is per slide; every slide's stochastic stream is seeded from
 (global seed, slide_id), so results are a pure function of the inputs and
@@ -15,11 +15,12 @@ import hashlib
 import os
 import time
 from dataclasses import astuple, dataclass
+from typing import get_type_hints
 
 import numpy as np
 
 from .adaptation import AdapterModel, adapt_tiles, load_adapter, save_adapter
-from .aggregation import SlideResult, aggregate
+from .aggregation import SLIDE_OUTCOMES, SlideResult, aggregate
 from .classifier import NetParams, featurize_tiles, load_params, pool, save_params
 from .config import Config
 from .confidence import (ThresholdSet, load_thresholds, mc_predict, save_thresholds,
@@ -31,10 +32,7 @@ from . import tiling
 from .roi import PixelSegmenter, load_segmenter, save_segmenter, segment_tiles, select
 from .tables import TableError, read_table, write_table
 
-TIMINGS_HEADER = "slide_id,segment_ms,tile_ms,adapt_ms,roi_ms,classify_ms,score_ms,total_ms"
 RUN_MANIFEST_HEAD = ("wsi-triage-run v2", "key,value")
-
-STAGES = ("segment", "tile", "adapt", "roi", "classify", "score")
 
 
 @dataclass(frozen=True)
@@ -83,45 +81,68 @@ def save_models(models: Models, paths) -> None:
 
 @dataclass(frozen=True)
 class StageTiming:
+    """One slide's record of a run, a row of timings.csv: its outcome
+    (Classified, NoROI or Error), its tile counts and the milliseconds of
+    each stage, every <stage>_ms field but total_ms, in run order."""
     slide_id: str
+    outcome: str
+    n_tiles: int = 0          # tissue tiles
+    n_roi_tiles: int = 0      # tiles selected as region of interest
+    read_ms: float = 0.0
     segment_ms: float = 0.0
     tile_ms: float = 0.0
     adapt_ms: float = 0.0
     roi_ms: float = 0.0
-    classify_ms: float = 0.0
+    featurize_ms: float = 0.0   # featurize and pool
+    classify_ms: float = 0.0    # the repeated masked predictions
     score_ms: float = 0.0
-    total_ms: float = 0.0
+    total_ms: float = 0.0       # the whole slide, read included
 
     def stage_sum(self) -> float:
-        return (self.segment_ms + self.tile_ms + self.adapt_ms
-                + self.roi_ms + self.classify_ms + self.score_ms)
+        return sum(getattr(self, f"{stage}_ms") for stage in STAGES)
 
 
-class _Timer:
+_TIMING_FIELDS = get_type_hints(StageTiming)
+STAGES = tuple(name[:-3] for name in _TIMING_FIELDS
+               if name.endswith("_ms") and name != "total_ms")
+TIMINGS_HEAD = ("wsi-triage-timings v2", ",".join(_TIMING_FIELDS))
+
+
+def _outcome(text):
+    if text not in SLIDE_OUTCOMES:
+        raise ValueError(f"outcome must be one of {SLIDE_OUTCOMES}, got {text!r}")
+    return text
+
+
+class _Laps(dict):
+    """StageTiming fields by name: lap(stage) records the milliseconds
+    since the previous lap (or since creation) as <stage>_ms."""
+
     def __init__(self):
         self.t0 = time.perf_counter()
 
-    def lap_ms(self) -> float:
+    def lap(self, stage: str) -> None:
         now = time.perf_counter()
-        ms = (now - self.t0) * 1000.0
+        self[f"{stage}_ms"] = (now - self.t0) * 1000.0
         self.t0 = now
-        return ms
 
 
 def select_tiles(raster: np.ndarray, slide_id: str, models: Models, config: Config):
     """Segment, tile, adapt and select ROIs: the one path from a raster to
     the tiles a slide is classified on.  Returns (selection, laps), laps
-    being (segment_ms, tile_ms, adapt_ms, roi_ms)."""
-    timer = _Timer()
+    holding the StageTiming fields it measured, by name."""
+    laps = _Laps()
     mask = tiling.segment_tissue(raster, config.tiling)
-    segment_ms = timer.lap_ms()
+    laps.lap("segment")
     tiles = tiling.tile(raster, mask, slide_id, config.tiling)
-    tile_ms = timer.lap_ms()
+    laps.lap("tile")
     tiles = adapt_tiles(tiles, models.adapter, config.tiling)
-    adapt_ms = timer.lap_ms()
+    laps.lap("adapt")
     segmaps = segment_tiles(tiles, models.segmenter)
     selection = select(tiles, segmaps, theta=config["roi.theta"])
-    return selection, (segment_ms, tile_ms, adapt_ms, timer.lap_ms())
+    laps.lap("roi")
+    laps.update(n_tiles=len(tiles), n_roi_tiles=len(selection))
+    return selection, laps
 
 
 def embed_record(record: SlideRecord, models: Models, config: Config):
@@ -137,37 +158,37 @@ def run_slide(record: SlideRecord, models: Models, config: Config,
               global_seed: int = 0):
     """Process one slide through all stages; returns (SlideResult, StageTiming).
 
-    An empty ROI selection short-circuits to a no-ROI result with zero
-    classify/score time; an unreadable raster becomes an error result.
-    The raster read counts in total_ms only.
+    An empty ROI selection ends the slide as a no-ROI result with zero
+    featurize, classify and score time.  Any exception ends it as an error
+    result, its text `Type: message`, whose record keeps the laps finished
+    before it (select_tiles' laps once select_tiles has returned).
     """
-    total_timer = _Timer()
+    laps = _Laps()
+    start = laps.t0
     try:
         raster = read_ppm(record.raster_path)
-    except (OSError, ValueError) as exc:
-        result = SlideResult(record.slide_id, record.specimen_id, error=str(exc))
-        return result, StageTiming(record.slide_id, total_ms=total_timer.lap_ms())
-
-    selection, laps = select_tiles(raster, record.slide_id, models, config)
-    if selection.empty:
+        laps.lap("read")
+        selection, tile_laps = select_tiles(raster, record.slide_id, models, config)
+        laps.update(tile_laps)
+        laps.t0 = tile_laps.t0   # the featurize lap starts at the roi lap's end
         result = SlideResult(record.slide_id, record.specimen_id)
-        return result, StageTiming(record.slide_id, *laps, 0.0, 0.0, total_timer.lap_ms())
-
-    timer = _Timer()
-    embedding = pool(featurize_tiles(selection.selected, config.tiling))
-    matrix = mc_predict(embedding, models.classifier, t=config["confidence.T"],
-                        keep_prob=config["confidence.keep_prob"],
-                        seed=stable_seed("mc", global_seed, record.slide_id))
-    classify_ms = timer.lap_ms()
-
-    conf = score(matrix)
-    score_ms = timer.lap_ms()
-
-    result = SlideResult(record.slide_id, record.specimen_id,
-                         predicted=conf.argmax_class, score=conf.value,
-                         matrix=matrix)
-    return result, StageTiming(record.slide_id, *laps, classify_ms, score_ms,
-                               total_timer.lap_ms())
+        if not selection.empty:
+            embedding = pool(featurize_tiles(selection.selected, config.tiling))
+            laps.lap("featurize")
+            matrix = mc_predict(embedding, models.classifier, t=config["confidence.T"],
+                                keep_prob=config["confidence.keep_prob"],
+                                seed=stable_seed("mc", global_seed, record.slide_id))
+            laps.lap("classify")
+            conf = score(matrix)
+            laps.lap("score")
+            result = SlideResult(record.slide_id, record.specimen_id,
+                                 predicted=conf.argmax_class, score=conf.value,
+                                 matrix=matrix)
+    except Exception as exc:  # per-slide failures never abort the corpus
+        result = SlideResult(record.slide_id, record.specimen_id,
+                             error=f"{type(exc).__name__}: {exc}")
+    laps["total_ms"] = (time.perf_counter() - start) * 1000.0
+    return result, StageTiming(record.slide_id, result.outcome, **laps)
 
 
 @dataclass
@@ -178,13 +199,6 @@ class CorpusRun:
     wall_ms: float
     worker_count: int
 
-    def noroi_slide_ids(self) -> set:
-        return {r.slide_id for r in self.slide_results
-                if r.error is None and not r.classified}
-
-    def error_slide_ids(self) -> set:
-        return {r.slide_id for r in self.slide_results if r.error is not None}
-
     @property
     def throughput_per_hour(self) -> float:
         """Slides completed without an error per hour of wall time."""
@@ -192,14 +206,6 @@ class CorpusRun:
         if not done or self.wall_ms <= 0:
             return 0.0
         return done / (self.wall_ms / 3_600_000.0)
-
-
-def _run_one(record, models, config, global_seed):
-    try:
-        return run_slide(record, models, config, global_seed)
-    except Exception as exc:  # per-slide failures never abort the corpus
-        result = SlideResult(record.slide_id, record.specimen_id, error=repr(exc))
-        return result, StageTiming(record.slide_id)
 
 
 def run_corpus(manifest: DatasetManifest, models: Models, config: Config,
@@ -211,7 +217,7 @@ def run_corpus(manifest: DatasetManifest, models: Models, config: Config,
     records = sorted(records, key=lambda r: r.slide_id)
 
     t0 = time.perf_counter()
-    fn = functools.partial(_run_one, models=models, config=config,
+    fn = functools.partial(run_slide, models=models, config=config,
                            global_seed=global_seed)
     pairs = pmap(fn, records, workers=workers)
     wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -237,17 +243,14 @@ class ProfileSummary:
     wall_ms: float | None
 
 
-def profile(timings, noroi_slide_ids=(), wall_ms: float | None = None,
-            error_slide_ids=()) -> ProfileSummary:
+def profile(timings, wall_ms: float | None = None) -> ProfileSummary:
     """Per-stage quartiles and medians, and corpus throughput when the
     wall-clock time of the run is known.  Error slides did not run their
     stages, so they are counted and left out of every statistic."""
     timings = list(timings)
     if not timings:
         raise ValueError("no timings to profile")
-    noroi = set(noroi_slide_ids)
-    errors = set(error_slide_ids)
-    done = [t for t in timings if t.slide_id not in errors]
+    done = [t for t in timings if t.outcome != "Error"]
 
     def quartiles(values):
         if not values:
@@ -255,23 +258,17 @@ def profile(timings, noroi_slide_ids=(), wall_ms: float | None = None,
         q1, q2, q3 = np.percentile(values, [25, 50, 75])
         return float(q1), float(q2), float(q3)
 
-    def median(values):
-        return float(np.median(values)) if values else float("nan")
-
-    stage_stats = {}
-    for stage in STAGES:
-        stage_stats[stage] = quartiles([getattr(t, f"{stage}_ms") for t in done])
-
-    classified = [t.total_ms for t in done if t.slide_id not in noroi]
+    classified = [t.total_ms for t in done if t.outcome == "Classified"]
     throughput = None
     if wall_ms is not None and wall_ms > 0:
         throughput = len(done) / (wall_ms / 3_600_000.0)
     return ProfileSummary(
         n_slides=len(timings),
         n_errors=len(timings) - len(done),
-        stage_median_ms=stage_stats,
-        median_total_ms=median([t.total_ms for t in done]),
-        median_total_classified_ms=median(classified),
+        stage_median_ms={stage: quartiles([getattr(t, f"{stage}_ms") for t in done])
+                         for stage in STAGES},
+        median_total_ms=quartiles([t.total_ms for t in done])[1],
+        median_total_classified_ms=quartiles(classified)[1],
         throughput_per_hour=throughput,
         wall_ms=wall_ms,
     )
@@ -292,13 +289,14 @@ def format_profile(summary: ProfileSummary) -> str:
 
 
 def save_timings(timings, path) -> None:
-    write_table(path, [TIMINGS_HEADER],
+    write_table(path, TIMINGS_HEAD,
                 (astuple(t) for t in sorted(timings, key=lambda t: t.slide_id)))
 
 
 def load_timings(path):
-    return [StageTiming(*row)
-            for _, row in read_table(path, [TIMINGS_HEADER], (str,) + (float,) * 7)]
+    columns = [_outcome if name == "outcome" else convert
+               for name, convert in _TIMING_FIELDS.items()]
+    return [StageTiming(*row) for _, row in read_table(path, TIMINGS_HEAD, columns)]
 
 
 def _file_digest(path) -> str:

@@ -465,8 +465,7 @@ def test_criterion_11_profiler(experiment):
     run = experiment["runs"][lab]
     for t in run.timings:
         assert t.stage_sum() <= t.total_ms * 1.05 + 0.1, t
-    summary = profile(run.timings, noroi_slide_ids=run.noroi_slide_ids(),
-                      wall_ms=run.wall_ms)
+    summary = profile(run.timings, wall_ms=run.wall_ms)
     expected = len(run.timings) / (run.wall_ms / 3_600_000.0)
     assert summary.throughput_per_hour == pytest.approx(expected, rel=1e-9)
     assert summary.median_total_ms > 0

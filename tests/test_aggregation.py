@@ -3,13 +3,14 @@ import csv
 import numpy as np
 import pytest
 
-from wsitriage.aggregation import (FinalOutcome, SlideResult, SpecimenResult,
-                                   aggregate, attained_level, finalize,
-                                   load_slide_ids, load_specimen_results,
+from wsitriage.aggregation import (SLIDE_RESULTS_HEAD, FinalOutcome, SlideResult,
+                                   SpecimenResult, aggregate, attained_level,
+                                   finalize, load_specimen_results,
                                    save_class_scores, save_slide_results,
                                    save_specimen_results)
 from wsitriage.confidence import UNREACHABLE, ThresholdSet
 from wsitriage.manifest import ClassLabel
+from wsitriage.tables import read_table
 
 
 def classified(slide_id, specimen, label, s):
@@ -169,8 +170,10 @@ class TestResultsIO:
             rows = list(csv.reader(fh))[2:]
         assert all(len(row) == 6 for row in rows)
         assert rows[0] == ["s0", "sp0", "Error", "", "", error]
-        assert load_slide_ids(path, "NoROI") == {"s1", "s3"}
-        assert load_slide_ids(path, "Error") == {"s0"}
+        outcomes = {row[0]: row[2] for _, row in read_table(path, SLIDE_RESULTS_HEAD,
+                                                             (str,) * 6)}
+        assert {sid for sid, o in outcomes.items() if o == "NoROI"} == {"s1", "s3"}
+        assert {sid for sid, o in outcomes.items() if o == "Error"} == {"s0"}
 
     def test_malformed_class_score_row_names_line(self, tmp_path):
         thresholds = ThresholdSet(targets=(0.90,), values=(0.3,))

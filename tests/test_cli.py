@@ -140,6 +140,15 @@ class TestWorkflow:
         assert main(["profile", "--run", run]) == 2
         assert f"{rm_path}:1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["run_manifest.txt", "timings.csv"])
+    def test_profile_needs_timings_and_run_manifest(self, workflow, tmp_path, capsys,
+                                                    name):
+        run = str(tmp_path / "run")
+        shutil.copytree(workflow["run"], run)
+        os.remove(os.path.join(run, name))
+        assert main(["profile", "--run", run]) == 2
+        assert os.path.join(run, name) in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def reference_sets(workflow):

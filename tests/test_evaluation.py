@@ -199,3 +199,16 @@ class TestReportOutput:
         text = format_report(report)
         assert "unreachable" in text
         assert "coverage" in text
+
+    def test_report_prints_clopper_pearson_bound(self):
+        specimens = [spec_result(i, ClassLabel(i % 4), 0.9) for i in range(16)]
+        truths = {f"sp{i}": ClassLabel(i % 4) for i in range(16)}
+        truths["sp0"] = ClassLabel.OTHER   # 15 of 16 right
+        report = evaluate(specimens, truths,
+                          ThresholdSet(targets=(0.90, 0.95), values=(0.95, UNREACHABLE)))
+        lines = format_report(report).splitlines()
+        assert lines[3].endswith("retained  95% lower bound")
+        # one-sided 95% Clopper-Pearson: the 5% quantile of Beta(15, 2)
+        assert lines[4].split() == ["none", "0.000000", "0.9375", "1.0000", "16", "0.736"]
+        assert lines[5].split()[-2:] == ["0", "n/a"]
+        assert lines[6].split()[-2:] == ["0", "n/a"]

@@ -4,6 +4,7 @@ import pytest
 from wsitriage.adaptation import AdapterModel, DomainStats, adapt_pixels, fit_stats
 from wsitriage.config import Config
 from wsitriage.manifest import ClassLabel, SlideRecord, Split, load_manifest
+from wsitriage import pipeline
 from wsitriage.pipeline import (Models, StageTiming, format_profile, load_run_manifest,
                                 load_timings, profile, run_corpus, run_slide,
                                 save_run_manifest, save_timings, select_tiles)
@@ -40,6 +41,9 @@ class TestRunSlide:
         result, timing = run_slide(record, small_models, config, 0)
         assert not result.classified
         assert result.error is None
+        assert timing.outcome == "NoROI"
+        assert timing.n_roi_tiles == 0
+        assert timing.featurize_ms == 0.0
         assert timing.classify_ms == 0.0
         assert timing.score_ms == 0.0
 
@@ -55,6 +59,10 @@ class TestRunSlide:
         assert result.predicted is ClassLabel.BASALOID
         assert result.matrix.shape == (30, 4)
         assert timing.total_ms > 0
+        assert timing.outcome == "Classified"
+        assert timing.read_ms > 0 and timing.featurize_ms > 0
+        assert 0 < timing.n_roi_tiles <= timing.n_tiles
+        assert timing.stage_sum() <= timing.total_ms * 1.05
 
     def test_corpus_runs_from_another_working_directory(self, tmp_path, monkeypatch,
                                                          small_models, config):
@@ -71,9 +79,29 @@ class TestRunSlide:
         record = SlideRecord("gone", "sp", "reference", ClassLabel.OTHER,
                              "/nonexistent/path.ppm")
         result, timing = run_slide(record, small_models, config, 0)
-        assert result.error is not None
+        assert result.error.startswith("FileNotFoundError: ")
+        assert "/nonexistent/path.ppm" in result.error
         assert not result.classified
         assert timing.slide_id == "gone"
+        assert timing.outcome == "Error"
+
+    def test_error_after_read_same_from_run_slide_and_run_corpus(
+            self, small_corpus, small_models, config, monkeypatch):
+        def boom(tiles, model):
+            raise RuntimeError("segmenter failed, on purpose")
+        monkeypatch.setattr(pipeline, "segment_tiles", boom)
+        records = sorted(small_corpus.records, key=lambda r: r.slide_id)[:2]
+        alone = [run_slide(record, small_models, config, 0) for record in records]
+        for result, timing in alone:
+            assert result.error == "RuntimeError: segmenter failed, on purpose"
+            assert timing.outcome == "Error"
+            assert timing.read_ms > 0 and timing.featurize_ms == 0.0
+        from wsitriage.manifest import DatasetManifest
+        run = run_corpus(DatasetManifest(records=records), small_models, config,
+                         workers=2)
+        for (result, _), pooled in zip(alone, run.slide_results):
+            assert results_equal(pooled, result)
+        assert [t.outcome for t in run.timings] == ["Error", "Error"]
 
     def test_deterministic_given_seed(self, tmp_path, small_models, config):
         slide = generate_slide(ClassLabel.MELANOCYTIC,
@@ -167,31 +195,32 @@ class TestRunCorpus:
         by_id = {r.slide_id: r for r in run.slide_results}
         assert by_id["zz-missing"].error is not None
         assert len(run.slide_results) == 4
-        assert run.error_slide_ids() == {"zz-missing"}
+        assert {t.slide_id for t in run.timings if t.outcome == "Error"} == {"zz-missing"}
 
 
 class TestProfile:
     def test_single_timing(self):
-        t = StageTiming("a", 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 22.0)
+        t = StageTiming("a", "Classified", 3, 2, 0.5, 1.0, 2.0, 3.0, 4.0, 4.5, 0.5, 6.0, 22.0)
         summary = profile([t])
         assert summary.median_total_ms == 22.0
         assert summary.stage_median_ms["segment"][1] == 1.0
+        assert summary.stage_median_ms["featurize"][1] == 4.5
 
     def test_median_of_three(self):
-        timings = [StageTiming(f"s{i}", total_ms=v)
+        timings = [StageTiming(f"s{i}", "Classified", total_ms=v)
                    for i, v in enumerate((10.0, 20.0, 30.0))]
         assert profile(timings).median_total_ms == 20.0
 
     def test_throughput_from_wall_clock(self):
-        timings = [StageTiming(f"s{i}", total_ms=10.0) for i in range(10)]
+        timings = [StageTiming(f"s{i}", "Classified", total_ms=10.0) for i in range(10)]
         summary = profile(timings, wall_ms=2000.0)
         assert summary.throughput_per_hour == pytest.approx(10 / (2.0 / 3600.0))
 
     def test_noroi_exclusion(self):
-        timings = [StageTiming("a", total_ms=10.0),
-                   StageTiming("b", total_ms=100.0),
-                   StageTiming("c", total_ms=200.0)]
-        summary = profile(timings, noroi_slide_ids={"a"})
+        timings = [StageTiming("a", "NoROI", total_ms=10.0),
+                   StageTiming("b", "Classified", total_ms=100.0),
+                   StageTiming("c", "Classified", total_ms=200.0)]
+        summary = profile(timings)
         assert summary.median_total_classified_ms == 150.0
         assert summary.median_total_ms == 100.0
 
@@ -200,21 +229,35 @@ class TestProfile:
             profile([])
 
     def test_error_slides_left_out_and_counted(self):
-        timings = [StageTiming("err", total_ms=0.5),
-                   StageTiming("b", 10.0, 1.0, 30.0, 20.0, 5.0, 0.1, 70.0),
-                   StageTiming("c", 20.0, 1.0, 40.0, 30.0, 5.0, 0.1, 100.0)]
-        summary = profile(timings, wall_ms=3600.0, error_slide_ids={"err"})
+        timings = [StageTiming("err", "Error", read_ms=0.4, total_ms=0.5),
+                   StageTiming("b", "Classified", 9, 4, 0.5, 10.0, 1.0, 30.0, 20.0,
+                               4.0, 1.0, 0.1, 70.0),
+                   StageTiming("c", "Classified", 9, 5, 0.5, 20.0, 1.0, 40.0, 30.0,
+                               4.0, 1.0, 0.1, 100.0)]
+        summary = profile(timings, wall_ms=3600.0)
         assert summary.n_slides == 3
         assert summary.n_errors == 1
         assert summary.stage_median_ms["adapt"] == (32.5, 35.0, 37.5)
+        assert summary.stage_median_ms["read"] == (0.5, 0.5, 0.5)
         assert summary.median_total_ms == 85.0
         assert summary.median_total_classified_ms == 85.0
         assert summary.throughput_per_hour == pytest.approx(2000.0)
         assert "slides: 3 (Error: 1, left out below)" in format_profile(summary)
 
+    def test_noroi_and_error_rows_left_out_from_saved_timings(self, tmp_path):
+        path = tmp_path / "timings.csv"
+        save_timings([StageTiming("a", "Classified", 9, 3, total_ms=40.0),
+                      StageTiming("b", "NoROI", 6, 0, total_ms=10.0),
+                      StageTiming("c", "Error", total_ms=1.0),
+                      StageTiming("d", "Classified", 9, 4, total_ms=60.0)], path)
+        summary = profile(load_timings(path))
+        assert (summary.n_slides, summary.n_errors) == (4, 1)
+        assert summary.median_total_ms == 40.0
+        assert summary.median_total_classified_ms == 50.0
+
     @pytest.mark.filterwarnings("error")
     def test_only_error_slides(self):
-        summary = profile([StageTiming("err")], error_slide_ids={"err"})
+        summary = profile([StageTiming("err", "Error")])
         assert summary.n_errors == 1
         assert np.isnan(summary.median_total_ms)
         assert all(np.isnan(v) for q in summary.stage_median_ms.values() for v in q)
@@ -227,8 +270,9 @@ class TestProfile:
             assert t.stage_sum() <= t.total_ms * 1.05
 
     def test_timings_round_trip(self, tmp_path):
-        timings = [StageTiming("a", 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 25.0),
-                   StageTiming("b", total_ms=1.0)]
+        timings = [StageTiming("a", "Classified", 12, 3, 0.5, 1.5, 2.5, 3.5, 4.5,
+                               5.0, 0.5, 6.5, 25.0),
+                   StageTiming("b", "Error", total_ms=1.0)]
         path = tmp_path / "t.csv"
         save_timings(timings, path)
         loaded = load_timings(path)
@@ -236,10 +280,24 @@ class TestProfile:
 
     def test_malformed_timings_row_names_line(self, tmp_path):
         path = tmp_path / "t.csv"
-        save_timings([StageTiming("a", total_ms=1.0)], path)
+        save_timings([StageTiming("a", "NoROI", total_ms=1.0)], path)
         with open(path, "a") as fh:
             fh.write("b,1.0,2.0\n")
-        with pytest.raises(ValueError, match=f"{path}:3:"):
+        with pytest.raises(ValueError, match=f"{path}:4:"):
+            load_timings(path)
+
+    def test_unknown_outcome_names_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        save_timings([StageTiming("a", "NoROI", total_ms=1.0)], path)
+        path.write_text(path.read_text().replace("NoROI", "Skipped"))
+        with pytest.raises(ValueError, match=f"{path}:3: outcome must be one of"):
+            load_timings(path)
+
+    def test_v1_timings_rejected_at_line_1(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("slide_id,segment_ms,tile_ms,adapt_ms,roi_ms,classify_ms,"
+                        "score_ms,total_ms\na,1.0,1.0,1.0,1.0,1.0,1.0,6.0\n")
+        with pytest.raises(TableError, match=f"{path}:1: expected 'wsi-triage-timings v2'"):
             load_timings(path)
 
 

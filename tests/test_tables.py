@@ -10,17 +10,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wsitriage.adaptation import AdapterModel, DomainStats, load_adapter, save_adapter
-from wsitriage.aggregation import (CLASS_SCORES_HEAD, RESULTS_HEAD, SlideResult,
-                                   SpecimenResult, load_slide_ids,
-                                   load_specimen_results, save_class_scores,
-                                   save_slide_results, save_specimen_results)
+from wsitriage.aggregation import (CLASS_SCORES_HEAD, RESULTS_HEAD, SLIDE_OUTCOMES,
+                                   SlideResult, SpecimenResult, load_specimen_results,
+                                   save_class_scores, save_slide_results,
+                                   save_specimen_results)
 from wsitriage.classifier import NetParams, load_params, save_params
 from wsitriage.confidence import (THRESHOLDS_HEAD, UNREACHABLE, ThresholdSet,
                                   load_thresholds, save_thresholds)
 from wsitriage.evaluation import CONFUSION_COLS, evaluate, write_report
 from wsitriage.manifest import (ClassLabel, DatasetManifest, SlideRecord, Split,
                                 load_manifest, save_manifest)
-from wsitriage.pipeline import TIMINGS_HEADER, StageTiming, load_timings, save_timings
+from wsitriage.pipeline import TIMINGS_HEAD, StageTiming, load_timings, save_timings
 from wsitriage.roi import PixelSegmenter, load_segmenter, save_segmenter
 from wsitriage.tables import TableError, read_table, write_table
 
@@ -28,6 +28,7 @@ from wsitriage.tables import TableError, read_table, write_table
 TEXT = st.text(alphabet='ab7 ,"\n\r-.', min_size=1, max_size=10)
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 UNIT = st.floats(min_value=0.0, max_value=1.0)
+TARGETS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 PROBS = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -68,8 +69,8 @@ class TestNumericFields:
     """A field that does not convert names path:line, in every format."""
 
     def test_timings(self, path):
-        path.write_text(TIMINGS_HEADER + "\na,x,1,1,1,1,1,1\n")
-        with pytest.raises(TableError, match=f"{path}:2: could not convert"):
+        path.write_text("\n".join(TIMINGS_HEAD) + "\na,NoROI,3,0,x,1,1,1,1,0,0,0,5\n")
+        with pytest.raises(TableError, match=f"{path}:3: could not convert"):
             load_timings(path)
 
     def test_thresholds(self, path):
@@ -82,6 +83,14 @@ class TestNumericFields:
         path.write_text("\n".join(THRESHOLDS_HEAD) + f"\n1,0.9,0.5\n2,0.95,{value}\n")
         with pytest.raises(TableError, match=f"{path}:4: threshold must be in"):
             load_thresholds(path)
+
+    @pytest.mark.parametrize("value", ["nan", "0.0", "-0.5", "7.0"])
+    def test_target_outside_unit_interval(self, path, value):
+        path.write_text("\n".join(THRESHOLDS_HEAD) + f"\n1,0.9,0.5\n2,{value},0.6\n")
+        with pytest.raises(TableError, match=rf"{path}:4: target must be in \(0, 1\]"):
+            load_thresholds(path)
+        with pytest.raises(ValueError, match="target must be in"):
+            ThresholdSet(targets=(0.9, float(value)), values=(0.5, 0.6))
 
     def test_specimen_results(self, path):
         path.write_text("\n".join(RESULTS_HEAD) + "\nsp,Classified,Basaloid,x,1,s\n")
@@ -155,7 +164,7 @@ class TestModelFiles:
 @st.composite
 def threshold_sets(draw):
     n = draw(st.integers(0, 4))
-    targets = sorted(draw(st.lists(UNIT, min_size=n, max_size=n)))
+    targets = sorted(draw(st.lists(TARGETS, min_size=n, max_size=n)))
     n_reachable = draw(st.integers(0, n))
     values = sorted(draw(st.lists(UNIT, min_size=n_reachable, max_size=n_reachable)))
     return ThresholdSet(tuple(targets), tuple(values) + (UNREACHABLE,) * (n - n_reachable))
@@ -217,8 +226,8 @@ def test_slide_results_round_trip(path, results):
         else:
             expected.append([r.slide_id, r.specimen_id, "NoROI", "", "", ""])
     assert rows == expected
-    assert load_slide_ids(path, "NoROI") == {r.slide_id for r in results
-                                             if r.error is None and not r.classified}
+    assert {row[0] for row in rows if row[2] == "NoROI"} == \
+        {r.slide_id for r in results if r.error is None and not r.classified}
 
 
 @st.composite
@@ -251,11 +260,13 @@ def test_specimen_results_and_class_scores_round_trip(tmp_path_factory, specimen
 
 
 @PROPERTY
-@given(st.lists(st.tuples(TEXT, st.lists(st.floats(allow_nan=False), min_size=7,
-                                         max_size=7)),
+@given(st.lists(st.tuples(TEXT, st.sampled_from(SLIDE_OUTCOMES),
+                          st.lists(st.integers(0, 10**6), min_size=2, max_size=2),
+                          st.lists(st.floats(allow_nan=False), min_size=9,
+                                   max_size=9)),
                 unique_by=lambda t: t[0], max_size=6))
 def test_timings_round_trip(path, rows):
-    timings = [StageTiming(sid, *ms) for sid, ms in rows]
+    timings = [StageTiming(sid, outcome, *counts, *ms) for sid, outcome, counts, ms in rows]
     save_timings(timings, path)
     assert load_timings(path) == sorted(timings, key=lambda t: t.slide_id)
 
