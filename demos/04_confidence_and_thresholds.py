@@ -53,6 +53,6 @@ for level in thresholds.levels:
     if value is UNREACHABLE:
         print(f"  {level}     {thresholds.target(level):.2f}    unreachable")
         continue
-    kept = [ok for s, ok in pairs if s >= value]
+    kept = [ok for s, ok in pairs if thresholds.level(s) >= level]
     print(f"  {level}     {thresholds.target(level):.2f}    {value:<10.3f} "
           f"{len(kept):<9} {np.mean(kept):.3f}")

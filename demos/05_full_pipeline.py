@@ -15,7 +15,6 @@ import tempfile
 from wsitriage.config import Config
 from wsitriage.evaluation import evaluate, format_report
 from wsitriage.manifest import Split, build_splits
-from wsitriage.confidence import format_evidence
 from wsitriage.pipeline import format_profile, profile, run_corpus
 from wsitriage.synthesis import default_lab_profiles, generate_corpus
 from wsitriage.training import calibrate_lab, train_models
@@ -40,8 +39,8 @@ print(f"  training accuracy {trained.train_accuracy:.3f}")
 
 print("calibrating lab_c (stats, fine-tune, thresholds) ...")
 cal = calibrate_lab(lab, trained, config, workers=workers, global_seed=9)
-print(f"  lab validation accuracy {cal.validation_accuracy:.3f}")
-print(format_evidence(cal.validation, cal.thresholds))
+print(f"  lab validation accuracy {cal.validation.levels[0].accuracy:.3f}")
+print(format_report(cal.validation, title="lab_c CalibValidation split"))
 
 print("frozen run on the lab_c test split ...")
 run = run_corpus(lab, cal, config, workers=workers, global_seed=9,

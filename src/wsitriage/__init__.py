@@ -5,12 +5,11 @@ corpus with known ground truth."""
 
 from .adaptation import AdapterModel, DomainStats, adapt_tiles, fit_stats
 from .aggregation import (FinalOutcome, SlideResult, SpecimenResult, aggregate,
-                          finalize)
+                          final_outcome)
 from .classifier import NetParams, featurize_tiles, fine_tune, pool, predict, train
 from .config import Config, load_config
 from .confidence import (UNREACHABLE, ConfidenceScore, ThresholdSet,
-                         apply_threshold, calibrate_thresholds, mc_predict,
-                         score)
+                         calibrate_thresholds, mc_predict, score)
 from .evaluation import EvalReport, ROCCurve, domain_gap, evaluate, roc_auc
 from .manifest import (ClassLabel, DatasetManifest, SlideRecord, Split,
                        build_splits, load_manifest, save_manifest)

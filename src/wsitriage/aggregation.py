@@ -9,11 +9,11 @@ specimen whose slides all lack ROIs stays unclassified as no-ROI.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence import ThresholdSet, apply_threshold
+from .confidence import ThresholdSet
 from .manifest import ClassLabel
 from .tables import TableError, optional, read_table, write_table
 
@@ -67,7 +67,6 @@ class SpecimenResult:
     score: float | None
     source_slide_id: str | None
     class_means: np.ndarray | None
-    final: FinalOutcome | None = None     # set by finalize()
 
     @property
     def classified(self) -> bool:
@@ -93,42 +92,33 @@ def aggregate(slide_results) -> SpecimenResult:
                           best.slide_id, best.class_means)
 
 
-def finalize(specimen: SpecimenResult, threshold) -> SpecimenResult:
-    """Apply a confidence threshold: no-ROI specimens stay no-ROI, others
-    are classified iff their score clears the threshold."""
+def final_outcome(specimen: SpecimenResult, thresholds: ThresholdSet,
+                  level: int) -> FinalOutcome:
+    """The specimen's outcome at a confidence level: no-ROI specimens stay
+    no-ROI, others are classified iff their score attains the level, and
+    level 0 classifies every one."""
     if not specimen.classified:
-        return replace(specimen, final=FinalOutcome.NO_ROI)
-    if apply_threshold(specimen.score, threshold):
-        return replace(specimen, final=FinalOutcome.CLASSIFIED)
-    return replace(specimen, final=FinalOutcome.BELOW_THRESHOLD)
-
-
-def attained_level(specimen: SpecimenResult, thresholds: ThresholdSet) -> int:
-    """Highest confidence level whose threshold the specimen clears (0 if none)."""
-    level = 0
-    if not specimen.classified:
-        return level
-    for lv in thresholds.levels:
-        if apply_threshold(specimen.score, thresholds.value(lv)):
-            level = lv
-    return level
+        return FinalOutcome.NO_ROI
+    if thresholds.level(specimen.score) >= level:
+        return FinalOutcome.CLASSIFIED
+    return FinalOutcome.BELOW_THRESHOLD
 
 
 def save_specimen_results(specimens, thresholds: ThresholdSet, path) -> None:
     """One row per specimen: specimen_id,final,class,score,level,source_slide.
 
-    `final` is the outcome at REPORT_LEVEL's threshold; `level` is the
-    highest level the specimen's score attains.
+    `final` is the outcome at REPORT_LEVEL (level 0 for a set without
+    levels); `level` is the highest level the specimen's score attains.
     """
-    threshold = thresholds.value(REPORT_LEVEL) if thresholds.levels else 0.0
+    report_level = REPORT_LEVEL if thresholds.levels else 0
     rows = []
     for spec in sorted(specimens, key=lambda s: s.specimen_id):
-        final = finalize(spec, threshold).final
+        final = final_outcome(spec, thresholds, report_level)
         if final is FinalOutcome.NO_ROI:
             rows.append((spec.specimen_id, final.value, "", "", "", ""))
         else:
             rows.append((spec.specimen_id, final.value, spec.predicted.token,
-                         float(spec.score), attained_level(spec, thresholds),
+                         float(spec.score), thresholds.level(spec.score),
                          spec.source_slide_id))
     write_table(path, RESULTS_HEAD, rows)
 
@@ -150,14 +140,13 @@ def save_class_scores(specimens, path) -> None:
         if spec.class_means is not None))
 
 
-def load_specimen_results(results_path, class_scores_path=None) -> list[SpecimenResult]:
-    """Rebuild specimen results from the results file (and the class-score
-    table when per-class ROC evaluation is wanted)."""
+def load_specimen_results(results_path, class_scores_path) -> list[SpecimenResult]:
+    """Rebuild specimen results from the results file and the class-score
+    table that per-class ROC evaluation sweeps."""
     means_by_id = {}
-    if class_scores_path is not None:
-        for _, (specimen_id, *means) in read_table(class_scores_path, CLASS_SCORES_HEAD,
-                                                   (str,) + (float,) * 4):
-            means_by_id[specimen_id] = np.array(means)
+    for _, (specimen_id, *means) in read_table(class_scores_path, CLASS_SCORES_HEAD,
+                                               (str,) + (float,) * 4):
+        means_by_id[specimen_id] = np.array(means)
 
     columns = (str, FinalOutcome, optional(ClassLabel.from_token), optional(float), str, str)
     out = []

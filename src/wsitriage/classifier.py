@@ -10,7 +10,7 @@ training and during repeated inference for confidence scoring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -182,9 +182,7 @@ class TrainConfig:
 
 
 def train(x: np.ndarray, labels, config: TrainConfig = TrainConfig(),
-          params: NetParams | None = None,
-          learning_rate: float | None = None,
-          epochs: int | None = None) -> NetParams:
+          params: NetParams | None = None) -> NetParams:
     """Seeded minibatch SGD with per-sample stochastic hidden masks.
 
     Starts from a fresh seeded initialization unless params is given (the
@@ -200,15 +198,14 @@ def train(x: np.ndarray, labels, config: TrainConfig = TrainConfig(),
         import warnings
         warnings.warn(f"training set is missing classes {missing}", stacklevel=2)
 
-    lr = config.learning_rate if learning_rate is None else learning_rate
-    n_epochs = config.epochs if epochs is None else epochs
+    lr = config.learning_rate
     params = init_params(config.seed) if params is None else params.copy()
     y = one_hot(labels)
     rng = np.random.default_rng(stable_seed("classifier-train", config.seed))
 
     w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
     n = len(x)
-    for _ in range(n_epochs):
+    for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
@@ -225,9 +222,9 @@ def train(x: np.ndarray, labels, config: TrainConfig = TrainConfig(),
 def fine_tune(params: NetParams, x: np.ndarray, labels,
               config: TrainConfig = TrainConfig()) -> NetParams:
     """Continue training on calibration data at a reduced learning rate."""
-    return train(x, labels, config, params=params,
-                 learning_rate=config.learning_rate * config.finetune_lr_scale,
-                 epochs=config.finetune_epochs)
+    return train(x, labels, replace(
+        config, learning_rate=config.learning_rate * config.finetune_lr_scale,
+        epochs=config.finetune_epochs), params=params)
 
 
 def accuracy(params: NetParams, x: np.ndarray, labels) -> float:

@@ -16,7 +16,7 @@ import sys
 from .aggregation import (load_specimen_results, save_class_scores,
                           save_slide_results, save_specimen_results)
 from .config import CONFIG_KEYS, Config, ConfigError, load_config
-from .confidence import format_evidence, load_thresholds, save_thresholds
+from .confidence import load_thresholds, save_thresholds
 from .evaluation import evaluate, format_report, write_report
 from .manifest import (DatasetManifest, Split, build_splits, load_manifest,
                        save_manifest)
@@ -140,9 +140,7 @@ def cmd_calibrate(args) -> int:
     paths = model_paths(args.models, cal.lab_id)
     del paths["segmenter"]   # the reference's, shared by every lab
     save_models(cal, paths)
-    print(f"lab {cal.lab_id}: validation accuracy {cal.validation_accuracy:.4f} "
-          f"over {len(cal.validation)} scored specimens")
-    print(format_evidence(cal.validation, cal.thresholds))
+    print(format_report(cal.validation, f"lab {cal.lab_id}: CalibValidation"))
     return 0
 
 
@@ -185,11 +183,11 @@ def cmd_run(args) -> int:
 
 def cmd_evaluate(args) -> int:
     manifest = _load_manifest(args.manifest)
-    results_path = _require(os.path.join(args.run, "specimen_results.csv"), "results")
-    scores_path = os.path.join(args.run, "class_scores.csv")
     specimens = load_specimen_results(
-        results_path, scores_path if os.path.exists(scores_path) else None)
-    thresholds = load_thresholds(_require(args.thresholds, "thresholds"))
+        _require(os.path.join(args.run, "specimen_results.csv"), "results"),
+        _require(os.path.join(args.run, "class_scores.csv"), "class scores"))
+    thresholds = load_thresholds(
+        _require(os.path.join(args.run, "thresholds.txt"), "thresholds"))
     report = evaluate(specimens, manifest.truth_by_specimen(), thresholds)
     if args.out:
         write_report(report, args.out)
@@ -262,9 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("evaluate", help="selective-classification report for a run")
-    p.add_argument("--run", required=True, help="run output directory")
+    p.add_argument("--run", required=True,
+                   help="run output directory; its thresholds.txt is applied")
     p.add_argument("--manifest", required=True, help="manifest with ground truth")
-    p.add_argument("--thresholds", required=True, help="thresholds file")
     p.add_argument("--out", help="write report files here instead of stdout")
     p.set_defaults(fn=cmd_evaluate)
 

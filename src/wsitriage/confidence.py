@@ -100,7 +100,7 @@ class ThresholdSet:
             raise ValueError("targets must be non-decreasing")
         last = -np.inf
         seen_unreachable = False
-        for v in self.values:
+        for v in map(_threshold, self.values):
             if v is UNREACHABLE:
                 seen_unreachable = True
                 continue
@@ -120,6 +120,16 @@ class ThresholdSet:
     def target(self, level: int) -> float:
         return self.targets[level - 1]
 
+    def level(self, score: float) -> int:
+        """The highest level whose threshold the score clears, inclusive of
+        the threshold; 0 when it clears none.  An UNREACHABLE threshold is
+        never cleared."""
+        level = 0
+        for lv, v in zip(self.levels, self.values):
+            if v is not UNREACHABLE and score >= v:
+                level = lv
+        return level
+
 
 def calibrate_thresholds(results, targets=DEFAULT_TARGETS) -> ThresholdSet:
     """Smallest threshold per target such that accuracy over results with
@@ -133,64 +143,15 @@ def calibrate_thresholds(results, targets=DEFAULT_TARGETS) -> ThresholdSet:
         raise ValueError("cannot calibrate thresholds on empty validation results")
     scores = np.array([s for s, _ in results], dtype=np.float64)
     correct = np.array([bool(c) for _, c in results])
+    candidates = [0.0] + sorted(set(scores.tolist()))
 
-    order = np.argsort(scores, kind="stable")
-    s_sorted = scores[order]
-    c_sorted = correct[order]
-    # suffix_correct[i] / suffix_n[i]: accuracy over items with the i-th
-    # smallest score or greater
-    suffix_correct = np.cumsum(c_sorted[::-1])[::-1]
-    n = len(results)
+    def meets(target, cand):
+        kept = scores >= cand
+        return correct[kept].sum() / kept.sum() >= target
 
-    candidates = [0.0] + sorted(set(s_sorted.tolist()))
-    values = []
-    for target in targets:
-        chosen = UNREACHABLE
-        for cand in candidates:
-            first = int(np.searchsorted(s_sorted, cand, side="left"))
-            kept = n - first
-            if kept == 0:
-                continue
-            if suffix_correct[first] / kept >= target:
-                chosen = cand
-                break
-        values.append(chosen)
-    return ThresholdSet(targets=tuple(targets), values=tuple(values))
-
-
-def apply_threshold(s, threshold) -> bool:
-    """True when the score clears the threshold (inclusive boundary);
-    an UNREACHABLE threshold never classifies."""
-    if threshold is UNREACHABLE:
-        return False
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    value = s.value if isinstance(s, ConfidenceScore) else float(s)
-    return value >= threshold
-
-
-def _lower_bound(k: int, n: int) -> str:
-    """The one-sided 95% Clopper-Pearson lower bound on an accuracy of k
-    correct in n, to three places; n/a when n is 0."""
-    if not n:
-        return "n/a"
-    from scipy.stats import beta   # here, not at the top: a 0.7 s import
-    return f"{beta.ppf(0.05, k, n - k + 1) if k else 0.0:.3f}"
-
-
-def format_evidence(results, thresholds: ThresholdSet) -> str:
-    """One line per level: the (score, correct) results its threshold
-    retains, their accuracy and its one-sided 95% Clopper-Pearson lower
-    bound, n/a when nothing is retained."""
-    lines = []
-    for level, target, value in zip(thresholds.levels, thresholds.targets,
-                                    thresholds.values):
-        kept = [bool(ok) for s, ok in results if apply_threshold(s, value)]
-        n, k = len(kept), sum(kept)
-        acc = f"{k / n:.3f}" if n else "n/a"
-        lines.append(f"level {level} (target {target}): threshold {value!r}, "
-                     f"{n} retained, accuracy {acc}, 95% lower bound {_lower_bound(k, n)}")
-    return "\n".join(lines)
+    return ThresholdSet(targets=tuple(targets), values=tuple(
+        next((c for c in candidates if meets(target, c)), UNREACHABLE)
+        for target in targets))
 
 
 def save_thresholds(thresholds: ThresholdSet, path) -> None:
@@ -207,12 +168,13 @@ def _target(value) -> float:
     return value
 
 
-def _threshold(text):
-    if text == "unreachable":
+def _threshold(value):
+    """A threshold: UNREACHABLE (`unreachable` in a file) or a number in [0, 1]."""
+    if value is UNREACHABLE or value == "unreachable":
         return UNREACHABLE
-    value = float(text)
+    value = float(value)
     if not 0.0 <= value <= 1.0:   # NaN too
-        raise ValueError(f"threshold must be in [0, 1], got {text}")
+        raise ValueError(f"threshold must be in [0, 1], got {value}")
     return value
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .classifier import TrainConfig
-from .confidence import DEFAULT_T, DEFAULT_TARGETS
+from .confidence import DEFAULT_T, DEFAULT_TARGETS, _target
 from .roi import THETA_ROI
 from .tiling import TilingConfig
 
@@ -24,7 +24,10 @@ class ConfigError(ValueError):
 
 
 def _parse_targets(text: str) -> tuple:
-    return tuple(float(v) for v in str(text).split(",") if v != "")
+    targets = tuple(_target(v) for v in str(text).split(",") if v != "")
+    if list(targets) != sorted(targets):
+        raise ValueError(f"targets must be non-decreasing, got {text}")
+    return targets
 
 
 # key -> (parser, default, help)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .aggregation import FinalOutcome, finalize
-from .confidence import UNREACHABLE, ThresholdSet, _lower_bound
+from .aggregation import FinalOutcome, final_outcome
+from .confidence import UNREACHABLE, ThresholdSet
 from .manifest import N_CLASSES, ClassLabel
 from .tables import write_table
 
@@ -75,15 +75,15 @@ class EvalReport:
     n_specimens: int
 
 
-def _level_metrics(level, threshold, specimens, truths) -> LevelMetrics:
-    finals = [finalize(s, threshold) for s in specimens]
+def _level_metrics(level, thresholds, specimens, truths) -> LevelMetrics:
     confusion = np.zeros((N_CLASSES, N_CLASSES + 2), dtype=int)
     retained = []
-    for spec in finals:
+    for spec in specimens:
         row = int(truths[spec.specimen_id])
-        if spec.final is FinalOutcome.NO_ROI:
+        final = final_outcome(spec, thresholds, level)
+        if final is FinalOutcome.NO_ROI:
             confusion[row, N_CLASSES + 1] += 1
-        elif spec.final is FinalOutcome.BELOW_THRESHOLD:
+        elif final is FinalOutcome.BELOW_THRESHOLD:
             confusion[row, N_CLASSES] += 1
         else:
             confusion[row, int(spec.predicted)] += 1
@@ -106,6 +106,7 @@ def _level_metrics(level, threshold, specimens, truths) -> LevelMetrics:
             curves.append(roc_auc(scores, labels))
         except ValueError:
             curves.append(None)
+    threshold = thresholds.value(level) if level != LEVEL_NONE else 0.0
     return LevelMetrics(level=level, threshold=threshold, accuracy=accuracy,
                         coverage=coverage, n_retained=len(retained),
                         curves=tuple(curves), confusion=confusion)
@@ -122,9 +123,8 @@ def evaluate(specimens, truths: dict, thresholds: ThresholdSet) -> EvalReport:
     if unknown:
         raise ValueError(f"specimens without ground truth: {unknown[:5]}")
 
-    levels = {LEVEL_NONE: _level_metrics(LEVEL_NONE, 0.0, specimens, truths)}
-    for lv in thresholds.levels:
-        levels[lv] = _level_metrics(lv, thresholds.value(lv), specimens, truths)
+    levels = {lv: _level_metrics(lv, thresholds, specimens, truths)
+              for lv in (LEVEL_NONE, *thresholds.levels)}
     return EvalReport(levels=levels, n_specimens=len(specimens))
 
 
@@ -153,6 +153,15 @@ def domain_gap(features: np.ndarray, lab_labels) -> float:
         denom = max(a, b)
         sil[i] = 0.0 if denom == 0 else (b - a) / denom
     return float(sil.mean())
+
+
+def _lower_bound(k: int, n: int) -> str:
+    """The one-sided 95% Clopper-Pearson lower bound on an accuracy of k
+    correct in n, to three places; n/a when n is 0."""
+    if not n:
+        return "n/a"
+    from scipy.stats import beta   # here, not at the top: a 0.7 s import
+    return f"{beta.ppf(0.05, k, n - k + 1) if k else 0.0:.3f}"
 
 
 def format_report(report: EvalReport, title: str = "evaluation") -> str:

@@ -197,7 +197,6 @@ class CorpusRun:
     timings: list
     specimens: list            # aggregated, unthresholded specimen results
     wall_ms: float
-    worker_count: int
 
     @property
     def throughput_per_hour(self) -> float:
@@ -229,7 +228,7 @@ def run_corpus(manifest: DatasetManifest, models: Models, config: Config,
     for r in slide_results:
         by_specimen.setdefault(r.specimen_id, []).append(r)
     specimens = [aggregate(group) for _, group in sorted(by_specimen.items())]
-    return CorpusRun(slide_results, timings, specimens, wall_ms, workers)
+    return CorpusRun(slide_results, timings, specimens, wall_ms)
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptation import AdapterModel, DomainStats, adapt_tiles, fit_stats
-from .classifier import accuracy, fine_tune, train
+from .classifier import N_FEATURES, accuracy, fine_tune, train
 from .config import Config
 from .confidence import ThresholdSet, calibrate_thresholds
+from .evaluation import EvalReport, evaluate
 from .manifest import DatasetManifest, Split
 from .parallel import pmap
 from .pipeline import Models, embed_record, run_corpus
@@ -45,7 +46,7 @@ def collect_embeddings(records, models: Models, config: Config, workers: int = 1
         xs.append(emb)
         labels.append(int(rec.truth))
         kept.append(rec)
-    x = np.stack(xs) if xs else np.empty((0, 64))
+    x = np.stack(xs) if xs else np.empty((0, N_FEATURES))
     return x, np.array(labels, dtype=int), kept
 
 
@@ -122,7 +123,7 @@ def train_models(manifest: DatasetManifest, config: Config,
 def _fit_thresholds(manifest: DatasetManifest, models: Models, split: Split,
                     config: Config, workers: int, global_seed: int):
     """Run split with models and fix the confidence thresholds on its scored
-    specimens; returns (thresholds, (score, correct) per scored specimen)."""
+    specimens; returns (thresholds, the split's report at those thresholds)."""
     run = run_corpus(manifest, models, config, workers=workers,
                      global_seed=global_seed, split=split)
     truths = manifest.truth_by_specimen()
@@ -130,7 +131,8 @@ def _fit_thresholds(manifest: DatasetManifest, models: Models, split: Split,
                    for s in run.specimens if s.classified)
     if not scored:
         raise ValueError(f"no {split.value} specimen of {manifest.lab_ids()} was scored")
-    return calibrate_thresholds(scored, targets=config["confidence.targets"]), scored
+    thresholds = calibrate_thresholds(scored, targets=config["confidence.targets"])
+    return thresholds, evaluate(run.specimens, truths, thresholds)
 
 
 def calibrate_reference(manifest: DatasetManifest, trained: Models,
@@ -147,11 +149,7 @@ class LabCalibration(Models):
     lab's adapter (the identity without adaptation) and fine-tuned
     classifier, and the thresholds fixed on its CalibValidation specimens."""
     lab_id: str
-    validation: tuple               # (score, correct) per scored specimen
-
-    @property
-    def validation_accuracy(self) -> float:   # specimen-level, unthresholded
-        return float(np.mean([correct for _, correct in self.validation]))
+    validation: EvalReport          # the CalibValidation split at these thresholds
 
 
 def calibrate_lab(lab_manifest: DatasetManifest, base: Models,
@@ -180,8 +178,8 @@ def calibrate_lab(lab_manifest: DatasetManifest, base: Models,
         raise ValueError(f"lab {lab_id!r}: no fine-tuning slide produced an ROI")
     tuned = fine_tune(base.classifier, x, labels, config.train)
 
-    thresholds, scored = _fit_thresholds(
+    thresholds, validation = _fit_thresholds(
         lab_manifest, Models(base.segmenter, tuned, adapter), Split.CALIB_VALIDATION,
         config, workers, global_seed)
     return LabCalibration(segmenter=base.segmenter, classifier=tuned, adapter=adapter,
-                          lab_id=lab_id, thresholds=thresholds, validation=scored)
+                          lab_id=lab_id, thresholds=thresholds, validation=validation)

@@ -2,12 +2,13 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsitriage.aggregation import (SLIDE_RESULTS_HEAD, FinalOutcome, SlideResult,
-                                   SpecimenResult, aggregate, attained_level,
-                                   finalize, load_specimen_results,
-                                   save_class_scores, save_slide_results,
-                                   save_specimen_results)
+                                   SpecimenResult, aggregate, final_outcome,
+                                   load_specimen_results, save_class_scores,
+                                   save_slide_results, save_specimen_results)
 from wsitriage.confidence import UNREACHABLE, ThresholdSet
 from wsitriage.manifest import ClassLabel
 from wsitriage.tables import read_table
@@ -100,24 +101,38 @@ class TestAggregate:
                 assert out.source_slide_id == best.slide_id
 
 
+def at_threshold(specimen, threshold):
+    """The specimen's outcome at the level of a one-level set with this threshold."""
+    return final_outcome(specimen, ThresholdSet(targets=(0.9,), values=(threshold,)), 1)
+
+
+@st.composite
+def threshold_sets(draw):
+    """Non-decreasing thresholds in [0, 1] with an UNREACHABLE suffix."""
+    n = draw(st.integers(0, 4))
+    reachable = sorted(draw(st.lists(st.floats(0.0, 1.0), max_size=n)))
+    values = tuple(reachable) + (UNREACHABLE,) * (n - len(reachable))
+    return ThresholdSet(targets=(0.9,) * n, values=values)
+
+
 class TestFinalize:
     def test_noroi_stays_noroi(self):
         spec = SpecimenResult("sp", None, None, None, None)
         for threshold in (0.0, 0.9, UNREACHABLE):
-            assert finalize(spec, threshold).final is FinalOutcome.NO_ROI
+            assert at_threshold(spec, threshold) is FinalOutcome.NO_ROI
 
     def test_threshold_zero_keeps_classified(self):
         spec = SpecimenResult("sp", ClassLabel.OTHER, 0.01, "a", None)
-        assert finalize(spec, 0.0).final is FinalOutcome.CLASSIFIED
+        assert at_threshold(spec, 0.0) is FinalOutcome.CLASSIFIED
 
     def test_below_threshold(self):
         spec = SpecimenResult("sp", ClassLabel.OTHER, 0.5, "a", None)
-        assert finalize(spec, 0.6).final is FinalOutcome.BELOW_THRESHOLD
-        assert finalize(spec, 0.5).final is FinalOutcome.CLASSIFIED
+        assert at_threshold(spec, 0.6) is FinalOutcome.BELOW_THRESHOLD
+        assert at_threshold(spec, 0.5) is FinalOutcome.CLASSIFIED
 
     def test_unreachable_always_below(self):
         spec = SpecimenResult("sp", ClassLabel.OTHER, 0.99, "a", None)
-        assert finalize(spec, UNREACHABLE).final is FinalOutcome.BELOW_THRESHOLD
+        assert at_threshold(spec, UNREACHABLE) is FinalOutcome.BELOW_THRESHOLD
 
     def test_count_conservation_across_levels(self):
         rng = np.random.default_rng(5)
@@ -130,9 +145,23 @@ class TestFinalize:
                     f"sp{i}", ClassLabel(int(rng.integers(0, 4))),
                     float(rng.random()), f"s{i}", None))
         for threshold in (0.0, 0.3, 0.8, UNREACHABLE):
-            finals = [finalize(s, threshold).final for s in specimens]
+            finals = [at_threshold(s, threshold) for s in specimens]
             counts = {f: finals.count(f) for f in FinalOutcome}
             assert sum(counts.values()) == len(specimens)
+
+    @settings(max_examples=200, deadline=None)
+    @given(thresholds=threshold_sets(), data=st.data())
+    def test_level_is_highest_cleared_and_decides_the_outcome(self, thresholds, data):
+        reachable = [v for v in thresholds.values if v is not UNREACHABLE]
+        s = data.draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(reachable or [0.5])))
+        cleared = [lv for lv, v in zip(thresholds.levels, thresholds.values)
+                   if v is not UNREACHABLE and s >= v]
+        level = thresholds.level(s)
+        assert level == max(cleared, default=0)
+        spec = SpecimenResult("sp", ClassLabel.OTHER, s, "a", None)
+        for at in range(len(thresholds.levels) + 1):
+            assert ((final_outcome(spec, thresholds, at) is FinalOutcome.CLASSIFIED)
+                    == (level >= at))
 
 
 class TestResultsIO:
@@ -192,6 +221,6 @@ class TestResultsIO:
         thresholds = ThresholdSet(targets=(0.90, 0.95, 0.98),
                                   values=(0.3, 0.6, UNREACHABLE))
         spec = SpecimenResult("sp", ClassLabel.OTHER, 0.7, "a", None)
-        assert attained_level(spec, thresholds) == 2
+        assert thresholds.level(spec.score) == 2
         low = SpecimenResult("sp", ClassLabel.OTHER, 0.1, "a", None)
-        assert attained_level(low, thresholds) == 0
+        assert thresholds.level(low.score) == 0

@@ -69,18 +69,26 @@ class TestWorkflow:
             assert os.path.exists(os.path.join(workflow["models"], name))
 
     def test_evaluate_stdout_and_files(self, workflow, capsys, tmp_path):
-        thresholds = os.path.join(workflow["models"], "lab_a.thresholds")
         assert main(["evaluate", "--run", workflow["run"],
-                     "--manifest", workflow["lab_manifest"],
-                     "--thresholds", thresholds]) == 0
+                     "--manifest", workflow["lab_manifest"]]) == 0
         out = capsys.readouterr().out
         assert "coverage" in out
 
         report_dir = str(tmp_path / "report")
         assert main(["evaluate", "--run", workflow["run"],
                      "--manifest", workflow["lab_manifest"],
-                     "--thresholds", thresholds, "--out", report_dir]) == 0
+                     "--out", report_dir]) == 0
         assert os.path.exists(os.path.join(report_dir, "report.txt"))
+
+    @pytest.mark.parametrize("name", ["class_scores.csv", "thresholds.txt"])
+    def test_evaluate_needs_class_scores_and_thresholds(self, workflow, tmp_path,
+                                                         capsys, name):
+        run = str(tmp_path / "run")
+        shutil.copytree(workflow["run"], run)
+        os.remove(os.path.join(run, name))
+        assert main(["evaluate", "--run", run,
+                     "--manifest", workflow["lab_manifest"]]) == 2
+        assert os.path.join(run, name) in capsys.readouterr().err
 
     def test_profile_output(self, workflow, capsys):
         assert main(["profile", "--run", workflow["run"]]) == 0
@@ -126,10 +134,12 @@ class TestWorkflow:
                      "--models", models, "--workers", "2", "--seed", "5",
                      "--no-adaptation"]) == 0
         assert load_adapter(os.path.join(models, "lab_a.adapter")).is_identity
-        out = capsys.readouterr().out
-        for level in (1, 2, 3):   # the evidence each threshold rests on
-            assert f"level {level} (target " in out
-        assert "retained, accuracy" in out and "95% lower bound" in out
+        lines = capsys.readouterr().out.splitlines()
+        # the evidence each threshold rests on, one table row per level
+        header = lines.index("level  threshold    accuracy  coverage  retained  "
+                             "95% lower bound")
+        assert [line.split()[0] for line in lines[header + 1:header + 5]] == \
+            ["none", "1", "2", "3"]
 
     def test_profile_rejects_v1_run_manifest(self, workflow, tmp_path, capsys):
         run = str(tmp_path / "run")
@@ -218,6 +228,17 @@ class TestErrors:
                      "--models", str(tmp_path / "m")])
         assert code == 2
         assert missing in capsys.readouterr().err
+
+    @pytest.mark.parametrize("targets", ["0.9,1.5", "0.95,0.9"])
+    def test_bad_targets_are_usage_error_before_training(self, workflow, tmp_path,
+                                                         capsys, targets):
+        config = tmp_path / "c.cfg"
+        config.write_text(f"confidence.targets={targets}\n")
+        models = str(tmp_path / "m")
+        assert main(["train", "--manifest", workflow["ref_manifest"],
+                     "--models", models, "--config", str(config)]) == 1
+        assert "confidence.targets" in capsys.readouterr().err
+        assert not os.path.exists(models)
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["split"]) == 1   # missing required arguments

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsitriage.aggregation import SpecimenResult
 from wsitriage.classifier import init_params
-from wsitriage.confidence import (DEFAULT_TARGETS, UNREACHABLE, ConfidenceScore,
-                                  ThresholdSet, apply_threshold,
-                                  calibrate_thresholds, format_evidence,
+from wsitriage.confidence import (UNREACHABLE, ThresholdSet, calibrate_thresholds,
                                   load_thresholds, mc_predict, save_thresholds,
                                   score, validate_matrix)
+from wsitriage.evaluation import evaluate, format_report
 from wsitriage.manifest import ClassLabel
 
 
@@ -172,38 +172,52 @@ class TestCalibrate:
 
 
 class TestEvidence:
+    """What each level's threshold rests on, as format_report prints it:
+    retained specimens, their accuracy and its one-sided 95%
+    Clopper-Pearson lower bound."""
+
+    @staticmethod
+    def level_rows(pairs, thresholds):
+        """format_report's table rows, split into fields, for one specimen
+        per (score, correct) pair; level 0 first."""
+        specimens = [SpecimenResult(f"sp{i}", ClassLabel.OTHER, s, f"s{i}", None)
+                     for i, (s, _) in enumerate(pairs)]
+        truths = {spec.specimen_id: ClassLabel.OTHER if ok else ClassLabel.BASALOID
+                  for spec, (_, ok) in zip(specimens, pairs)}
+        lines = format_report(evaluate(specimens, truths, thresholds)).splitlines()
+        return [line.split() for line in lines[4:5 + len(thresholds.levels)]]
+
     def test_fifteen_of_fifteen_clopper_pearson_bound(self):
         pairs = [(0.9, True)] * 15
-        lines = format_evidence(pairs, calibrate_thresholds(pairs)).splitlines()
-        assert len(lines) == 3
+        rows = self.level_rows(pairs, calibrate_thresholds(pairs))
+        assert len(rows) == 4
         bound = 0.05 ** (1 / 15)   # one-sided 95% Clopper-Pearson, k = n
         assert f"{bound:.3f}" == "0.819"
-        for level, line in enumerate(lines, start=1):
-            assert line == (f"level {level} (target {DEFAULT_TARGETS[level - 1]}): "
-                            f"threshold 0.0, 15 retained, accuracy 1.000, "
-                            f"95% lower bound {bound:.3f}")
+        for name, row in zip(("none", "1", "2", "3"), rows):
+            assert row == [name, "0.000000", "1.0000", "1.0000", "15", f"{bound:.3f}"]
 
     def test_nothing_retained_is_na(self):
         thresholds = ThresholdSet(targets=(0.9, 0.95), values=(0.5, UNREACHABLE))
-        lines = format_evidence([(0.4, True), (0.6, False)], thresholds).splitlines()
-        assert lines[0].endswith("1 retained, accuracy 0.000, 95% lower bound 0.000")
-        assert lines[1] == ("level 2 (target 0.95): threshold UNREACHABLE, "
-                            "0 retained, accuracy n/a, 95% lower bound n/a")
+        rows = self.level_rows([(0.4, True), (0.6, False)], thresholds)
+        assert rows[1] == ["1", "0.500000", "0.0000", "0.5000", "1", "0.000"]
+        assert rows[2] == ["2", "unreachable", "n/a", "0.0000", "0", "n/a"]
 
 
 class TestApplyThreshold:
+    """ThresholdSet.level, the one rule for whether a score attains a level."""
+
     def test_inclusive_boundary(self):
-        s = ConfidenceScore(0.33, ClassLabel.OTHER)
-        assert apply_threshold(s, 0.33)
-        assert not apply_threshold(ConfidenceScore(0.329, ClassLabel.OTHER), 0.33)
+        thresholds = ThresholdSet(targets=(0.9,), values=(0.33,))
+        assert thresholds.level(0.33) == 1
+        assert thresholds.level(0.329) == 0
 
     def test_unreachable_never_classifies(self):
-        assert not apply_threshold(ConfidenceScore(0.999, ClassLabel.OTHER),
-                                   UNREACHABLE)
+        assert ThresholdSet(targets=(0.9,), values=(UNREACHABLE,)).level(0.999) == 0
 
     def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            apply_threshold(0.5, 1.5)
+        for bad in (1.5, float("nan")):
+            with pytest.raises(ValueError, match="threshold must be in"):
+                ThresholdSet(targets=(0.9,), values=(bad,))
 
 
 class TestThresholdSet:

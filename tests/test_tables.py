@@ -39,6 +39,14 @@ def path(tmp_path_factory):
     return tmp_path_factory.mktemp("tables") / "table.csv"
 
 
+@pytest.fixture(scope="module")
+def no_class_scores(tmp_path_factory):
+    """A class-score table with no rows."""
+    scores = tmp_path_factory.mktemp("tables") / "class_scores.csv"
+    scores.write_text("\n".join(CLASS_SCORES_HEAD) + "\n")
+    return scores
+
+
 class TestReadTable:
     def test_rows_and_line_numbers(self, path):
         write_table(path, ["head v1", "a,b"], [("x", "multi\nline"), ("y", 'q"uote')])
@@ -83,6 +91,8 @@ class TestNumericFields:
         path.write_text("\n".join(THRESHOLDS_HEAD) + f"\n1,0.9,0.5\n2,0.95,{value}\n")
         with pytest.raises(TableError, match=f"{path}:4: threshold must be in"):
             load_thresholds(path)
+        with pytest.raises(ValueError, match="threshold must be in"):
+            ThresholdSet(targets=(0.9, 0.95), values=(0.5, float(value)))
 
     @pytest.mark.parametrize("value", ["nan", "0.0", "-0.5", "7.0"])
     def test_target_outside_unit_interval(self, path, value):
@@ -92,10 +102,10 @@ class TestNumericFields:
         with pytest.raises(ValueError, match="target must be in"):
             ThresholdSet(targets=(0.9, float(value)), values=(0.5, 0.6))
 
-    def test_specimen_results(self, path):
+    def test_specimen_results(self, path, no_class_scores):
         path.write_text("\n".join(RESULTS_HEAD) + "\nsp,Classified,Basaloid,x,1,s\n")
         with pytest.raises(TableError, match=f"{path}:3: could not convert"):
-            load_specimen_results(path)
+            load_specimen_results(path, no_class_scores)
 
     def test_class_scores(self, tmp_path):
         results = tmp_path / "results.csv"
@@ -105,10 +115,10 @@ class TestNumericFields:
         with pytest.raises(TableError, match=f"{scores}:3: could not convert"):
             load_specimen_results(results, scores)
 
-    def test_classified_specimen_without_score(self, path):
+    def test_classified_specimen_without_score(self, path, no_class_scores):
         path.write_text("\n".join(RESULTS_HEAD) + "\nsp,Classified,Basaloid,,1,s\n")
         with pytest.raises(TableError, match=f"{path}:3:"):
-            load_specimen_results(path)
+            load_specimen_results(path, no_class_scores)
 
 
 class TestModelFiles:
