@@ -1,8 +1,9 @@
 """Tissue segmentation, tiling, and appearance standardization.
 
-A slide from a shifted lab is cut into 128x128 tiles; lab statistics are
-fit in the decorrelated log color space and the tiles are mapped into the
-reference domain.  The printout shows tissue channel means moving onto
+A slide from a shifted lab is cut into 128x128 tiles, one Tiles stack
+per slide; lab statistics are fit on the stack's pixels in the
+decorrelated log color space and the tiles are mapped into the reference
+domain.  The printout shows tissue channel means moving onto
 the reference values.
 
 Run:  python demos/02_tiling_and_adaptation.py
@@ -24,7 +25,7 @@ def tiles_of(profile, seed):
 
 
 def tissue_means(tiles):
-    pixels = np.concatenate([t.pixels[segment_tissue(t.pixels)] for t in tiles])
+    pixels = tiles.pixels[segment_tissue(tiles.pixels)]
     return pixels.astype(float).mean(axis=0)
 
 
@@ -38,8 +39,8 @@ lab_slide, lab_tiles = tiles_of(shifted, seed=42)
 print(f"reference slide: {len(ref_tiles)} tiles kept of "
       f"{(ref_slide.raster.shape[0] // 128) * (ref_slide.raster.shape[1] // 128)} cells")
 
-ref_stats = fit_stats(ref_tiles)
-lab_stats = fit_stats(lab_tiles)
+ref_stats = fit_stats(ref_tiles.pixels)
+lab_stats = fit_stats(lab_tiles.pixels)
 print("\ndomain stats (decorrelated log space):")
 print(f"  reference mean {np.round(ref_stats.mean, 4)}")
 print(f"  {shifted.lab_id:>9} mean {np.round(lab_stats.mean, 4)}")

@@ -32,10 +32,12 @@ print(f"trained on {trained.n_train_slides} slides; "
 record = manifest.records_in(Split.TRAIN)[0]
 raster = read_ppm(record.raster_path)
 lesion = read_pgm(mask_path_for(record.raster_path)) > 0
-tiles = tile(raster, segment_tissue(raster), record.slide_id)
+tiles = tile(raster, segment_tissue(raster), record.slide_id)[:8]
+fractions = segment_tiles(tiles, trained.segmenter)
 print(f"\nslide {record.slide_id} ({record.truth.token}):")
+print(f"positive fractions of its first {len(tiles)} tiles: {fractions.round(3)}")
 print("tile origin      predicted  truth")
-for t, seg in zip(tiles[:8], segment_tiles(tiles[:8], trained.segmenter)):
+for t, fraction in zip(tiles, fractions):
     y, x = t.origin
     truth = lesion[y:y + 128, x:x + 128].mean()
-    print(f"  {str(t.origin):<14} {seg.positive_fraction:<10.3f} {truth:.3f}")
+    print(f"  {str(t.origin):<14} {fraction:<10.3f} {truth:.3f}")

@@ -14,11 +14,11 @@ from .evaluation import EvalReport, ROCCurve, domain_gap, evaluate, roc_auc
 from .manifest import (ClassLabel, DatasetManifest, SlideRecord, Split,
                        build_splits, load_manifest, save_manifest)
 from .pipeline import CorpusRun, Models, StageTiming, profile, run_corpus, run_slide
-from .roi import ROISelection, SegMap, segment_tiles, select, train_segmenter
+from .roi import ROISelection, segment_tiles, select, train_segmenter
 from .synthesis import (LabProfile, SynthSlide, TextureRecipe,
                         default_lab_profiles, generate_corpus, generate_slide,
                         inject_artifact)
-from .tiling import Tile, TilingConfig, segment_tissue, tile
+from .tiling import Tile, Tiles, TilingConfig, segment_tissue, tile
 from .training import calibrate_lab, train_models
 
 __version__ = "0.1.0"

@@ -4,19 +4,19 @@ domain by matching per-channel color statistics.
 Statistics live in a decorrelated log color space (log-LMS rotated onto
 its principal axes), where per-channel scale/shift transfer is a good
 approximation of full distribution matching for stain-like color shifts.
-The stage contract is tile in, appearance-standardized tile of the same
+The stage contract is tiles in, appearance-standardized tiles of the same
 shape out, so a learned model could replace this implementation behind
 the same interface.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .tables import read_arrays, write_arrays
-from .tiling import Tile, TilingConfig, segment_tissue
+from .tiling import Tiles, TilingConfig, segment_tissue
 
 ADAPTER_HEADER = "wsi-triage-adapter v2"
 
@@ -72,24 +72,16 @@ class AdapterModel:
         return self.source == self.target
 
 
-def fit_stats(tiles, config: TilingConfig = TilingConfig()) -> DomainStats:
-    """Mean/std over the tissue pixels of a tile sample, in decorrelated space.
-
-    Tiles without tissue pixels do not contribute; if the whole sample has
-    none (blank corpus), all pixels are used instead.
-    """
-    if not tiles:
+def fit_stats(pixels, config: TilingConfig = TilingConfig()) -> DomainStats:
+    """Mean/std over the tissue pixels of an (..., 3) pixel stack, in
+    decorrelated space; over all its pixels if it has none (blank corpus)."""
+    pixels = np.asarray(pixels)
+    if pixels.size == 0:
         raise ValueError("cannot fit domain stats on an empty tile sample")
-    chunks = []
-    all_pixels = []
-    for t in tiles:
-        pixels = t.pixels if isinstance(t, Tile) else np.asarray(t)
-        mask = segment_tissue(pixels, config)
-        chunks.append(pixels[mask])
-        all_pixels.append(pixels.reshape(-1, 3))
-    tissue = [c for c in chunks if len(c)]
-    stacked = np.concatenate(tissue if tissue else all_pixels)
-    vals = to_decorrelated(stacked)
+    # tested tile by tile: one tile's float32 planes stay in cache, and over
+    # a whole sample the same test takes about three times as long
+    tissue = np.concatenate([p[segment_tissue(p, config)] for p in pixels])
+    vals = to_decorrelated(tissue if len(tissue) else pixels.reshape(-1, 3))
     return DomainStats(mean=vals.mean(axis=0), std=vals.std(axis=0))
 
 
@@ -164,16 +156,13 @@ def adapt_pixels(pixels: np.ndarray, model: AdapterModel,
     return out
 
 
-def adapt_tiles(tiles, model: AdapterModel | None,
-                config: TilingConfig = TilingConfig()) -> list:
+def adapt_tiles(tiles: Tiles, model: AdapterModel | None,
+                config: TilingConfig = TilingConfig()) -> Tiles:
     """Map tiles into the target domain, shape and metadata preserved;
     None passes tiles through unchanged."""
-    tiles = list(tiles)
     if model is None or not tiles:
         return tiles
-    stacked = adapt_pixels(np.stack([t.pixels for t in tiles]), model, config)
-    return [Tile(t.slide_id, t.origin, px, t.tissue_fraction)
-            for t, px in zip(tiles, stacked)]
+    return replace(tiles, pixels=adapt_pixels(tiles.pixels, model, config))
 
 
 def save_adapter(model: AdapterModel, path) -> None:

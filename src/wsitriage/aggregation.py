@@ -140,15 +140,24 @@ def save_class_scores(specimens, path) -> None:
         if spec.class_means is not None))
 
 
+def _probability(value) -> float:
+    """A score or class mean: a mean of sigmoids, so a number in [0, 1]."""
+    value = float(value)
+    if not 0.0 <= value <= 1.0:   # NaN too
+        raise ValueError(f"score must be in [0, 1], got {value}")
+    return value
+
+
 def load_specimen_results(results_path, class_scores_path) -> list[SpecimenResult]:
     """Rebuild specimen results from the results file and the class-score
     table that per-class ROC evaluation sweeps."""
     means_by_id = {}
     for _, (specimen_id, *means) in read_table(class_scores_path, CLASS_SCORES_HEAD,
-                                               (str,) + (float,) * 4):
+                                               (str,) + (_probability,) * 4):
         means_by_id[specimen_id] = np.array(means)
 
-    columns = (str, FinalOutcome, optional(ClassLabel.from_token), optional(float), str, str)
+    columns = (str, FinalOutcome, optional(ClassLabel.from_token),
+               optional(_probability), str, str)
     out = []
     for lineno, (specimen_id, final, cls, s, _, source) in read_table(
             results_path, RESULTS_HEAD, columns):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .manifest import N_CLASSES, stable_seed
 from .tables import read_arrays, write_arrays
-from .tiling import (Tile, TilingConfig, color_planes, gradient_magnitude,
+from .tiling import (Tiles, TilingConfig, color_planes, gradient_magnitude,
                      tissue_mask)
 
 CLASSIFIER_HEADER = "wsi-triage-classifier v2"
@@ -29,16 +29,14 @@ GRAD_RANGE = 0.5
 KEEP_PROB = 0.30
 
 
-def featurize_tiles(tiles, config: TilingConfig = TilingConfig()) -> np.ndarray:
+def featurize_tiles(tiles: Tiles, config: TilingConfig = TilingConfig()) -> np.ndarray:
     """(N, 64) features of tiles in one vectorized pass: per tile, a 16-bin
     color histogram per channel over its tissue pixels (uniform without
     tissue), then a 16-bin gradient-magnitude histogram over the whole
     tile; each of the four histograms is L1-normalized."""
-    tiles = list(tiles)
     if not tiles:
         return np.empty((0, N_FEATURES))
-    stack = np.stack([t.pixels if isinstance(t, Tile) else np.asarray(t)
-                      for t in tiles])
+    stack = tiles.pixels
     saturation, luma = color_planes(stack)
     masks = tissue_mask(saturation, luma, config)
     grad_bins = np.minimum(

@@ -171,9 +171,11 @@ def cmd_run(args) -> int:
         global_seed=config["seed"], workers=config["workers"],
         input_manifest=args.manifest, model_files=paths, config=config,
         wall_ms=run.wall_ms)
+    throughput = (profile(run.timings, run.wall_ms).throughput_per_hour
+                  if run.timings else 0.0)
     print(f"processed {len(run.slide_results)} slides "
           f"({len(run.specimens)} specimens) in {run.wall_ms:.0f} ms; "
-          f"throughput {run.throughput_per_hour:.0f} slides/hour")
+          f"throughput {throughput:.0f} slides/hour")
     errors = [r for r in run.slide_results if r.error is not None]
     if errors:
         raise CliError(f"{len(errors)} of {len(run.slide_results)} slides ended in "

@@ -138,8 +138,8 @@ def select_tiles(raster: np.ndarray, slide_id: str, models: Models, config: Conf
     laps.lap("tile")
     tiles = adapt_tiles(tiles, models.adapter, config.tiling)
     laps.lap("adapt")
-    segmaps = segment_tiles(tiles, models.segmenter)
-    selection = select(tiles, segmaps, theta=config["roi.theta"])
+    fractions = segment_tiles(tiles, models.segmenter)
+    selection = select(tiles, fractions, theta=config["roi.theta"])
     laps.lap("roi")
     laps.update(n_tiles=len(tiles), n_roi_tiles=len(selection))
     return selection, laps
@@ -197,14 +197,6 @@ class CorpusRun:
     timings: list
     specimens: list            # aggregated, unthresholded specimen results
     wall_ms: float
-
-    @property
-    def throughput_per_hour(self) -> float:
-        """Slides completed without an error per hour of wall time."""
-        done = sum(r.error is None for r in self.slide_results)
-        if not done or self.wall_ms <= 0:
-            return 0.0
-        return done / (self.wall_ms / 3_600_000.0)
 
 
 def run_corpus(manifest: DatasetManifest, models: Models, config: Config,

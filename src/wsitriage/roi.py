@@ -1,5 +1,6 @@
-"""Region-of-interest extraction: per-tile segmentation maps and selection
-of the tile set forwarded to classification.
+"""Region-of-interest extraction: the positive fraction of each tile's
+segmentation map and the selection of the tiles forwarded to
+classification.
 
 The segmenter is a per-pixel logistic model over local color/texture
 features, trained on the generator's ground-truth lesion masks.  A tile is
@@ -17,7 +18,7 @@ from scipy import ndimage
 
 from .manifest import stable_seed
 from .tables import read_arrays, write_arrays
-from .tiling import color_planes, gradient_magnitude
+from .tiling import Tiles, color_planes, gradient_magnitude
 
 THETA_ROI = 0.05
 
@@ -44,19 +45,8 @@ def pixel_features(pixels: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SegMap:
-    mask: np.ndarray              # (tile_px, tile_px) bool
-    positive_fraction: float
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "SegMap":
-        return cls(mask=mask, positive_fraction=float(mask.sum()) / mask.size)
-
-
-@dataclass(frozen=True)
 class ROISelection:
-    slide_id: str
-    selected: tuple     # tiles kept, in canonical row-major order
+    selected: Tiles     # tiles kept, in canonical row-major order
 
     def __len__(self):
         return len(self.selected)
@@ -82,25 +72,19 @@ class PixelSegmenter:
         return pixel_features(pixels) @ folded_w + folded_b
 
 
-def segment_tiles(tiles, model: PixelSegmenter) -> list[SegMap]:
-    """Binary lesion maps of (adapted) tiles in one vectorized pass;
-    threshold 0.5 on the logistic output, i.e. 0 on the logit."""
-    tiles = list(tiles)
-    if not tiles:
-        return []
-    masks = model.scores(np.stack([t.pixels for t in tiles])) >= 0.0
-    return [SegMap.from_mask(m) for m in masks]
+def segment_tiles(tiles: Tiles, model: PixelSegmenter) -> np.ndarray:
+    """(N,) positive fractions of the (adapted) tiles' lesion maps, taken
+    in one vectorized pass; a pixel is positive at threshold 0.5 on the
+    logistic output, i.e. 0 on the logit."""
+    return (model.scores(tiles.pixels) >= 0.0).mean(axis=(1, 2))
 
 
-def select(tiles, segmaps, theta: float = THETA_ROI) -> ROISelection:
+def select(tiles: Tiles, fractions, theta: float = THETA_ROI) -> ROISelection:
     """Keep tiles whose positive fraction reaches theta; may be empty."""
-    tiles = list(tiles)
-    segmaps = list(segmaps)
-    if len(tiles) != len(segmaps):
-        raise ValueError(f"{len(tiles)} tiles but {len(segmaps)} segmentation maps")
-    slide_id = tiles[0].slide_id if tiles else ""
-    kept = tuple(t for t, sm in zip(tiles, segmaps) if sm.positive_fraction >= theta)
-    return ROISelection(slide_id=slide_id, selected=kept)
+    fractions = np.asarray(fractions)
+    if len(tiles) != len(fractions):
+        raise ValueError(f"{len(tiles)} tiles but {len(fractions)} positive fractions")
+    return ROISelection(tiles[fractions >= theta])
 
 
 def train_segmenter(pairs, seed: int = 0, samples_per_tile: int = 300,

@@ -21,10 +21,37 @@ class TilingConfig:
 
 @dataclass(frozen=True)
 class Tile:
+    """One tile of a Tiles record, as iterating or indexing it yields."""
     slide_id: str
     origin: tuple          # (row, col), multiples of tile_px
     pixels: np.ndarray     # (tile_px, tile_px, 3) uint8
     tissue_fraction: float
+
+
+@dataclass(frozen=True, eq=False)
+class Tiles:
+    """A slide's tiles as one stack, in canonical row-major order: what
+    every stage from tile() to featurize_tiles() passes on."""
+    slide_id: str
+    origins: np.ndarray           # (N, 2) (row, col), multiples of tile_px
+    tissue_fractions: np.ndarray  # (N,) float64
+    pixels: np.ndarray            # (N, tile_px, tile_px, 3) uint8
+
+    def __len__(self):
+        return len(self.origins)
+
+    def __getitem__(self, rows):
+        """Tile i for an integer; the Tiles of the rows a slice, an index
+        array or a boolean mask picks otherwise."""
+        if isinstance(rows, (int, np.integer)):
+            y, x = self.origins[rows]
+            return Tile(self.slide_id, (int(y), int(x)), self.pixels[rows],
+                        float(self.tissue_fractions[rows]))
+        return Tiles(self.slide_id, self.origins[rows], self.tissue_fractions[rows],
+                     self.pixels[rows])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def color_planes(pixels: np.ndarray):
@@ -64,31 +91,23 @@ def tissue_mask(saturation: np.ndarray, luma: np.ndarray,
 
 
 def tile(raster: np.ndarray, mask: np.ndarray, slide_id: str = "",
-         config: TilingConfig = TilingConfig()) -> list[Tile]:
+         config: TilingConfig = TilingConfig()) -> Tiles:
     """Cut the raster into grid-aligned tiles with enough tissue.
 
     Non-overlapping tile_px x tile_px cells in row-major order; a cell is
-    emitted iff its tissue fraction is >= min_tissue_fraction.  Edge
-    remainders smaller than a full tile are dropped.
+    kept iff its tissue fraction is >= min_tissue_fraction.  Edge
+    remainders smaller than a full tile are dropped.  The kept cells are
+    gathered from a strided view of the raster, so only their pixels are
+    copied.
     """
     if mask.shape != raster.shape[:2]:
         raise ValueError(f"mask shape {mask.shape} != raster shape {raster.shape[:2]}")
     t = config.tile_px
-    h, w = raster.shape[:2]
-    n_rows, n_cols = h // t, w // t
-    tiles: list[Tile] = []
-    if n_rows == 0 or n_cols == 0:
-        return tiles
-
-    fractions = (
-        mask[: n_rows * t, : n_cols * t]
-        .reshape(n_rows, t, n_cols, t)
-        .mean(axis=(1, 3), dtype=np.float64)
-    )
-    for i in range(n_rows):
-        for j in range(n_cols):
-            frac = float(fractions[i, j])
-            if frac >= config.min_tissue_fraction:
-                y, x = i * t, j * t
-                tiles.append(Tile(slide_id, (y, x), raster[y:y + t, x:x + t], frac))
-    return tiles
+    n_rows, n_cols = raster.shape[0] // t, raster.shape[1] // t
+    fractions = (mask[: n_rows * t, : n_cols * t].reshape(n_rows, t, n_cols, t)
+                 .mean(axis=(1, 3), dtype=np.float64))
+    cells = (raster[: n_rows * t, : n_cols * t]
+             .reshape(n_rows, t, n_cols, t, 3).swapaxes(1, 2))
+    kept = np.argwhere(fractions >= config.min_tissue_fraction)
+    i, j = kept.T
+    return Tiles(slide_id, kept * t, fractions[i, j], cells[i, j])

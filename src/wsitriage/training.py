@@ -55,17 +55,18 @@ SEGMENTER_MAX_TILES = 600
 
 
 def _tissue_tiles(records, config: Config):
-    """(record, unadapted tissue tiles) for the first SAMPLE_SLIDES records
-    in slide_id order."""
+    """(record, its unadapted tissue Tiles) for the first SAMPLE_SLIDES
+    records in slide_id order."""
     for rec in sorted(records, key=lambda r: r.slide_id)[:SAMPLE_SLIDES]:
         raster = read_ppm(rec.raster_path)
         mask = tiling.segment_tissue(raster, config.tiling)
         yield rec, tiling.tile(raster, mask, rec.slide_id, config.tiling)
 
 
-def sample_tiles(records, config: Config):
-    """Unadapted tissue tiles from a deterministic sample of slides."""
-    return [t for _, tiles in _tissue_tiles(records, config) for t in tiles]
+def sample_tiles(records, config: Config) -> np.ndarray:
+    """One (N, tile_px, tile_px, 3) stack of the unadapted tissue tiles of
+    a deterministic sample of slides."""
+    return np.concatenate([tiles.pixels for _, tiles in _tissue_tiles(records, config)])
 
 
 def segmenter_pairs(records, adapter: AdapterModel | None, config: Config):

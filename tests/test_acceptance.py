@@ -334,25 +334,24 @@ def test_criterion_07_end_to_end(experiment):
 # ---------------------------------------------------------------------------
 
 def sample_lab_tiles(experiment, lab, n_slides=6):
+    """The Tiles of each of the lab's first n_slides Test slides."""
     manifest = experiment["lab_manifests"][lab]
     records = sorted(manifest.records_in(Split.TEST),
                      key=lambda r: r.slide_id)[:n_slides]
-    tiles = []
     for rec in records:
         raster = read_ppm(rec.raster_path)
         mask = segment_tissue(raster)
-        tiles.extend(tile(raster, mask, rec.slide_id))
-    return tiles
+        yield tile(raster, mask, rec.slide_id)
 
 
 def test_criterion_08_domain_gap(experiment, no_adaptation_arm):
     feats_raw, feats_adapted, labels = [], [], []
     for lab in experiment["labs"]:
-        tiles = sample_lab_tiles(experiment, lab)
         adapter = experiment["calibrations"][lab].adapter
-        feats_raw.append(featurize_tiles(tiles))
-        feats_adapted.append(featurize_tiles(adapt_tiles(tiles, adapter)))
-        labels.extend([lab] * len(tiles))
+        for tiles in sample_lab_tiles(experiment, lab):
+            feats_raw.append(featurize_tiles(tiles))
+            feats_adapted.append(featurize_tiles(adapt_tiles(tiles, adapter)))
+            labels.extend([lab] * len(tiles))
     gap_before = domain_gap(np.concatenate(feats_raw), labels)
     gap_after = domain_gap(np.concatenate(feats_adapted), labels)
     assert gap_after < gap_before, \

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from wsitriage.adaptation import (_DECOR, _DECOR_INV, _LMS2RGB, _LMS_FLOOR,
-                                  _RGB2LMS, AdapterModel, adapt_pixels,
+                                  _RGB2LMS, AdapterModel, DomainStats, adapt_pixels,
                                   adapt_tiles, fit_stats, load_adapter,
                                   save_adapter, to_decorrelated)
 from wsitriage.manifest import ClassLabel
 from wsitriage.synthesis import default_lab_profiles, generate_slide, identity_profile
-from wsitriage.tiling import Tile, TilingConfig, segment_tissue, tile
+from wsitriage.tiling import Tiles, TilingConfig, segment_tissue, tile
 
 
 def reference_adapt(pixels, model, config=TilingConfig()):
@@ -67,7 +67,7 @@ class TestFitStats:
         assert np.allclose(stats.mean, expected, atol=1e-12)
 
     def test_matches_two_pass_recomputation(self, reference_tiles):
-        stats = fit_stats(reference_tiles)
+        stats = fit_stats(reference_tiles.pixels)
         pixels = np.concatenate([
             t.pixels[segment_tissue(t.pixels)] for t in reference_tiles])
         vals = to_decorrelated(pixels)
@@ -78,15 +78,26 @@ class TestFitStats:
 
     def test_disjoint_samples_agree(self):
         profile = identity_profile(noise_sigma=1.0)
-        a = fit_stats(tiles_for(profile, 1))
-        b = fit_stats(tiles_for(profile, 2))
+        a = fit_stats(tiles_for(profile, 1).pixels)
+        b = fit_stats(tiles_for(profile, 2).pixels)
         assert np.all(np.abs(a.std - b.std) <= 0.02 * np.abs(a.std) + 1e-4)
         assert np.all(np.abs(a.mean - b.mean) <= 0.02 * np.abs(a.mean) + 0.02 * a.std)
 
     def test_lab_shift_detected(self, reference_tiles, shifted_tiles):
-        ref = fit_stats(reference_tiles)
-        lab = fit_stats(shifted_tiles)
+        ref = fit_stats(reference_tiles.pixels)
+        lab = fit_stats(shifted_tiles.pixels)
         assert np.any(np.abs(ref.mean - lab.mean) > 1e-3)
+
+    def test_stack_matches_tile_by_tile_concatenation(self, reference_tiles,
+                                                      shifted_tiles):
+        """One stack from several slides, as sample_tiles builds it, gives
+        the stats of the tissue pixels concatenated tile by tile."""
+        config = TilingConfig(s_min=0.2, l_max=0.7)
+        glass = np.full((1, 128, 128, 3), 240, dtype=np.uint8)
+        stack = np.concatenate([reference_tiles.pixels, glass, shifted_tiles.pixels])
+        tissue = np.concatenate([t[segment_tissue(t, config)] for t in stack])
+        vals = to_decorrelated(tissue)
+        assert fit_stats(stack, config) == DomainStats(vals.mean(axis=0), vals.std(axis=0))
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -95,14 +106,14 @@ class TestFitStats:
 
 class TestAdapt:
     def test_identity_is_bit_exact(self, reference_tiles):
-        stats = fit_stats(reference_tiles)
+        stats = fit_stats(reference_tiles.pixels)
         model = AdapterModel(stats, stats)
-        out = adapt_tiles([reference_tiles[0]], model)[0]
+        out = adapt_tiles(reference_tiles[:1], model)[0]
         assert np.array_equal(out.pixels, reference_tiles[0].pixels)
 
     def test_shifted_batch_means_match_target(self, reference_tiles, shifted_tiles):
-        model = AdapterModel(source=fit_stats(shifted_tiles),
-                             target=fit_stats(reference_tiles))
+        model = AdapterModel(source=fit_stats(shifted_tiles.pixels),
+                             target=fit_stats(reference_tiles.pixels))
         adapted = adapt_tiles(shifted_tiles, model)
 
         def tissue_means(tiles):
@@ -115,31 +126,32 @@ class TestAdapt:
         assert np.all(np.abs(got - target) <= 1.5)
 
     def test_all_black_tile_finite(self, reference_tiles, shifted_tiles):
-        model = AdapterModel(source=fit_stats(shifted_tiles),
-                             target=fit_stats(reference_tiles))
-        black = Tile("s", (0, 0), np.zeros((128, 128, 3), dtype=np.uint8), 1.0)
-        out = adapt_tiles([black], model)[0]
+        model = AdapterModel(source=fit_stats(shifted_tiles.pixels),
+                             target=fit_stats(reference_tiles.pixels))
+        black = Tiles("s", np.zeros((1, 2), dtype=int), np.ones(1),
+                      np.zeros((1, 128, 128, 3), dtype=np.uint8))
+        out = adapt_tiles(black, model)[0]
         assert out.pixels.dtype == np.uint8  # clamped, no overflow or NaN
 
     def test_idempotent_after_refit(self, reference_tiles, shifted_tiles):
-        target = fit_stats(reference_tiles)
-        once = adapt_tiles(shifted_tiles, AdapterModel(fit_stats(shifted_tiles), target))
-        twice = adapt_tiles(once, AdapterModel(fit_stats(once), target))
+        target = fit_stats(reference_tiles.pixels)
+        once = adapt_tiles(shifted_tiles, AdapterModel(fit_stats(shifted_tiles.pixels), target))
+        twice = adapt_tiles(once, AdapterModel(fit_stats(once.pixels), target))
         for a, b in zip(once, twice):
             diff = np.abs(a.pixels.astype(np.float64) - b.pixels.astype(np.float64))
             assert diff.mean(axis=(0, 1)).max() <= 1.0
 
     def test_preserves_shape_and_metadata(self, shifted_tiles, reference_tiles):
-        model = AdapterModel(source=fit_stats(shifted_tiles),
-                             target=fit_stats(reference_tiles))
+        model = AdapterModel(source=fit_stats(shifted_tiles.pixels),
+                             target=fit_stats(reference_tiles.pixels))
         t = shifted_tiles[0]
-        out = adapt_tiles([t], model)[0]
+        out = adapt_tiles(shifted_tiles[:1], model)[0]
         assert out.pixels.shape == (128, 128, 3)
         assert out.origin == t.origin
         assert out.tissue_fraction == t.tissue_fraction
 
     def test_identity_returns_copy(self, reference_tiles):
-        stats = fit_stats(reference_tiles)
+        stats = fit_stats(reference_tiles.pixels)
         pixels = reference_tiles[0].pixels
         out = adapt_pixels(pixels, AdapterModel(stats, stats))
         assert not np.shares_memory(out, pixels)
@@ -149,8 +161,8 @@ class TestAdapt:
                                         TilingConfig(s_min=0.2, l_max=0.7)])
     def test_every_rgb_code_matches_reference(self, config, shifted_tiles,
                                               reference_tiles):
-        model = AdapterModel(source=fit_stats(shifted_tiles),
-                             target=fit_stats(reference_tiles))
+        model = AdapterModel(source=fit_stats(shifted_tiles.pixels),
+                             target=fit_stats(reference_tiles.pixels))
         chunk = 1 << 20
         for start in range(0, 1 << 24, chunk):
             # an odd multiplier permutes the 2^24 codes, so each chunk holds
@@ -164,27 +176,27 @@ class TestAdapt:
 
     def test_lab_a_stacks_match_reference(self, reference_tiles):
         lab_a = default_lab_profiles()[1]
-        stacks = [np.stack([t.pixels for t in tiles_for(lab_a, seed, ClassLabel(seed % 4))])
-                  for seed in (3, 4)]
-        model = AdapterModel(source=fit_stats(list(stacks[0])),
-                             target=fit_stats(reference_tiles))
+        stacks = [tiles_for(lab_a, seed, ClassLabel(seed % 4)).pixels for seed in (3, 4)]
+        model = AdapterModel(source=fit_stats(stacks[0]),
+                             target=fit_stats(reference_tiles.pixels))
         for stack in stacks:
             expected = reference_adapt(stack, model)
             assert np.array_equal(adapt_pixels(stack, model), expected)
             assert np.array_equal(adapt_pixels(np.asfortranarray(stack), model), expected)
 
     def test_batch_matches_single(self, shifted_tiles, reference_tiles):
-        model = AdapterModel(source=fit_stats(shifted_tiles),
-                             target=fit_stats(reference_tiles))
+        model = AdapterModel(source=fit_stats(shifted_tiles.pixels),
+                             target=fit_stats(reference_tiles.pixels))
         batch = adapt_tiles(shifted_tiles[:4], model)
-        for t, b in zip(shifted_tiles[:4], batch):
-            assert np.array_equal(adapt_tiles([t], model)[0].pixels, b.pixels)
+        for i, b in enumerate(batch):
+            assert np.array_equal(adapt_tiles(shifted_tiles[i:i + 1], model)[0].pixels,
+                                  b.pixels)
 
 
 class TestPersistence:
     def test_round_trip(self, tmp_path, reference_tiles, shifted_tiles):
-        model = AdapterModel(source=fit_stats(shifted_tiles),
-                             target=fit_stats(reference_tiles))
+        model = AdapterModel(source=fit_stats(shifted_tiles.pixels),
+                             target=fit_stats(reference_tiles.pixels))
         path = tmp_path / "m.adapter"
         save_adapter(model, path)
         loaded = load_adapter(path)

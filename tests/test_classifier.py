@@ -11,12 +11,17 @@ from wsitriage.classifier import (NetParams, TrainConfig, accuracy,
                                   save_params, train)
 from wsitriage.manifest import ClassLabel
 from wsitriage.synthesis import default_lab_profiles, generate_slide
-from wsitriage.tiling import Tile, TilingConfig, segment_tissue, tile
+from wsitriage.tiling import Tiles, TilingConfig, segment_tissue, tile
 
 
-def rand_tile(seed):
-    rng = np.random.default_rng(seed)
-    return Tile("s", (0, 0), rng.integers(0, 256, (128, 128, 3), dtype=np.uint8), 1.0)
+def rand_pixels(seed):
+    return np.random.default_rng(seed).integers(0, 256, (128, 128, 3), dtype=np.uint8)
+
+
+def stack_tiles(pixels):
+    """A Tiles record around a list of (128, 128, 3) tile pixels."""
+    n = len(pixels)
+    return Tiles("s", np.zeros((n, 2), dtype=int), np.ones(n), np.stack(pixels))
 
 
 def separable_embeddings(n_per_class=30, seed=0):
@@ -53,7 +58,7 @@ def reference_features(pixels, config=TilingConfig()):
 
 class TestFeaturize:
     def test_random_tiles_match_reference_bitwise(self):
-        tiles = [rand_tile(seed) for seed in range(6)]
+        tiles = stack_tiles([rand_pixels(seed) for seed in range(6)])
         got = featurize_tiles(tiles)
         for t, row in zip(tiles, got):
             assert np.array_equal(row, reference_features(t.pixels))
@@ -69,36 +74,36 @@ class TestFeaturize:
 
     def test_uniform_gray_tile_gradient_in_lowest_bin(self):
         pixels = np.full((128, 128, 3), 90, dtype=np.uint8)
-        vec = featurize_tiles([Tile("s", (0, 0), pixels, 1.0)])[0]
+        vec = featurize_tiles(stack_tiles([pixels]))[0]
         assert vec[48] == 1.0
         assert np.all(vec[49:] == 0.0)
 
     def test_identical_tiles_identical_vectors(self):
-        a = featurize_tiles([rand_tile(4)])[0]
-        b = featurize_tiles([rand_tile(4)])[0]
+        a = featurize_tiles(stack_tiles([rand_pixels(4)]))[0]
+        b = featurize_tiles(stack_tiles([rand_pixels(4)]))[0]
         assert np.array_equal(a, b)
 
     def test_histogram_groups_sum_to_one(self):
-        vec = featurize_tiles([rand_tile(9)])[0]
+        vec = featurize_tiles(stack_tiles([rand_pixels(9)]))[0]
         for start in (0, 16, 32, 48):
             assert abs(vec[start:start + 16].sum() - 1.0) < 1e-12
 
     @pytest.mark.filterwarnings("error")
     def test_no_tissue_uniform_fallback(self):
         glass = np.full((128, 128, 3), 255, dtype=np.uint8)
-        vec = featurize_tiles([Tile("s", (0, 0), glass, 0.0)])[0]
+        vec = featurize_tiles(stack_tiles([glass]))[0]
         assert np.all(vec[:48] == 1.0 / 16)
 
     @pytest.mark.filterwarnings("error")
     def test_glass_among_tissue_tiles_matches_reference_bitwise(self):
         glass = np.full((128, 128, 3), 250, dtype=np.uint8)
-        stacks = [rand_tile(1).pixels, glass, rand_tile(2).pixels, glass]
-        got = featurize_tiles(stacks)
+        stacks = [rand_pixels(1), glass, rand_pixels(2), glass]
+        got = featurize_tiles(stack_tiles(stacks))
         for pixels, row in zip(stacks, got):
             assert np.array_equal(row, reference_features(pixels))
 
     def test_all_finite(self):
-        vec = featurize_tiles([rand_tile(17)])[0]
+        vec = featurize_tiles(stack_tiles([rand_pixels(17)]))[0]
         assert np.all(np.isfinite(vec))
         assert len(vec) == 64
 

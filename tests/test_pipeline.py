@@ -122,9 +122,8 @@ class TestSelectTiles:
         lab_a = {p.lab_id: p for p in default_lab_profiles()}["lab_a"]
         raster = generate_slide(ClassLabel.BASALOID, lab_a, 21).raster
         mask = tiling.segment_tissue(raster, config.tiling)
-        stack = np.stack([t.pixels for t in
-                          tiling.tile(raster, mask, "s", config.tiling)])
-        source = fit_stats(list(stack), config.tiling)
+        stack = tiling.tile(raster, mask, "s", config.tiling).pixels
+        source = fit_stats(stack, config.tiling)
         adapter = AdapterModel(source, DomainStats(source.mean + [0.05, -0.03, 0.02],
                                                    source.std * 1.2))
         # every pixel scores positive, so every tile is selected
@@ -133,7 +132,7 @@ class TestSelectTiles:
                                   feat_std=np.ones(N_PIXEL_FEATURES))
         selection, _ = select_tiles(raster, "s", Models(keep_all, adapter=adapter),
                                     config)
-        selected = np.stack([t.pixels for t in selection.selected])
+        selected = selection.selected.pixels
         expected = adapt_pixels(stack, adapter, config.tiling)
         assert not np.array_equal(expected, adapt_pixels(stack, adapter))
         assert np.array_equal(selected, expected)
@@ -167,7 +166,9 @@ class TestRunCorpus:
                          workers=1)
         assert run.slide_results == []
         assert run.specimens == []
-        assert run.throughput_per_hour == 0.0
+        assert run.timings == []
+        with pytest.raises(ValueError, match="no timings to profile"):
+            profile(run.timings, run.wall_ms)
 
     def test_throughput_counts_no_error_slides(self, tmp_path, small_models, config):
         from wsitriage.manifest import DatasetManifest
@@ -176,7 +177,7 @@ class TestRunCorpus:
         run = run_corpus(DatasetManifest(records=[missing]), small_models, config,
                          workers=1)
         assert run.slide_results[0].error is not None
-        assert run.throughput_per_hour == 0.0
+        assert profile(run.timings, run.wall_ms).throughput_per_hour == 0.0
 
     def test_specimen_aggregation_present(self, small_corpus, small_models,
                                           config):

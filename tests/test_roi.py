@@ -4,29 +4,27 @@ from scipy import ndimage
 
 from wsitriage.manifest import ClassLabel
 from wsitriage.pnm import read_pgm, read_ppm
-from wsitriage.roi import (SegMap, load_segmenter, pixel_features, save_segmenter,
+from wsitriage.roi import (load_segmenter, pixel_features, save_segmenter,
                            segment_tiles, select, train_segmenter)
 from wsitriage.synthesis import default_lab_profiles, generate_slide, mask_path_for
-from wsitriage.tiling import Tile, segment_tissue, tile
+from wsitriage.tiling import Tiles, segment_tissue, tile
 
 
-def make_tile(fraction):
-    return Tile("s", (0, 0), np.zeros((128, 128, 3), dtype=np.uint8), 1.0), \
-        SegMap(np.zeros((128, 128), dtype=bool), fraction)
+def blank_tiles(n):
+    """n black tiles along one row of a slide."""
+    return Tiles("s", np.array([(0, 128 * i) for i in range(n)]).reshape(n, 2),
+                 np.ones(n), np.zeros((n, 128, 128, 3), dtype=np.uint8))
 
 
 @pytest.fixture(scope="module")
 def lesion_tiles(small_corpus, small_models):
-    """(tile, truth mask) pairs from one training slide of the shared corpus."""
+    """The tiles of one training slide of the shared corpus, and each
+    tile's truth mask."""
     rec = sorted(small_corpus.records, key=lambda r: r.slide_id)[0]
     raster = read_ppm(rec.raster_path)
     lesion = read_pgm(mask_path_for(rec.raster_path)) > 0
-    mask = segment_tissue(raster)
-    pairs = []
-    for t in tile(raster, mask, rec.slide_id):
-        y, x = t.origin
-        pairs.append((t, lesion[y:y + 128, x:x + 128]))
-    return pairs
+    tiles = tile(raster, segment_tissue(raster), rec.slide_id)
+    return tiles, [lesion[y:y + 128, x:x + 128] for y, x in tiles.origins]
 
 
 def reference_pixel_features(pixels):
@@ -57,72 +55,79 @@ class TestPixelFeatures:
     def test_lab_a_stack_bitwise(self):
         lab_a = next(p for p in default_lab_profiles() if p.lab_id == "lab_a")
         raster = generate_slide(ClassLabel.BASALOID, lab_a, 7).raster
-        pixels = np.stack([t.pixels for t in tile(raster, segment_tissue(raster), "s")])
+        pixels = tile(raster, segment_tissue(raster), "s").pixels
         assert len(pixels) > 1
         assert np.array_equal(pixel_features(pixels), reference_pixel_features(pixels))
 
 
 class TestSegment:
     def test_background_tile_all_zero(self, small_models):
-        glass = np.full((128, 128, 3), 235, dtype=np.uint8)
-        sm = segment_tiles([Tile("s", (0, 0), glass, 0.0)], small_models.segmenter)[0]
-        assert sm.positive_fraction == 0.0
+        glass = np.full((1, 128, 128, 3), 235, dtype=np.uint8)
+        tiles = Tiles("s", np.zeros((1, 2), dtype=int), np.zeros(1), glass)
+        assert segment_tiles(tiles, small_models.segmenter)[0] == 0.0
 
     def test_positive_fraction_near_truth(self, lesion_tiles, small_models):
+        tiles, truths = lesion_tiles
+        fractions = segment_tiles(tiles, small_models.segmenter)
         checked = 0
-        for t, truth in lesion_tiles:
-            sm = segment_tiles([t], small_models.segmenter)[0]
-            assert abs(sm.positive_fraction - truth.mean()) <= 0.15
+        for fraction, truth in zip(fractions, truths):
+            assert abs(fraction - truth.mean()) <= 0.15
             checked += 1
         assert checked > 0
 
     def test_positive_fraction_definitional(self, lesion_tiles, small_models):
-        t, _ = lesion_tiles[0]
-        sm = segment_tiles([t], small_models.segmenter)[0]
-        assert sm.positive_fraction == sm.mask.sum() / 16384
+        tiles, _ = lesion_tiles
+        fractions = segment_tiles(tiles, small_models.segmenter)
+        masks = small_models.segmenter.scores(tiles.pixels) >= 0.0
+        assert len(fractions) == len(tiles) > 1
+        for fraction, mask in zip(fractions, masks):
+            assert fraction == mask.sum() / mask.size
 
     def test_batch_matches_single(self, lesion_tiles, small_models):
-        tiles = [t for t, _ in lesion_tiles[:5]]
-        singles = [segment_tiles([t], small_models.segmenter)[0] for t in tiles]
+        tiles = lesion_tiles[0][:5]
+        singles = [segment_tiles(tiles[i:i + 1], small_models.segmenter)[0]
+                   for i in range(len(tiles))]
         batched = segment_tiles(tiles, small_models.segmenter)
-        for a, b in zip(singles, batched):
-            assert np.array_equal(a.mask, b.mask)
+        for i, (a, b) in enumerate(zip(singles, batched)):
+            assert a == b
+            single_mask = small_models.segmenter.scores(tiles.pixels[i]) >= 0.0
+            batch_mask = small_models.segmenter.scores(tiles.pixels)[i] >= 0.0
+            assert np.array_equal(single_mask, batch_mask)
+
+    def test_empty_tiles_give_no_fractions(self, small_models):
+        assert len(segment_tiles(blank_tiles(0), small_models.segmenter)) == 0
 
 
 class TestSelect:
     def test_fraction_rule(self):
-        pairs = [make_tile(f) for f in (0.0, 0.04, 0.05, 0.9)]
-        tiles = [t for t, _ in pairs]
-        maps = [m for _, m in pairs]
-        sel = select(tiles, maps, theta=0.05)
-        assert sel.selected == (tiles[2], tiles[3])
+        tiles = blank_tiles(4)
+        sel = select(tiles, np.array([0.0, 0.04, 0.05, 0.9]), theta=0.05)
+        assert [t.origin for t in sel.selected] == [t.origin for t in (tiles[2], tiles[3])]
+        assert np.array_equal(sel.selected.pixels, tiles.pixels[2:])
+        assert sel.selected.slide_id == "s"
 
     def test_all_zero_gives_empty(self):
-        pairs = [make_tile(0.0) for _ in range(4)]
-        sel = select([t for t, _ in pairs], [m for _, m in pairs], theta=0.05)
+        sel = select(blank_tiles(4), np.zeros(4), theta=0.05)
         assert sel.empty
 
     def test_theta_zero_selects_all(self):
-        pairs = [make_tile(f) for f in (0.0, 0.3, 1.0)]
-        sel = select([t for t, _ in pairs], [m for _, m in pairs], theta=0.0)
+        sel = select(blank_tiles(3), np.array([0.0, 0.3, 1.0]), theta=0.0)
         assert len(sel) == 3
 
     def test_monotone_in_theta(self):
         rng = np.random.default_rng(5)
-        pairs = [make_tile(float(f)) for f in rng.random(20)]
-        tiles = [t for t, _ in pairs]
-        maps = [m for _, m in pairs]
+        tiles = blank_tiles(20)
+        fractions = rng.random(20)
         previous = None
         for theta in np.linspace(0.0, 1.0, 11):
-            chosen = {id(t) for t in select(tiles, maps, theta=theta).selected}
+            chosen = {t.origin for t in select(tiles, fractions, theta=theta).selected}
             if previous is not None:
                 assert chosen <= previous
             previous = chosen
 
     def test_mismatched_counts_rejected(self):
-        t, m = make_tile(0.5)
         with pytest.raises(ValueError):
-            select([t, t], [m])
+            select(blank_tiles(2), np.array([0.5]))
 
 
 class TestTrainSegmenter:
@@ -137,7 +142,7 @@ class TestTrainSegmenter:
             train_segmenter([(pixels, empty)])
 
     def test_deterministic(self, lesion_tiles):
-        pairs = [(t.pixels, m) for t, m in lesion_tiles]
+        pairs = list(zip(lesion_tiles[0].pixels, lesion_tiles[1]))
         a = train_segmenter(pairs, seed=3, epochs=20)
         b = train_segmenter(pairs, seed=3, epochs=20)
         assert np.array_equal(a.weights, b.weights)

@@ -115,6 +115,23 @@ class TestNumericFields:
         with pytest.raises(TableError, match=f"{scores}:3: could not convert"):
             load_specimen_results(results, scores)
 
+    @pytest.mark.parametrize("value", ["nan", "1.5", "-0.1"])
+    def test_score_outside_unit_interval(self, tmp_path, no_class_scores, value):
+        results = tmp_path / "results.csv"
+        results.write_text("\n".join(RESULTS_HEAD) + "\nsp,Classified,Basaloid,0.9,1,s"
+                           f"\nsq,Classified,Other,{value},1,s\n")
+        with pytest.raises(TableError, match=f"{results}:4: score must be in"):
+            load_specimen_results(results, no_class_scores)
+        results.write_text("\n".join(RESULTS_HEAD) + "\nsp,Classified,Basaloid,0.9,1,s\n")
+        for column in range(4):
+            means = ["0.25"] * 4
+            means[column] = value
+            scores = tmp_path / "scores.csv"
+            scores.write_text("\n".join(CLASS_SCORES_HEAD)
+                              + "\nsp," + ",".join(means) + "\n")
+            with pytest.raises(TableError, match=f"{scores}:3: score must be in"):
+                load_specimen_results(results, scores)
+
     def test_classified_specimen_without_score(self, path, no_class_scores):
         path.write_text("\n".join(RESULTS_HEAD) + "\nsp,Classified,Basaloid,,1,s\n")
         with pytest.raises(TableError, match=f"{path}:3:"):

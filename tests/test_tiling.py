@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from wsitriage.manifest import ClassLabel
 from wsitriage.synthesis import default_lab_profiles, generate_slide, identity_profile
-from wsitriage.tiling import TilingConfig, segment_tissue, tile
+from wsitriage.tiling import Tile, Tiles, TilingConfig, segment_tissue, tile
 
 
 def raw_level_tissue_mask(raster, config):
@@ -65,6 +65,20 @@ class TestSegmentTissue:
         assert inter / union >= 0.9
 
 
+def per_cell_tiles(raster, mask, config=TilingConfig()):
+    """The tiles as the per-cell loop cut them before tile() gathered them
+    in one step: (origin, pixels, tissue fraction) of each kept cell, in
+    row-major order."""
+    t = config.tile_px
+    kept = []
+    for y in range(0, raster.shape[0] - t + 1, t):
+        for x in range(0, raster.shape[1] - t + 1, t):
+            frac = float(mask[y:y + t, x:x + t].mean(dtype=np.float64))
+            if frac >= config.min_tissue_fraction:
+                kept.append(((y, x), raster[y:y + t, x:x + t], frac))
+    return kept
+
+
 class TestTile:
     def test_small_grid_all_tissue(self):
         raster = np.full((256, 256, 3), 200, dtype=np.uint8)
@@ -76,7 +90,7 @@ class TestTile:
 
     def test_blank_slide_no_tiles(self):
         raster = np.full((512, 512, 3), 235, dtype=np.uint8)
-        assert tile(raster, segment_tissue(raster), "s") == []
+        assert len(tile(raster, segment_tissue(raster), "s")) == 0
 
     def test_edge_remainders_dropped(self):
         raster = np.full((300, 200, 3), 0, dtype=np.uint8)
@@ -86,14 +100,39 @@ class TestTile:
 
     def test_count_matches_brute_force(self):
         slide = generate_slide(ClassLabel.SQUAMOUS, identity_profile(), seed=8)
-        mask = segment_tissue(slide.raster)
-        tiles = tile(slide.raster, mask, "s")
-        expected = 0
-        for y in range(0, 1024 - 127, 128):
-            for x in range(0, 1536 - 127, 128):
-                if mask[y:y + 128, x:x + 128].mean() >= 0.25:
-                    expected += 1
-        assert len(tiles) == expected
+        rng = np.random.default_rng(3)
+        cases = [(slide.raster, segment_tissue(slide.raster))]
+        for h, w in ((300, 200), (700, 430), (100, 90)):   # edge remainders, < one tile
+            cases.append((rng.integers(0, 256, (h, w, 3), dtype=np.uint8),
+                          rng.random((h, w)) < 0.4))
+        for raster, mask in cases:
+            tiles = tile(raster, mask, "s")
+            expected = per_cell_tiles(raster, mask)
+            assert len(tiles) == len(expected)
+            assert tiles.origins.shape == (len(expected), 2)
+            assert tiles.pixels.shape == (len(expected), 128, 128, 3)
+            assert [tuple(o) for o in tiles.origins] == [o for o, _, _ in expected]
+            assert tiles.tissue_fractions.tolist() == [f for _, _, f in expected]
+            for got, (_, pixels, _) in zip(tiles.pixels, expected):
+                assert np.array_equal(got, pixels)
+        assert len(tile(*cases[0], "s")) > 0 and len(tile(*cases[-1], "s")) == 0
+
+    def test_iteration_yields_tile_views_of_the_stack(self):
+        slide = generate_slide(ClassLabel.BASALOID, identity_profile(), seed=2)
+        tiles = tile(slide.raster, segment_tissue(slide.raster), "s")
+        items = list(tiles)
+        assert len(items) == len(tiles) > 1
+        for i, item in enumerate(items):
+            assert isinstance(item, Tile)
+            assert item.slide_id == "s"
+            assert item.origin == tuple(int(v) for v in tiles.origins[i])
+            assert item.tissue_fraction == tiles.tissue_fractions[i]
+            assert np.shares_memory(item.pixels, tiles.pixels)
+            assert np.array_equal(item.pixels, tiles.pixels[i])
+            assert tiles[i].origin == item.origin
+        part = tiles[1:3]
+        assert isinstance(part, Tiles) and part.slide_id == "s"
+        assert [t.origin for t in part] == [t.origin for t in items[1:3]]
 
     def test_no_overlap_and_in_bounds(self):
         slide = generate_slide(ClassLabel.OTHER, identity_profile(), seed=4)
