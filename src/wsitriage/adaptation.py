@@ -39,11 +39,11 @@ _DECOR_INV = np.linalg.inv(_DECOR)
 _LMS_FLOOR = 1e-6
 
 
-def to_decorrelated(rgb: np.ndarray) -> np.ndarray:
-    """(..., 3) uint8/float RGB -> (..., 3) decorrelated log-space values."""
-    flat = np.asarray(rgb, dtype=np.float64).reshape(-1, 3) / 255.0
-    lms = np.maximum(flat @ _RGB2LMS.T, _LMS_FLOOR)
-    return (np.log10(lms) @ _DECOR.T).reshape(np.shape(rgb))
+def to_decorrelated(rgb: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """(..., 3) uint8/float RGB -> (..., 3) decorrelated log-space values in dtype."""
+    flat = np.asarray(rgb).reshape(-1, 3).astype(dtype) / dtype(255.0)
+    lms = np.maximum(flat @ _RGB2LMS.T.astype(dtype), dtype(_LMS_FLOOR))
+    return (np.log10(lms) @ _DECOR.T.astype(dtype)).reshape(np.shape(rgb))
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,22 @@ class AdapterModel:
 
 
 def fit_stats(pixels, config: TilingConfig = TilingConfig()) -> DomainStats:
-    """Mean/std over the tissue pixels of an (..., 3) pixel stack, in
-    decorrelated space; over all its pixels if it has none (blank corpus)."""
-    pixels = np.asarray(pixels)
+    """Mean/std over the tissue pixels of an (..., 3) uint8 pixel stack, in
+    decorrelated space; over all its pixels if it has none (blank corpus).
+    The tissue test and the transform run once per distinct RGB code, and
+    the moments are pooled over the codes, weighted by their pixel counts."""
+    pixels = np.asarray(pixels, dtype=np.uint8)
     if pixels.size == 0:
         raise ValueError("cannot fit domain stats on an empty tile sample")
-    # tested tile by tile: one tile's float32 planes stay in cache, and over
-    # a whole sample the same test takes about three times as long
-    tissue = np.concatenate([p[segment_tissue(p, config)] for p in pixels])
-    vals = to_decorrelated(tissue if len(tissue) else pixels.reshape(-1, 3))
-    return DomainStats(mean=vals.mean(axis=0), std=vals.std(axis=0))
+    codes, counts = np.unique(_pack(pixels.reshape(-1, 3)), return_counts=True)
+    palette = _unpack(codes)
+    tissue = segment_tissue(palette, config)
+    if tissue.any():
+        palette, counts = palette[tissue], counts[tissue]
+    vals = to_decorrelated(palette).T.copy()  # rows contiguous: pairwise sums
+    mean = (vals * counts).sum(axis=1) / counts.sum()
+    var = ((vals - mean[:, None]) ** 2 * counts).sum(axis=1) / counts.sum()
+    return DomainStats(mean=mean, std=np.sqrt(var))
 
 
 def _pack(rgb: np.ndarray) -> np.ndarray:
@@ -102,13 +108,9 @@ def _unpack(codes: np.ndarray, rgb: np.ndarray | None = None) -> np.ndarray:
 
 
 def _transfer(rgb: np.ndarray, model: AdapterModel) -> np.ndarray:
-    """Reinhard transfer of (n, 3) uint8 rows in float32 log-LMS space;
-    returns the adapted (n, 3) uint8 rows.  The per-pixel transform runs
-    in float32 (the result is rounded to 8-bit gray levels anyway);
-    statistics fitting stays float64."""
-    flat = rgb.astype(np.float32) / np.float32(255.0)
-    lms = np.maximum(flat @ _RGB2LMS.T.astype(np.float32), np.float32(_LMS_FLOOR))
-    vals = np.log10(lms) @ _DECOR.T.astype(np.float32)
+    """Reinhard transfer of (n, 3) uint8 rows in float32 log-LMS space (the
+    result is rounded to 8-bit gray levels anyway); returns the new rows."""
+    vals = to_decorrelated(rgb, np.float32)
     scale = (model.target.std / model.source.std).astype(np.float32)
     shift = (model.target.mean - model.source.mean * model.target.std
              / model.source.std).astype(np.float32)

@@ -150,23 +150,36 @@ def _probability(value) -> float:
 
 def load_specimen_results(results_path, class_scores_path) -> list[SpecimenResult]:
     """Rebuild specimen results from the results file and the class-score
-    table that per-class ROC evaluation sweeps."""
+    table that per-class ROC evaluation sweeps.  A specimen may have one row
+    in each file, and one with a class needs its class scores: evaluate
+    would count a repeated row twice and leave a specimen without class
+    scores out of every ROC curve."""
     means_by_id = {}
-    for _, (specimen_id, *means) in read_table(class_scores_path, CLASS_SCORES_HEAD,
-                                               (str,) + (_probability,) * 4):
+    for lineno, (specimen_id, *means) in read_table(class_scores_path, CLASS_SCORES_HEAD,
+                                                    (str,) + (_probability,) * 4):
+        if specimen_id in means_by_id:
+            raise TableError(f"{class_scores_path}:{lineno}: repeated specimen "
+                             f"{specimen_id!r}")
         means_by_id[specimen_id] = np.array(means)
 
     columns = (str, FinalOutcome, optional(ClassLabel.from_token),
                optional(_probability), str, str)
-    out = []
+    out = {}
     for lineno, (specimen_id, final, cls, s, _, source) in read_table(
             results_path, RESULTS_HEAD, columns):
+        if specimen_id in out:
+            raise TableError(f"{results_path}:{lineno}: repeated specimen {specimen_id!r}")
         if final is FinalOutcome.NO_ROI:
-            out.append(SpecimenResult(specimen_id, None, None, None, None))
+            out[specimen_id] = SpecimenResult(specimen_id, None, None, None, None)
         elif cls is None or s is None:
             raise TableError(f"{results_path}:{lineno}: {final.value} row without "
                              f"a class and a score")
         else:
-            out.append(SpecimenResult(specimen_id, cls, s, source,
-                                      means_by_id.get(specimen_id)))
-    return out
+            out[specimen_id] = SpecimenResult(specimen_id, cls, s, source,
+                                              means_by_id.get(specimen_id))
+    unscored = [spec.specimen_id for spec in out.values()
+                if spec.classified and spec.class_means is None]
+    if unscored:
+        raise TableError(f"{class_scores_path}: no class scores for specimen "
+                         f"{unscored[0]!r}")
+    return list(out.values())

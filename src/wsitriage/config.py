@@ -2,8 +2,8 @@
 
 Every key a config file may set is declared here; its default is the one
 declared by the module that consumes it.  Unknown keys are rejected by
-name.  Section dots group keys by that module (tiling.*, roi.*,
-confidence.*, classifier.*).
+name, and a config file's errors at path:line.  Section dots group keys
+by that module (tiling.*, roi.*, confidence.*, classifier.*).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ _TRAIN = TrainConfig()
 
 
 class ConfigError(ValueError):
-    """Raised for unknown keys or unparseable values."""
+    """Raised for unknown or repeated keys, or unparseable values."""
 
 
 def _parse_targets(text: str) -> tuple:
@@ -55,6 +55,16 @@ CONFIG_KEYS = {
 }
 
 
+def _parse(key: str, value):
+    """The value of a declared key, parsed by the key's parser."""
+    if key not in CONFIG_KEYS:
+        raise ConfigError(f"unknown config key {key!r}")
+    try:
+        return CONFIG_KEYS[key][0](value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from None
+
+
 @dataclass
 class Config:
     values: dict = field(default_factory=dict)
@@ -62,13 +72,7 @@ class Config:
     def __post_init__(self):
         merged = {key: default for key, (_, default, _) in CONFIG_KEYS.items()}
         for key, value in self.values.items():
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            parser = CONFIG_KEYS[key][0]
-            try:
-                merged[key] = parser(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}") from None
+            merged[key] = _parse(key, value)
         self.values = merged
 
     def __getitem__(self, key):
@@ -108,6 +112,8 @@ class Config:
 
 
 def load_config(path) -> Config:
+    """The config a key=value file sets; a malformed line, an unknown or
+    repeated key and a bad value are rejected at path:line."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -116,6 +122,12 @@ def load_config(path) -> Config:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: repeated config key {key!r}")
+            try:
+                _parse(key, value)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            values[key] = value
     return Config(values)

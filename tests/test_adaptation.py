@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from wsitriage.adaptation import (_DECOR, _DECOR_INV, _LMS2RGB, _LMS_FLOOR,
-                                  _RGB2LMS, AdapterModel, DomainStats, adapt_pixels,
-                                  adapt_tiles, fit_stats, load_adapter,
-                                  save_adapter, to_decorrelated)
+                                  _RGB2LMS, AdapterModel, adapt_pixels, adapt_tiles,
+                                  fit_stats, load_adapter, save_adapter,
+                                  to_decorrelated)
 from wsitriage.manifest import ClassLabel
 from wsitriage.synthesis import default_lab_profiles, generate_slide, identity_profile
 from wsitriage.tiling import Tiles, TilingConfig, segment_tissue, tile
@@ -31,6 +33,17 @@ def reference_adapt(pixels, model, config=TilingConfig()):
     np.clip(adapted, 0, 255, out=adapted)
     out[mask] = adapted.astype(np.uint8)
     return out
+
+
+def assert_fsum_moments(stats, pixels, atol=4e-15):
+    """stats are within atol of the correctly rounded (math.fsum) mean and
+    std of the pixels' decorrelated values."""
+    vals = to_decorrelated(pixels).T
+    mean = np.array([math.fsum(v) / len(v) for v in vals])
+    std = np.array([math.sqrt(math.fsum((v - m) ** 2) / len(v))
+                    for v, m in zip(vals, mean)])
+    assert np.all(np.abs(stats.mean - mean) <= atol)
+    assert np.all(np.abs(stats.std - std) <= atol)
 
 
 def tiles_for(profile, seed, label=ClassLabel.BASALOID):
@@ -96,8 +109,27 @@ class TestFitStats:
         glass = np.full((1, 128, 128, 3), 240, dtype=np.uint8)
         stack = np.concatenate([reference_tiles.pixels, glass, shifted_tiles.pixels])
         tissue = np.concatenate([t[segment_tissue(t, config)] for t in stack])
-        vals = to_decorrelated(tissue)
-        assert fit_stats(stack, config) == DomainStats(vals.mean(axis=0), vals.std(axis=0))
+        assert_fsum_moments(fit_stats(stack, config), tissue)
+
+    def test_invariant_to_tile_slide_and_pixel_order(self, reference_tiles,
+                                                     shifted_tiles):
+        stack = np.concatenate([reference_tiles.pixels, shifted_tiles.pixels])
+        stats = fit_stats(stack)
+        rng = np.random.default_rng(0)
+        swapped = np.concatenate([shifted_tiles.pixels, reference_tiles.pixels])
+        pixels = stack.reshape(-1, 3)[rng.permutation(stack[..., 0].size)]
+        for other in (stack[rng.permutation(len(stack))], swapped,
+                      pixels.reshape(stack.shape)):
+            assert fit_stats(other) == stats
+
+    def test_blank_sample_uses_every_pixel(self):
+        """A glass-only sample has no tissue: the moments are those of all
+        its pixels."""
+        glass = np.full((2, 128, 128, 3), 240, dtype=np.uint8)
+        glass[1] = 236
+        glass[1, :, :64, 2] = 230
+        assert not segment_tissue(glass).any()
+        assert_fsum_moments(fit_stats(glass), glass.reshape(-1, 3))
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):

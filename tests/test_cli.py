@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import re
 import shutil
 
 import numpy as np
@@ -365,3 +366,20 @@ class TestConfigFile:
         config.write_text("just some words\n")
         with pytest.raises(ConfigError):
             load_config(config)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("seed=1\n# comment\nbogus=3\n", 3, "unknown config key 'bogus'"),
+        ("seed=1\ntiling.s_min=high\n", 2, "bad value for 'tiling.s_min'"),
+        ("seed=1\n\nseed=2\n", 3, "repeated config key 'seed'"),
+    ], ids=["unknown_key", "bad_value", "repeated_key"])
+    def test_rejected_at_path_line(self, tmp_path, capsys, text, line, message):
+        from wsitriage.config import ConfigError, load_config
+        config = tmp_path / "c.cfg"
+        config.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{config}:{line}: {message}")):
+            load_config(config)
+        code = main(["synth", "--out", str(tmp_path / "c"), "--specimens", "1",
+                     "--config", str(config)])
+        assert code == 1
+        assert f"{config}:{line}: {message}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "c")

@@ -137,6 +137,28 @@ class TestNumericFields:
         with pytest.raises(TableError, match=f"{path}:3:"):
             load_specimen_results(path, no_class_scores)
 
+    @pytest.mark.parametrize("final", ["Classified", "BelowThreshold"])
+    def test_specimen_without_class_scores(self, tmp_path, no_class_scores, final):
+        results = tmp_path / "results.csv"
+        results.write_text("\n".join(RESULTS_HEAD) + "\nsp,NoROI,,,,"
+                           f"\nsq,{final},Other,0.9,0,s\n")
+        with pytest.raises(TableError, match=f"{no_class_scores}: no class scores "
+                                             "for specimen 'sq'"):
+            load_specimen_results(results, no_class_scores)
+
+    def test_repeated_specimen(self, tmp_path, no_class_scores):
+        results = tmp_path / "results.csv"
+        results.write_text("\n".join(RESULTS_HEAD) + "\nsp,NoROI,,,,\nsq,NoROI,,,,"
+                           "\nsp,NoROI,,,,\n")
+        with pytest.raises(TableError, match=f"{results}:5: repeated specimen 'sp'"):
+            load_specimen_results(results, no_class_scores)
+        results.write_text("\n".join(RESULTS_HEAD) + "\nsp,Classified,Basaloid,0.9,1,s\n")
+        scores = tmp_path / "scores.csv"
+        scores.write_text("\n".join(CLASS_SCORES_HEAD)
+                          + "\nsp,0.7,0.1,0.1,0.1\nsp,0.7,0.1,0.1,0.1\n")
+        with pytest.raises(TableError, match=f"{scores}:4: repeated specimen 'sp'"):
+            load_specimen_results(results, scores)
+
 
 class TestModelFiles:
     def test_v1_model_file_rejected(self, path):
@@ -262,7 +284,7 @@ def specimen_results(draw):
     specimen_id = draw(TEXT)
     if draw(st.booleans()):
         return SpecimenResult(specimen_id, None, None, None, None)
-    means = draw(st.one_of(st.none(), hnp.arrays(np.float64, (4,), elements=PROBS)))
+    means = draw(hnp.arrays(np.float64, (4,), elements=PROBS))
     return SpecimenResult(specimen_id, draw(st.sampled_from(ClassLabel)), draw(PROBS),
                           draw(TEXT), means)
 
@@ -280,7 +302,7 @@ def test_specimen_results_and_class_scores_round_trip(tmp_path_factory, specimen
     for got, want in zip(loaded, expected):
         assert (got.predicted, got.score, got.source_slide_id) == \
             (want.predicted, want.score, want.source_slide_id)
-        if want.class_means is None or want.predicted is None:
+        if want.predicted is None:
             assert got.class_means is None
         else:
             assert np.array_equal(got.class_means, want.class_means)
