@@ -16,8 +16,8 @@ import numpy as np
 
 from .manifest import N_CLASSES, stable_seed
 from .tables import read_arrays, write_arrays
-from .tiling import (Tiles, TilingConfig, color_planes, gradient_magnitude,
-                     tissue_mask)
+from .tiling import (Tiles, TilingConfig, blocks, color_planes,
+                     gradient_magnitude, tissue_mask)
 
 CLASSIFIER_HEADER = "wsi-triage-classifier v2"
 
@@ -30,13 +30,21 @@ KEEP_PROB = 0.30
 
 
 def featurize_tiles(tiles: Tiles, config: TilingConfig = TilingConfig()) -> np.ndarray:
-    """(N, 64) features of tiles in one vectorized pass: per tile, a 16-bin
-    color histogram per channel over its tissue pixels (uniform without
-    tissue), then a 16-bin gradient-magnitude histogram over the whole
-    tile; each of the four histograms is L1-normalized."""
-    if not tiles:
-        return np.empty((0, N_FEATURES))
-    stack = tiles.pixels
+    """(N, 64) features of tiles: per tile, a 16-bin color histogram per
+    channel over its tissue pixels (uniform without tissue), then a 16-bin
+    gradient-magnitude histogram over the whole tile; each of the four
+    histograms is L1-normalized.  The rows are taken a block of whole
+    tiles at a time (see tiling.blocks)."""
+    pixels = tiles.pixels
+    features = np.empty((len(pixels), N_FEATURES))
+    for rows in blocks(pixels):
+        features[rows] = _block_features(pixels[rows], config)
+    return features
+
+
+def _block_features(stack: np.ndarray, config: TilingConfig) -> np.ndarray:
+    """featurize_tiles' rows of one (n, H, W, 3) block, in one vectorized
+    pass."""
     saturation, luma = color_planes(stack)
     masks = tissue_mask(saturation, luma, config)
     grad_bins = np.minimum(
@@ -45,7 +53,7 @@ def featurize_tiles(tiles: Tiles, config: TilingConfig = TilingConfig()) -> np.n
 
     # one bincount per histogram kind over all tiles: tile i counts into
     # bins [16 i, 16 i + 16); non-tissue pixels count into a spare last tile
-    n = len(tiles)
+    n = len(stack)
     offsets = (np.arange(n, dtype=np.intp) * N_COLOR_BINS)[:, None, None]
     color_base = np.where(masks, offsets, n * N_COLOR_BINS)
     color = np.stack([

@@ -13,13 +13,13 @@ class PNMError(ValueError):
     """Raised for malformed PPM/PGM files."""
 
 
-def _read_token(fh) -> bytes:
+def _read_token(fh, path) -> bytes:
     """Next whitespace-delimited header token, skipping '#' comments."""
     token = b""
     while True:
         ch = fh.read(1)
         if not ch:
-            raise PNMError("unexpected end of file in header")
+            raise PNMError(f"{path}: unexpected end of file in header")
         if ch == b"#":
             while ch not in (b"\n", b""):
                 ch = fh.read(1)
@@ -29,6 +29,15 @@ def _read_token(fh) -> bytes:
                 return token
             continue
         token += ch
+
+
+def _read_number(fh, path, what: str) -> int:
+    """Next header token as a positive decimal integer."""
+    token = _read_token(fh, path)
+    if not token.isdigit() or int(token) == 0:
+        raise PNMError(f"{path}: {what} must be a positive integer, "
+                       f"got {token.decode('ascii', 'replace')!r}")
+    return int(token)
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:
@@ -57,9 +66,9 @@ def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
     with open(path, "rb") as fh:
         if fh.read(2) != magic:
             raise PNMError(f"{path}: not a {magic.decode()} file")
-        w = int(_read_token(fh))
-        h = int(_read_token(fh))
-        maxval = int(_read_token(fh))
+        w = _read_number(fh, path, "width")
+        h = _read_number(fh, path, "height")
+        maxval = _read_number(fh, path, "maxval")
         if maxval != 255:
             raise PNMError(f"{path}: unsupported maxval {maxval} (only 8-bit)")
         n = w * h * channels

@@ -18,7 +18,7 @@ from scipy import ndimage
 
 from .manifest import stable_seed
 from .tables import read_arrays, write_arrays
-from .tiling import Tiles, color_planes, gradient_magnitude
+from .tiling import Tiles, blocks, color_planes, gradient_magnitude
 
 THETA_ROI = 0.05
 
@@ -73,10 +73,15 @@ class PixelSegmenter:
 
 
 def segment_tiles(tiles: Tiles, model: PixelSegmenter) -> np.ndarray:
-    """(N,) positive fractions of the (adapted) tiles' lesion maps, taken
-    in one vectorized pass; a pixel is positive at threshold 0.5 on the
-    logistic output, i.e. 0 on the logit."""
-    return (model.scores(tiles.pixels) >= 0.0).mean(axis=(1, 2))
+    """(N,) positive fractions of the (adapted) tiles' lesion maps; a pixel
+    is positive at threshold 0.5 on the logistic output, i.e. 0 on the
+    logit.  The logits are taken a block of whole tiles at a time (see
+    tiling.blocks), and only each block's fractions are kept."""
+    pixels = tiles.pixels
+    fractions = np.empty(len(pixels))
+    for rows in blocks(pixels):
+        fractions[rows] = (model.scores(pixels[rows]) >= 0.0).mean(axis=(1, 2))
+    return fractions
 
 
 def select(tiles: Tiles, fractions, theta: float = THETA_ROI) -> ROISelection:

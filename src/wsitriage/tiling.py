@@ -7,9 +7,27 @@ fixed non-overlapping grid and kept only when they contain enough tissue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# Pixels per block of per-pixel float work.  A block's float32 planes
+# (256 KiB each, about 2 MiB live at once) fit a core's 2 MiB L2 cache,
+# where planes over a whole 1024 x 1536 raster (6.3 MB each) do not.  On
+# such rasters the tissue test was fastest at 2^15-2^16 pixels a block and
+# about 1.8x slower whole; ROI and features were fastest at 4 tiles
+# (2^16 pixels) a block.
+BLOCK_PX = 1 << 16
+
+
+def blocks(pixels: np.ndarray) -> list:
+    """Slices along the first axis of an (n, ..., 3) pixel stack, each
+    taking whole items (tiles, or the pixels of an (n, 3) stack) and about
+    BLOCK_PX pixels, at least one item."""
+    n, step = len(pixels), max(1, BLOCK_PX // math.prod(pixels.shape[1:-1]))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
 
 @dataclass(frozen=True)
 class TilingConfig:
@@ -78,10 +96,18 @@ def gradient_magnitude(plane: np.ndarray) -> np.ndarray:
 
 def segment_tissue(raster: np.ndarray, config: TilingConfig = TilingConfig()) -> np.ndarray:
     """Boolean tissue mask: saturation >= s_min or luma <= l_max, with the
-    planes of color_planes().  Works on any (..., 3) stack of rasters."""
+    planes of color_planes().  Works on any (..., 3) stack of rasters.
+
+    The pixels are taken in flat blocks of BLOCK_PX, each block's mask
+    written into the preallocated output.  The test is elementwise, so the
+    mask is bitwise the one a single pass over the whole input gives."""
     if raster.size == 0:
         raise ValueError("empty raster")
-    return tissue_mask(*color_planes(raster), config)
+    flat = raster.reshape(-1, 3)
+    mask = np.empty(len(flat), dtype=bool)
+    for rows in blocks(flat):
+        mask[rows] = tissue_mask(*color_planes(flat[rows]), config)
+    return mask.reshape(raster.shape[:-1])
 
 
 def tissue_mask(saturation: np.ndarray, luma: np.ndarray,

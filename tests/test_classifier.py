@@ -11,7 +11,7 @@ from wsitriage.classifier import (NetParams, TrainConfig, accuracy,
                                   save_params, train)
 from wsitriage.manifest import ClassLabel
 from wsitriage.synthesis import default_lab_profiles, generate_slide
-from wsitriage.tiling import Tiles, TilingConfig, segment_tissue, tile
+from wsitriage.tiling import BLOCK_PX, Tiles, TilingConfig, segment_tissue, tile
 
 
 def rand_pixels(seed):
@@ -99,6 +99,16 @@ class TestFeaturize:
         glass = np.full((128, 128, 3), 250, dtype=np.uint8)
         stacks = [rand_pixels(1), glass, rand_pixels(2), glass]
         got = featurize_tiles(stack_tiles(stacks))
+        for pixels, row in zip(stacks, got):
+            assert np.array_equal(row, reference_features(pixels))
+
+    @pytest.mark.filterwarnings("error")
+    def test_block_edge_matches_reference_bitwise(self):
+        glass = np.full((128, 128, 3), 250, dtype=np.uint8)
+        n = BLOCK_PX // (128 * 128) + 1   # the last block holds one glass tile
+        stacks = [glass if i % 3 == 1 else rand_pixels(30 + i) for i in range(n)]
+        got = featurize_tiles(stack_tiles(stacks))
+        assert got.shape == (n, 64)
         for pixels, row in zip(stacks, got):
             assert np.array_equal(row, reference_features(pixels))
 

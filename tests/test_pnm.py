@@ -55,3 +55,16 @@ def test_shape_validation():
         write_ppm("/tmp/never.ppm", np.zeros((4, 4), dtype=np.uint8))
     with pytest.raises(ValueError):
         write_pgm("/tmp/never.pgm", np.zeros((4, 4, 3), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("header, what", [
+    (b"P6\n-4 2\n255\n", "width"),
+    (b"P6\nfour 2\n255\n", "width"),
+    (b"P6\n0 2\n255\n", "width"),
+    (b"P6\n2 2\n255.0\n", "maxval"),
+], ids=["negative-width", "text-width", "zero-width", "fractional-maxval"])
+def test_malformed_header_number(tmp_path, header, what):
+    path = tmp_path / "x.ppm"
+    path.write_bytes(header + bytes(12))
+    with pytest.raises(PNMError, match=f"x.ppm: {what} must be a positive integer"):
+        read_ppm(path)

@@ -7,7 +7,7 @@ from wsitriage.pnm import read_pgm, read_ppm
 from wsitriage.roi import (load_segmenter, pixel_features, save_segmenter,
                            segment_tiles, select, train_segmenter)
 from wsitriage.synthesis import default_lab_profiles, generate_slide, mask_path_for
-from wsitriage.tiling import Tiles, segment_tissue, tile
+from wsitriage.tiling import BLOCK_PX, Tiles, segment_tissue, tile
 
 
 def blank_tiles(n):
@@ -93,6 +93,15 @@ class TestSegment:
             single_mask = small_models.segmenter.scores(tiles.pixels[i]) >= 0.0
             batch_mask = small_models.segmenter.scores(tiles.pixels)[i] >= 0.0
             assert np.array_equal(single_mask, batch_mask)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_block_edges_match_single(self, lesion_tiles, small_models, extra):
+        n = BLOCK_PX // (128 * 128) + extra
+        tiles = lesion_tiles[0][:n]
+        assert len(tiles) == n
+        singles = [segment_tiles(tiles[i:i + 1], small_models.segmenter)[0]
+                   for i in range(n)]
+        assert segment_tiles(tiles, small_models.segmenter).tolist() == singles
 
     def test_empty_tiles_give_no_fractions(self, small_models):
         assert len(segment_tiles(blank_tiles(0), small_models.segmenter)) == 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from wsitriage.manifest import ClassLabel
 from wsitriage.synthesis import default_lab_profiles, generate_slide, identity_profile
-from wsitriage.tiling import Tile, Tiles, TilingConfig, segment_tissue, tile
+from wsitriage.tiling import (BLOCK_PX, Tile, Tiles, TilingConfig, color_planes,
+                              segment_tissue, tile, tissue_mask)
 
 
 def raw_level_tissue_mask(raster, config):
@@ -52,6 +55,33 @@ class TestSegmentTissue:
     def test_empty_raster_rejected(self):
         with pytest.raises(ValueError):
             segment_tissue(np.empty((0, 0, 3), dtype=np.uint8))
+
+    @pytest.mark.parametrize("n_px", [BLOCK_PX - 1, BLOCK_PX, BLOCK_PX + 1])
+    def test_block_edges_match_one_pass(self, n_px):
+        pixels = np.random.default_rng(n_px).integers(200, 256, (n_px, 3), dtype=np.uint8)
+        mask = segment_tissue(pixels)
+        assert mask.any() and not mask.all()
+        assert np.array_equal(mask, tissue_mask(*color_planes(pixels)))
+
+    def test_whole_slide_and_strided_view_match_one_pass(self):
+        raster = generate_slide(ClassLabel.SQUAMOUS, default_lab_profiles()[1], seed=5).raster
+        assert raster.shape == (1024, 1536, 3)
+        for pixels in (raster, raster[::2, ::3]):
+            mask = segment_tissue(pixels)
+            assert mask.shape == pixels.shape[:2]
+            assert np.array_equal(mask, tissue_mask(*color_planes(pixels)))
+
+    def test_memory_bounded_by_blocks(self):
+        # one float32 plane over this raster is 6 MiB, and a pass over the
+        # whole raster holds several at once; the bool mask alone is 1.5 MiB
+        raster = generate_slide(ClassLabel.SQUAMOUS, default_lab_profiles()[1], seed=5).raster
+        tracemalloc.start()
+        try:
+            segment_tissue(raster)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, peak
 
     @pytest.mark.parametrize("profile_idx", [0, 2])
     def test_iou_with_generator_region(self, profile_idx):
