@@ -12,10 +12,10 @@ import tempfile
 
 from wsitriage.config import Config
 from wsitriage.manifest import Split, build_splits
-from wsitriage.pnm import read_pgm, read_ppm
+from wsitriage.pipeline import slide_tiles
+from wsitriage.pnm import read_pgm
 from wsitriage.roi import segment_tiles
 from wsitriage.synthesis import default_lab_profiles, generate_corpus, mask_path_for
-from wsitriage.tiling import segment_tissue, tile
 from wsitriage.training import train_models
 
 out_dir = os.path.join(tempfile.gettempdir(), "wsitriage-demo-train")
@@ -30,14 +30,12 @@ print(f"trained on {trained.n_train_slides} slides; "
 
 # the segmenter's positive fraction tracks the true lesion fraction per tile
 record = manifest.records_in(Split.TRAIN)[0]
-raster = read_ppm(record.raster_path)
 lesion = read_pgm(mask_path_for(record.raster_path)) > 0
-tiles = tile(raster, segment_tissue(raster), record.slide_id)[:8]
+tiles = slide_tiles(record, config)[:8]   # read, segment and tile, unadapted
 fractions = segment_tiles(tiles, trained.segmenter)
 print(f"\nslide {record.slide_id} ({record.truth.token}):")
 print(f"positive fractions of its first {len(tiles)} tiles: {fractions.round(3)}")
 print("tile origin      predicted  truth")
-for t, fraction in zip(tiles, fractions):
-    y, x = t.origin
+for (y, x), fraction in zip(tiles.origins, fractions):
     truth = lesion[y:y + 128, x:x + 128].mean()
-    print(f"  {str(t.origin):<14} {fraction:<10.3f} {truth:.3f}")
+    print(f"  {str((int(y), int(x))):<14} {fraction:<10.3f} {truth:.3f}")

@@ -18,7 +18,7 @@ from .roi import ROISelection, segment_tiles, select, train_segmenter
 from .synthesis import (LabProfile, SynthSlide, TextureRecipe,
                         default_lab_profiles, generate_corpus, generate_slide,
                         inject_artifact)
-from .tiling import Tile, Tiles, TilingConfig, segment_tissue, tile
+from .tiling import Tiles, TilingConfig, segment_tissue, tile
 from .training import calibrate_lab, train_models
 
 __version__ = "0.1.0"

@@ -72,13 +72,12 @@ def _block_features(stack: np.ndarray, config: TilingConfig) -> np.ndarray:
                            grad / grad.sum(axis=1, keepdims=True)], axis=1)
 
 
-def pool(vectors) -> np.ndarray:
-    """Componentwise mean of tile feature vectors (order-invariant)."""
-    vectors = list(vectors)
-    if not vectors:
+def pool(features: np.ndarray) -> np.ndarray:
+    """Componentwise mean of the (N, 64) tile features (order-invariant)."""
+    if len(features) == 0:
         raise ValueError("cannot pool an empty feature set; no-ROI slides "
                          "must be handled before classification")
-    return np.mean(np.stack(vectors), axis=0)
+    return np.mean(features, axis=0)
 
 
 @dataclass(frozen=True)

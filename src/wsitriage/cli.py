@@ -18,12 +18,12 @@ from .aggregation import (load_specimen_results, save_class_scores,
 from .config import CONFIG_KEYS, Config, ConfigError, load_config
 from .confidence import load_thresholds, save_thresholds
 from .evaluation import evaluate, format_report, write_report
-from .manifest import (DatasetManifest, Split, build_splits, load_manifest,
-                       save_manifest)
+from .manifest import (DatasetManifest, Split, build_splits, check_ratios,
+                       load_manifest, save_manifest)
 from .pipeline import (format_profile, load_models, load_run_manifest,
                        load_timings, model_paths, profile, run_corpus,
                        save_models, save_run_manifest, save_timings)
-from .synthesis import default_lab_profiles, generate_corpus
+from .synthesis import check_corpus_size, default_lab_profiles, generate_corpus
 from .training import calibrate_lab, calibrate_reference, train_models
 
 USAGE_ERROR = 1
@@ -70,6 +70,11 @@ def _load_manifest(path) -> DatasetManifest:
 
 
 def cmd_synth(args) -> int:
+    try:
+        check_corpus_size(args.specimens, (args.slides_min, args.slides_max))
+    except ValueError as exc:
+        raise CliError(f"bad --specimens/--slides-min/--slides-max value: {exc}",
+                       code=USAGE_ERROR) from None
     config = _load_config(args)
     profiles = {p.lab_id: p for p in default_lab_profiles()}
     labs = args.labs.split(",") if args.labs else list(profiles)
@@ -90,20 +95,20 @@ def cmd_synth(args) -> int:
 
 
 def cmd_split(args) -> int:
+    try:
+        ratios = tuple(float(v) for v in args.ratios.split(","))
+        check_ratios(ratios)
+        names = tuple(Split(n) for n in args.names.split(","))
+    except ValueError as exc:
+        raise CliError(f"bad --ratios/--names value: {exc}", code=USAGE_ERROR) from None
+    if len(names) != 3:
+        raise CliError("need exactly three split names", code=USAGE_ERROR)
     manifest = _load_manifest(args.manifest)
     if args.lab is not None:
         records = [r for r in manifest.records if r.lab_id == args.lab]
         if not records:
             raise CliError(f"no records for lab {args.lab!r} in {args.manifest}")
         manifest = DatasetManifest(records=records)
-    try:
-        ratios = tuple(float(v) for v in args.ratios.split(","))
-        names = tuple(Split(n) for n in args.names.split(","))
-    except ValueError as exc:
-        raise CliError(f"bad --ratios/--names value: {exc}", code=USAGE_ERROR) from None
-    if len(ratios) != 3 or len(names) != 3:
-        raise CliError("need exactly three ratios and three split names",
-                       code=USAGE_ERROR)
     out = build_splits(manifest, ratios, seed=args.seed, splits=names)
     save_manifest(out, args.out)
     counts = {}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,15 +87,6 @@ class DatasetManifest:
             if sid not in seen:
                 raise ValueError(f"split assigned to unknown slide_id {sid!r}")
 
-    def specimen_ids(self) -> list[str]:
-        """Distinct specimen ids in first-appearance order."""
-        out, seen = [], set()
-        for rec in self.records:
-            if rec.specimen_id not in seen:
-                seen.add(rec.specimen_id)
-                out.append(rec.specimen_id)
-        return out
-
     def records_in(self, split: Split) -> list[SlideRecord]:
         return [r for r in self.records if self.splits.get(r.slide_id) is split]
 
@@ -121,6 +113,15 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def check_ratios(ratios) -> None:
+    """Raise ValueError unless ratios are three non-negative reals summing
+    to 1, the split fractions build_splits takes."""
+    if len(ratios) != 3 or any(r < 0 for r in ratios):
+        raise ValueError(f"ratios must be three non-negative reals, got {ratios!r}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"ratios must sum to 1, got {ratios!r}")
+
+
 def build_splits(
     manifest: DatasetManifest,
     ratios: tuple[float, float, float],
@@ -136,10 +137,7 @@ def build_splits(
     """
     if not manifest.records:
         raise ValueError("cannot split an empty manifest")
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ValueError(f"ratios must be three non-negative reals, got {ratios!r}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {ratios!r}")
+    check_ratios(ratios)
 
     specimens = sorted(set(r.specimen_id for r in manifest.records))
     rng = np.random.default_rng(stable_seed("split", seed))
@@ -178,10 +176,20 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 
 
 def load_manifest(path) -> DatasetManifest:
+    """The manifest in path; a relative raster_path is taken relative to
+    the manifest file's directory, so the records hold absolute paths
+    whatever the working directory."""
+    base = os.path.dirname(os.path.abspath(path))
+
+    def raster(text):
+        if not text:
+            raise ValueError("empty raster_path")
+        return os.path.join(base, text)
+
     records: list[SlideRecord] = []
     splits: dict[str, Split] = {}
     seen = set()
-    columns = (str, str, str, ClassLabel.from_token, optional(Split), str)
+    columns = (str, str, str, ClassLabel.from_token, optional(Split), raster)
     for lineno, row in read_table(path, [MANIFEST_HEADER], columns):
         slide_id, specimen_id, lab_id, label, split, raster_path = row
         if slide_id in seen:

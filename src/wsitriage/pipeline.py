@@ -127,54 +127,57 @@ class _Laps(dict):
         self.t0 = now
 
 
-def select_tiles(raster: np.ndarray, slide_id: str, models: Models, config: Config):
-    """Segment, tile, adapt and select ROIs: the one path from a raster to
-    the tiles a slide is classified on.  Returns (selection, laps), laps
-    holding the StageTiming fields it measured, by name."""
-    laps = _Laps()
+def slide_tiles(record: SlideRecord, config: Config, laps: _Laps | None = None):
+    """Read, segment and tile: the unadapted tissue Tiles of a slide, and
+    the one place a slide raster is read.  Each stage's lap goes into laps
+    when given."""
+    laps = _Laps() if laps is None else laps
+    raster = read_ppm(record.raster_path)
+    laps.lap("read")
     mask = tiling.segment_tissue(raster, config.tiling)
     laps.lap("segment")
-    tiles = tiling.tile(raster, mask, slide_id, config.tiling)
+    tiles = tiling.tile(raster, mask, record.slide_id, config.tiling)
     laps.lap("tile")
+    return tiles
+
+
+def embed_record(record: SlideRecord, models: Models, config: Config,
+                 laps: _Laps | None = None):
+    """The slide's embedding, or None when no tile is selected: read,
+    segment, tile, adapt, select ROIs, featurize and pool, the one path
+    from a SlideRecord to its embedding.  Each stage's lap and the tile
+    counts go into laps when given."""
+    laps = _Laps() if laps is None else laps
+    tiles = slide_tiles(record, config, laps)
     tiles = adapt_tiles(tiles, models.adapter, config.tiling)
     laps.lap("adapt")
     fractions = segment_tiles(tiles, models.segmenter)
     selection = select(tiles, fractions, theta=config["roi.theta"])
     laps.lap("roi")
     laps.update(n_tiles=len(tiles), n_roi_tiles=len(selection))
-    return selection, laps
-
-
-def embed_record(record: SlideRecord, models: Models, config: Config):
-    """Slide embedding for training/calibration, or None when no ROI."""
-    raster = read_ppm(record.raster_path)
-    selection, _ = select_tiles(raster, record.slide_id, models, config)
     if selection.empty:
         return None
-    return pool(featurize_tiles(selection.selected, config.tiling))
+    embedding = pool(featurize_tiles(selection.selected, config.tiling))
+    laps.lap("featurize")
+    return embedding
 
 
 def run_slide(record: SlideRecord, models: Models, config: Config,
               global_seed: int = 0):
-    """Process one slide through all stages; returns (SlideResult, StageTiming).
+    """Process one slide through all stages, embed_record's then classify
+    and score; returns (SlideResult, StageTiming).
 
-    An empty ROI selection ends the slide as a no-ROI result with zero
+    A slide with no selected tile ends as a no-ROI result with zero
     featurize, classify and score time.  Any exception ends it as an error
-    result, its text `Type: message`, whose record keeps the laps finished
-    before it (select_tiles' laps once select_tiles has returned).
+    result, its text `Type: message`, whose record keeps every lap
+    finished before it.
     """
     laps = _Laps()
     start = laps.t0
     try:
-        raster = read_ppm(record.raster_path)
-        laps.lap("read")
-        selection, tile_laps = select_tiles(raster, record.slide_id, models, config)
-        laps.update(tile_laps)
-        laps.t0 = tile_laps.t0   # the featurize lap starts at the roi lap's end
+        embedding = embed_record(record, models, config, laps)
         result = SlideResult(record.slide_id, record.specimen_id)
-        if not selection.empty:
-            embedding = pool(featurize_tiles(selection.selected, config.tiling))
-            laps.lap("featurize")
+        if embedding is not None:
             matrix = mc_predict(embedding, models.classifier, t=config["confidence.T"],
                                 keep_prob=config["confidence.keep_prob"],
                                 seed=stable_seed("mc", global_seed, record.slide_id))

@@ -384,6 +384,16 @@ def _render_and_store(spec):
     return slide.record
 
 
+def check_corpus_size(n_specimens_per_lab: int, slides_per_specimen_range) -> None:
+    """Raise ValueError unless generate_corpus can make at least one
+    specimen per lab and lo <= hi slides per specimen, lo >= 1."""
+    if n_specimens_per_lab < 1:
+        raise ValueError("n_specimens_per_lab must be >= 1")
+    lo, hi = slides_per_specimen_range
+    if lo < 1 or hi < lo:
+        raise ValueError(f"bad slides_per_specimen_range {slides_per_specimen_range!r}")
+
+
 def generate_corpus(n_specimens_per_lab: int, labs: list[LabProfile],
                     slides_per_specimen_range=(1, 2), seed: int = 0,
                     out_dir: str = "corpus", workers: int = 1,
@@ -395,13 +405,10 @@ def generate_corpus(n_specimens_per_lab: int, labs: list[LabProfile],
     A fraction of Other-class slides, and of second-and-later slides of any
     specimen, carry no lesion at all, exercising the no-ROI path downstream.
     """
-    if n_specimens_per_lab < 1:
-        raise ValueError("n_specimens_per_lab must be >= 1")
+    check_corpus_size(n_specimens_per_lab, slides_per_specimen_range)
     if not labs:
         raise ValueError("at least one lab profile is required")
     lo, hi = slides_per_specimen_range
-    if lo < 1 or hi < lo:
-        raise ValueError(f"bad slides_per_specimen_range {slides_per_specimen_range!r}")
 
     out_dir = os.path.abspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)

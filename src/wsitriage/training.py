@@ -27,11 +27,10 @@ from .confidence import ThresholdSet, calibrate_thresholds
 from .evaluation import EvalReport, evaluate
 from .manifest import DatasetManifest, Split
 from .parallel import pmap
-from .pipeline import Models, embed_record, run_corpus
-from .pnm import read_pgm, read_ppm
+from .pipeline import Models, embed_record, run_corpus, slide_tiles
+from .pnm import read_pgm
 from .roi import train_segmenter
 from .synthesis import mask_path_for
-from . import tiling
 
 
 def collect_embeddings(records, models: Models, config: Config, workers: int = 1):
@@ -39,15 +38,10 @@ def collect_embeddings(records, models: Models, config: Config, workers: int = 1
     records = sorted(records, key=lambda r: r.slide_id)
     fn = functools.partial(embed_record, models=models, config=config)
     embeddings = pmap(fn, records, workers=workers)
-    xs, labels, kept = [], [], []
-    for rec, emb in zip(records, embeddings):
-        if emb is None:
-            continue
-        xs.append(emb)
-        labels.append(int(rec.truth))
-        kept.append(rec)
-    x = np.stack(xs) if xs else np.empty((0, N_FEATURES))
-    return x, np.array(labels, dtype=int), kept
+    kept = [(emb, int(rec.truth)) for rec, emb in zip(records, embeddings)
+            if emb is not None]
+    x = np.stack([emb for emb, _ in kept]) if kept else np.empty((0, N_FEATURES))
+    return x, np.array([label for _, label in kept], dtype=int)
 
 
 SAMPLE_SLIDES = 24
@@ -58,9 +52,7 @@ def _tissue_tiles(records, config: Config):
     """(record, its unadapted tissue Tiles) for the first SAMPLE_SLIDES
     records in slide_id order."""
     for rec in sorted(records, key=lambda r: r.slide_id)[:SAMPLE_SLIDES]:
-        raster = read_ppm(rec.raster_path)
-        mask = tiling.segment_tissue(raster, config.tiling)
-        yield rec, tiling.tile(raster, mask, rec.slide_id, config.tiling)
+        yield rec, slide_tiles(rec, config)
 
 
 def sample_tiles(records, config: Config) -> np.ndarray:
@@ -76,10 +68,10 @@ def segmenter_pairs(records, adapter: AdapterModel | None, config: Config):
     side = config.tiling.tile_px
     for rec, tiles in _tissue_tiles(records, config):
         lesion = read_pgm(mask_path_for(rec.raster_path)) > 0
-        for t in adapt_tiles(tiles[:SEGMENTER_MAX_TILES - len(pairs)], adapter,
-                             config.tiling):
-            y, x = t.origin
-            pairs.append((t.pixels, lesion[y:y + side, x:x + side]))
+        tiles = adapt_tiles(tiles[:SEGMENTER_MAX_TILES - len(pairs)], adapter,
+                            config.tiling)
+        for (y, x), pixels in zip(tiles.origins, tiles.pixels):
+            pairs.append((pixels, lesion[y:y + side, x:x + side]))
         if len(pairs) >= SEGMENTER_MAX_TILES:
             break
     return pairs
@@ -112,13 +104,13 @@ def train_models(manifest: DatasetManifest, config: Config,
     segmenter = train_segmenter(pairs, seed=config["classifier.seed"])
 
     embed_models = Models(segmenter=segmenter, adapter=identity)
-    x, labels, kept = collect_embeddings(train_records, embed_models, config, workers)
+    x, labels = collect_embeddings(train_records, embed_models, config, workers)
     if len(x) == 0:
         raise ValueError("no training slide produced an ROI selection")
     params = train(x, labels, config.train)
     return TrainedModels(segmenter=segmenter, classifier=params, adapter=identity,
                          train_accuracy=accuracy(params, x, labels),
-                         n_train_slides=len(kept))
+                         n_train_slides=len(x))
 
 
 def _fit_thresholds(manifest: DatasetManifest, models: Models, split: Split,
@@ -174,7 +166,7 @@ def calibrate_lab(lab_manifest: DatasetManifest, base: Models,
     adapter = AdapterModel(source=lab_stats, target=ref_stats)
 
     embed_models = Models(segmenter=base.segmenter, adapter=adapter)
-    x, labels, _ = collect_embeddings(cf_records, embed_models, config, workers)
+    x, labels = collect_embeddings(cf_records, embed_models, config, workers)
     if len(x) == 0:
         raise ValueError(f"lab {lab_id!r}: no fine-tuning slide produced an ROI")
     tuned = fine_tune(base.classifier, x, labels, config.train)

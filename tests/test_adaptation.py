@@ -82,7 +82,7 @@ class TestFitStats:
     def test_matches_two_pass_recomputation(self, reference_tiles):
         stats = fit_stats(reference_tiles.pixels)
         pixels = np.concatenate([
-            t.pixels[segment_tissue(t.pixels)] for t in reference_tiles])
+            t[segment_tissue(t)] for t in reference_tiles.pixels])
         vals = to_decorrelated(pixels)
         mean = vals.sum(axis=0) / len(vals)
         var = ((vals - mean) ** 2).sum(axis=0) / len(vals)
@@ -140,8 +140,8 @@ class TestAdapt:
     def test_identity_is_bit_exact(self, reference_tiles):
         stats = fit_stats(reference_tiles.pixels)
         model = AdapterModel(stats, stats)
-        out = adapt_tiles(reference_tiles[:1], model)[0]
-        assert np.array_equal(out.pixels, reference_tiles[0].pixels)
+        out = adapt_tiles(reference_tiles[:1], model)
+        assert np.array_equal(out.pixels, reference_tiles.pixels[:1])
 
     def test_shifted_batch_means_match_target(self, reference_tiles, shifted_tiles):
         model = AdapterModel(source=fit_stats(shifted_tiles.pixels),
@@ -149,8 +149,8 @@ class TestAdapt:
         adapted = adapt_tiles(shifted_tiles, model)
 
         def tissue_means(tiles):
-            pixels = np.concatenate([t.pixels[segment_tissue(t.pixels)]
-                                     for t in tiles]).astype(np.float64)
+            pixels = np.concatenate([t[segment_tissue(t)]
+                                     for t in tiles.pixels]).astype(np.float64)
             return pixels.mean(axis=0)
 
         target = tissue_means(reference_tiles)
@@ -160,31 +160,30 @@ class TestAdapt:
     def test_all_black_tile_finite(self, reference_tiles, shifted_tiles):
         model = AdapterModel(source=fit_stats(shifted_tiles.pixels),
                              target=fit_stats(reference_tiles.pixels))
-        black = Tiles("s", np.zeros((1, 2), dtype=int), np.ones(1),
+        black = Tiles("s", np.zeros((1, 2), dtype=int),
                       np.zeros((1, 128, 128, 3), dtype=np.uint8))
-        out = adapt_tiles(black, model)[0]
+        out = adapt_tiles(black, model)
         assert out.pixels.dtype == np.uint8  # clamped, no overflow or NaN
 
     def test_idempotent_after_refit(self, reference_tiles, shifted_tiles):
         target = fit_stats(reference_tiles.pixels)
         once = adapt_tiles(shifted_tiles, AdapterModel(fit_stats(shifted_tiles.pixels), target))
         twice = adapt_tiles(once, AdapterModel(fit_stats(once.pixels), target))
-        for a, b in zip(once, twice):
-            diff = np.abs(a.pixels.astype(np.float64) - b.pixels.astype(np.float64))
+        for a, b in zip(once.pixels, twice.pixels):
+            diff = np.abs(a.astype(np.float64) - b.astype(np.float64))
             assert diff.mean(axis=(0, 1)).max() <= 1.0
 
     def test_preserves_shape_and_metadata(self, shifted_tiles, reference_tiles):
         model = AdapterModel(source=fit_stats(shifted_tiles.pixels),
                              target=fit_stats(reference_tiles.pixels))
-        t = shifted_tiles[0]
-        out = adapt_tiles(shifted_tiles[:1], model)[0]
-        assert out.pixels.shape == (128, 128, 3)
-        assert out.origin == t.origin
-        assert out.tissue_fraction == t.tissue_fraction
+        out = adapt_tiles(shifted_tiles[:1], model)
+        assert out.pixels.shape == (1, 128, 128, 3)
+        assert out.slide_id == shifted_tiles.slide_id
+        assert np.array_equal(out.origins, shifted_tiles.origins[:1])
 
     def test_identity_returns_copy(self, reference_tiles):
         stats = fit_stats(reference_tiles.pixels)
-        pixels = reference_tiles[0].pixels
+        pixels = reference_tiles.pixels[0]
         out = adapt_pixels(pixels, AdapterModel(stats, stats))
         assert not np.shares_memory(out, pixels)
         assert np.array_equal(out, pixels)
@@ -220,9 +219,8 @@ class TestAdapt:
         model = AdapterModel(source=fit_stats(shifted_tiles.pixels),
                              target=fit_stats(reference_tiles.pixels))
         batch = adapt_tiles(shifted_tiles[:4], model)
-        for i, b in enumerate(batch):
-            assert np.array_equal(adapt_tiles(shifted_tiles[i:i + 1], model)[0].pixels,
-                                  b.pixels)
+        for i, b in enumerate(batch.pixels):
+            assert np.array_equal(adapt_tiles(shifted_tiles[i:i + 1], model).pixels[0], b)
 
 
 class TestPersistence:

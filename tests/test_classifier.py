@@ -21,7 +21,7 @@ def rand_pixels(seed):
 def stack_tiles(pixels):
     """A Tiles record around a list of (128, 128, 3) tile pixels."""
     n = len(pixels)
-    return Tiles("s", np.zeros((n, 2), dtype=int), np.ones(n), np.stack(pixels))
+    return Tiles("s", np.zeros((n, 2), dtype=int), np.stack(pixels))
 
 
 def separable_embeddings(n_per_class=30, seed=0):
@@ -60,8 +60,8 @@ class TestFeaturize:
     def test_random_tiles_match_reference_bitwise(self):
         tiles = stack_tiles([rand_pixels(seed) for seed in range(6)])
         got = featurize_tiles(tiles)
-        for t, row in zip(tiles, got):
-            assert np.array_equal(row, reference_features(t.pixels))
+        for t, row in zip(tiles.pixels, got):
+            assert np.array_equal(row, reference_features(t))
 
     def test_generated_tiles_match_reference_bitwise(self):
         for i, profile in enumerate(default_lab_profiles()):
@@ -69,8 +69,8 @@ class TestFeaturize:
             tiles = tile(slide.raster, segment_tissue(slide.raster), "s")
             assert tiles
             got = featurize_tiles(tiles)
-            for t, row in zip(tiles, got):
-                assert np.array_equal(row, reference_features(t.pixels))
+            for t, row in zip(tiles.pixels, got):
+                assert np.array_equal(row, reference_features(t))
 
     def test_uniform_gray_tile_gradient_in_lowest_bin(self):
         pixels = np.full((128, 128, 3), 90, dtype=np.uint8)

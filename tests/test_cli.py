@@ -264,6 +264,26 @@ class TestErrors:
                      "--ratios", "a,b,c", "--out", str(tmp_path / "x.manifest")])
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["split", "--ratios", "0.5,0.5,0.5"],
+        ["split", "--ratios=-0.2,0.6,0.6"],
+        ["split", "--ratios", "0.5,0.5"],
+        ["synth", "--specimens", "0"],
+        ["synth", "--slides-min", "3", "--slides-max", "2"],
+        ["synth", "--slides-min", "0"],
+    ])
+    def test_bad_option_value_is_usage_error_before_any_work(self, tmp_path, capsys,
+                                                             argv):
+        out = tmp_path / "out"
+        if argv[0] == "split":   # the manifest is missing: the options are checked first
+            argv = argv + ["--manifest", str(tmp_path / "missing.manifest"),
+                           "--out", str(out)]
+        else:
+            argv = argv + ["--labs", "reference", "--out", str(out)]
+        assert main(argv) == 1
+        assert "bad --" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_split_name(self, workflow, tmp_path):
         code = main(["run", "--manifest", workflow["lab_manifest"],
                      "--models", workflow["models"], "--lab", "lab_a",

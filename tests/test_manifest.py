@@ -135,6 +135,14 @@ class TestManifestIO:
         with pytest.raises(ManifestError, match=":2"):
             load_manifest(path)
 
+    def test_empty_raster_path_names_line(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("wsi-triage-manifest v1\n"
+                        "a,sp1,lab,Basaloid,,x.ppm\n"
+                        "b,sp2,lab,Other,,\n")
+        with pytest.raises(ManifestError, match=":3: empty raster_path"):
+            load_manifest(path)
+
     def test_unknown_label_and_split(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("wsi-triage-manifest v1\na,sp,lab,Spindle,,x.ppm\n")

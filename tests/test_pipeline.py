@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from wsitriage.adaptation import AdapterModel, DomainStats, adapt_pixels, fit_stats
+from wsitriage.classifier import featurize_tiles, pool
 from wsitriage.config import Config
-from wsitriage.manifest import ClassLabel, SlideRecord, Split, load_manifest
+from wsitriage.manifest import (ClassLabel, DatasetManifest, SlideRecord, Split,
+                                load_manifest, save_manifest)
 from wsitriage import pipeline
-from wsitriage.pipeline import (Models, StageTiming, format_profile, load_run_manifest,
-                                load_timings, profile, run_corpus, run_slide,
-                                save_run_manifest, save_timings, select_tiles)
+from wsitriage.pipeline import (Models, StageTiming, embed_record, format_profile,
+                                load_run_manifest, load_timings, profile, run_corpus,
+                                run_slide, save_run_manifest, save_timings)
 from wsitriage.pnm import write_ppm
 from wsitriage.roi import N_PIXEL_FEATURES, PixelSegmenter
 from wsitriage import tiling
@@ -75,6 +79,22 @@ class TestRunSlide:
         result, _ = run_slide(record, small_models, config, 0)
         assert result.error is None
 
+    def test_relative_raster_path_from_another_working_directory(
+            self, tmp_path, monkeypatch, small_models, config):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_ppm(str(data / "s.ppm"), generate_slide(
+            ClassLabel.BASALOID, identity_profile(noise_sigma=1.0), 33).raster)
+        save_manifest(DatasetManifest([SlideRecord("s", "sp", "reference",
+                                                   ClassLabel.BASALOID, "s.ppm")]),
+                      data / "rel.manifest")
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        record = load_manifest("../data/rel.manifest").records[0]
+        assert record.raster_path == str(data / "s.ppm")
+        result, _ = run_slide(record, small_models, config, 0)
+        assert result.error is None and result.classified
+
     def test_unreadable_raster_becomes_error_result(self, small_models, config):
         record = SlideRecord("gone", "sp", "reference", ClassLabel.OTHER,
                              "/nonexistent/path.ppm")
@@ -96,6 +116,9 @@ class TestRunSlide:
             assert result.error == "RuntimeError: segmenter failed, on purpose"
             assert timing.outcome == "Error"
             assert timing.read_ms > 0 and timing.featurize_ms == 0.0
+            # every lap finished before the failure is kept
+            assert timing.segment_ms > 0 and timing.tile_ms > 0 and timing.adapt_ms > 0
+            assert timing.roi_ms == 0.0
         from wsitriage.manifest import DatasetManifest
         run = run_corpus(DatasetManifest(records=records), small_models, config,
                          workers=2)
@@ -116,26 +139,32 @@ class TestRunSlide:
         assert not np.array_equal(a.matrix, c.matrix)   # seed matters
 
 
-class TestSelectTiles:
-    def test_adapts_over_configured_tissue_mask(self):
+class TestEmbedRecord:
+    def test_adapts_over_configured_tissue_mask(self, tmp_path):
         config = Config({"tiling.s_min": 0.2, "tiling.l_max": 0.7})
         lab_a = {p.lab_id: p for p in default_lab_profiles()}["lab_a"]
         raster = generate_slide(ClassLabel.BASALOID, lab_a, 21).raster
+        path = str(tmp_path / "s.ppm")
+        write_ppm(path, raster)
+        record = SlideRecord("s", "sp", "lab_a", ClassLabel.BASALOID, path)
         mask = tiling.segment_tissue(raster, config.tiling)
-        stack = tiling.tile(raster, mask, "s", config.tiling).pixels
-        source = fit_stats(stack, config.tiling)
+        tiles = tiling.tile(raster, mask, "s", config.tiling)
+        source = fit_stats(tiles.pixels, config.tiling)
         adapter = AdapterModel(source, DomainStats(source.mean + [0.05, -0.03, 0.02],
                                                    source.std * 1.2))
         # every pixel scores positive, so every tile is selected
         keep_all = PixelSegmenter(weights=np.zeros(N_PIXEL_FEATURES), bias=1.0,
                                   feat_mean=np.zeros(N_PIXEL_FEATURES),
                                   feat_std=np.ones(N_PIXEL_FEATURES))
-        selection, _ = select_tiles(raster, "s", Models(keep_all, adapter=adapter),
-                                    config)
-        selected = selection.selected.pixels
-        expected = adapt_pixels(stack, adapter, config.tiling)
-        assert not np.array_equal(expected, adapt_pixels(stack, adapter))
-        assert np.array_equal(selected, expected)
+        embedding = embed_record(record, Models(keep_all, adapter=adapter), config)
+
+        def embed(pixels):
+            return pool(featurize_tiles(replace(tiles, pixels=pixels), config.tiling))
+
+        expected = adapt_pixels(tiles.pixels, adapter, config.tiling)
+        default_mask = adapt_pixels(tiles.pixels, adapter)
+        assert not np.array_equal(embed(expected), embed(default_mask))
+        assert np.array_equal(embedding, embed(expected))
 
 
 class TestRunCorpus:
@@ -183,7 +212,7 @@ class TestRunCorpus:
                                           config):
         run = run_corpus(small_corpus, small_models, config, workers=2,
                          global_seed=7)
-        assert len(run.specimens) == len(small_corpus.specimen_ids())
+        assert len(run.specimens) == len({r.specimen_id for r in small_corpus.records})
 
     def test_failed_slide_recorded_not_fatal(self, small_corpus,
                                              small_models, config, tmp_path):

@@ -1,7 +1,9 @@
 """The shared file layout: top-line and field-count checks, and round trips
 of every format written through it, with text fields that need quoting."""
 
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -244,7 +246,10 @@ def test_manifest_round_trip(path, rows):
     splits = {row[0]: row[4] for row in rows if row[4] is not None}
     manifest = DatasetManifest(records, splits)
     save_manifest(manifest, path)
-    assert load_manifest(path) == manifest
+    # the drawn raster paths are relative: loaded, they name files beside the manifest
+    resolved = [dataclasses.replace(r, raster_path=os.path.join(path.parent, r.raster_path))
+                for r in records]
+    assert load_manifest(path) == DatasetManifest(resolved, splits)
 
 
 @st.composite

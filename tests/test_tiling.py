@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wsitriage.manifest import ClassLabel
 from wsitriage.synthesis import default_lab_profiles, generate_slide, identity_profile
-from wsitriage.tiling import (BLOCK_PX, Tile, Tiles, TilingConfig, color_planes,
+from wsitriage.tiling import (BLOCK_PX, Tiles, TilingConfig, color_planes,
                               segment_tissue, tile, tissue_mask)
 
 
@@ -97,16 +97,19 @@ class TestSegmentTissue:
 
 def per_cell_tiles(raster, mask, config=TilingConfig()):
     """The tiles as the per-cell loop cut them before tile() gathered them
-    in one step: (origin, pixels, tissue fraction) of each kept cell, in
-    row-major order."""
+    in one step: (origin, pixels) of each kept cell, in row-major order."""
     t = config.tile_px
     kept = []
     for y in range(0, raster.shape[0] - t + 1, t):
         for x in range(0, raster.shape[1] - t + 1, t):
             frac = float(mask[y:y + t, x:x + t].mean(dtype=np.float64))
             if frac >= config.min_tissue_fraction:
-                kept.append(((y, x), raster[y:y + t, x:x + t], frac))
+                kept.append(((y, x), raster[y:y + t, x:x + t]))
     return kept
+
+
+def origins(tiles):
+    return [tuple(int(v) for v in o) for o in tiles.origins]
 
 
 class TestTile:
@@ -114,9 +117,8 @@ class TestTile:
         raster = np.full((256, 256, 3), 200, dtype=np.uint8)
         mask = np.ones((256, 256), dtype=bool)
         tiles = tile(raster, mask, "s")
-        assert [t.origin for t in tiles] == [(0, 0), (0, 128), (128, 0), (128, 128)]
-        assert all(t.pixels.shape == (128, 128, 3) for t in tiles)
-        assert all(t.tissue_fraction == 1.0 for t in tiles)
+        assert origins(tiles) == [(0, 0), (0, 128), (128, 0), (128, 128)]
+        assert tiles.pixels.shape == (4, 128, 128, 3)
 
     def test_blank_slide_no_tiles(self):
         raster = np.full((512, 512, 3), 235, dtype=np.uint8)
@@ -126,7 +128,7 @@ class TestTile:
         raster = np.full((300, 200, 3), 0, dtype=np.uint8)
         mask = np.ones((300, 200), dtype=bool)
         tiles = tile(raster, mask, "s")
-        assert [t.origin for t in tiles] == [(0, 0), (128, 0)]
+        assert origins(tiles) == [(0, 0), (128, 0)]
 
     def test_count_matches_brute_force(self):
         slide = generate_slide(ClassLabel.SQUAMOUS, identity_profile(), seed=8)
@@ -141,39 +143,33 @@ class TestTile:
             assert len(tiles) == len(expected)
             assert tiles.origins.shape == (len(expected), 2)
             assert tiles.pixels.shape == (len(expected), 128, 128, 3)
-            assert [tuple(o) for o in tiles.origins] == [o for o, _, _ in expected]
-            assert tiles.tissue_fractions.tolist() == [f for _, _, f in expected]
-            for got, (_, pixels, _) in zip(tiles.pixels, expected):
+            assert origins(tiles) == [o for o, _ in expected]
+            for got, (_, pixels) in zip(tiles.pixels, expected):
                 assert np.array_equal(got, pixels)
         assert len(tile(*cases[0], "s")) > 0 and len(tile(*cases[-1], "s")) == 0
 
-    def test_iteration_yields_tile_views_of_the_stack(self):
+    def test_row_selection_keeps_views_of_the_stack(self):
         slide = generate_slide(ClassLabel.BASALOID, identity_profile(), seed=2)
         tiles = tile(slide.raster, segment_tissue(slide.raster), "s")
-        items = list(tiles)
-        assert len(items) == len(tiles) > 1
-        for i, item in enumerate(items):
-            assert isinstance(item, Tile)
-            assert item.slide_id == "s"
-            assert item.origin == tuple(int(v) for v in tiles.origins[i])
-            assert item.tissue_fraction == tiles.tissue_fractions[i]
-            assert np.shares_memory(item.pixels, tiles.pixels)
-            assert np.array_equal(item.pixels, tiles.pixels[i])
-            assert tiles[i].origin == item.origin
-        part = tiles[1:3]
-        assert isinstance(part, Tiles) and part.slide_id == "s"
-        assert [t.origin for t in part] == [t.origin for t in items[1:3]]
+        assert len(tiles) > 3
+        picks = (slice(1, 3), np.array([0, 2]), np.arange(len(tiles)) % 2 == 0)
+        for rows in picks:
+            part = tiles[rows]
+            assert isinstance(part, Tiles) and part.slide_id == "s"
+            assert np.array_equal(part.origins, tiles.origins[rows])
+            assert np.array_equal(part.pixels, tiles.pixels[rows])
+        assert np.shares_memory(tiles[1:3].pixels, tiles.pixels)
 
     def test_no_overlap_and_in_bounds(self):
         slide = generate_slide(ClassLabel.OTHER, identity_profile(), seed=4)
         mask = segment_tissue(slide.raster)
         tiles = tile(slide.raster, mask, "s")
-        origins = [t.origin for t in tiles]
-        assert len(set(origins)) == len(origins)
-        for y, x in origins:
+        cut = origins(tiles)
+        assert len(set(cut)) == len(cut)
+        for y, x in cut:
             assert y % 128 == 0 and x % 128 == 0
             assert y + 128 <= 1024 and x + 128 <= 1536
-        assert origins == sorted(origins)  # canonical row-major order
+        assert cut == sorted(cut)  # canonical row-major order
 
     def test_mask_shape_mismatch(self):
         raster = np.zeros((128, 128, 3), dtype=np.uint8)
@@ -189,4 +185,4 @@ class TestTile:
         raster = np.zeros((256, 384, 3), dtype=np.uint8)
         strict = tile(raster, mask, "s", TilingConfig(min_tissue_fraction=high))
         loose = tile(raster, mask, "s", TilingConfig(min_tissue_fraction=low))
-        assert {t.origin for t in strict} <= {t.origin for t in loose}
+        assert set(origins(strict)) <= set(origins(loose))
