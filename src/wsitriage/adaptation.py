@@ -174,7 +174,7 @@ def save_adapter(model: AdapterModel, path) -> None:
 
 
 def load_adapter(path) -> AdapterModel:
-    v = read_arrays(path, ADAPTER_HEADER,
-                    ("source_mean", "source_std", "target_mean", "target_std"))
+    v = read_arrays(path, ADAPTER_HEADER, dict.fromkeys(
+        ("source_mean", "source_std", "target_mean", "target_std"), (3,)))
     return AdapterModel(source=DomainStats(v["source_mean"], v["source_std"]),
                         target=DomainStats(v["target_mean"], v["target_std"]))

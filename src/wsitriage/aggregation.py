@@ -154,21 +154,14 @@ def load_specimen_results(results_path, class_scores_path) -> list[SpecimenResul
     in each file, and one with a class needs its class scores: evaluate
     would count a repeated row twice and leave a specimen without class
     scores out of every ROC curve."""
-    means_by_id = {}
-    for lineno, (specimen_id, *means) in read_table(class_scores_path, CLASS_SCORES_HEAD,
-                                                    (str,) + (_probability,) * 4):
-        if specimen_id in means_by_id:
-            raise TableError(f"{class_scores_path}:{lineno}: repeated specimen "
-                             f"{specimen_id!r}")
-        means_by_id[specimen_id] = np.array(means)
+    means_by_id = {specimen_id: np.array(means) for _, (specimen_id, *means) in read_table(
+        class_scores_path, CLASS_SCORES_HEAD, (str,) + (_probability,) * 4)}
 
     columns = (str, FinalOutcome, optional(ClassLabel.from_token),
                optional(_probability), str, str)
     out = {}
     for lineno, (specimen_id, final, cls, s, _, source) in read_table(
             results_path, RESULTS_HEAD, columns):
-        if specimen_id in out:
-            raise TableError(f"{results_path}:{lineno}: repeated specimen {specimen_id!r}")
         if final is FinalOutcome.NO_ROI:
             out[specimen_id] = SpecimenResult(specimen_id, None, None, None, None)
         elif cls is None or s is None:

@@ -238,14 +238,15 @@ def accuracy(params: NetParams, x: np.ndarray, labels) -> float:
     return float(np.mean(np.asarray(preds) == labels))
 
 
-_PARAM_NAMES = ("w1", "b1", "w2", "b2")
+_PARAM_SHAPES = {"w1": (N_FEATURES, N_HIDDEN), "b1": (N_HIDDEN,),
+                 "w2": (N_HIDDEN, N_CLASSES), "b2": (N_CLASSES,)}
 
 
 def save_params(params: NetParams, path) -> None:
     write_arrays(path, CLASSIFIER_HEADER,
-                 {name: getattr(params, name) for name in _PARAM_NAMES})
+                 {name: getattr(params, name) for name in _PARAM_SHAPES})
 
 
 def load_params(path) -> NetParams:
-    v = read_arrays(path, CLASSIFIER_HEADER, _PARAM_NAMES)
-    return NetParams(*(v[name] for name in _PARAM_NAMES))
+    v = read_arrays(path, CLASSIFIER_HEADER, _PARAM_SHAPES)
+    return NetParams(*(v[name] for name in _PARAM_SHAPES))

@@ -48,7 +48,7 @@ def _load_config(args) -> Config:
     config = Config()
     if args.config is not None:
         try:
-            config = load_config(_require(args.config, "config"))
+            config = load_config(args.config)
         except ConfigError as exc:
             raise CliError(str(exc), code=USAGE_ERROR) from None
     for key in ("seed", "workers"):
@@ -57,16 +57,6 @@ def _load_config(args) -> Config:
     if config["workers"] < 1:
         raise CliError(f"workers must be >= 1, got {config['workers']}")
     return config
-
-
-def _require(path, kind="input"):
-    if not os.path.exists(path):
-        raise CliError(f"missing {kind} file: {path}")
-    return path
-
-
-def _load_manifest(path) -> DatasetManifest:
-    return load_manifest(_require(path, "manifest"))
 
 
 def cmd_synth(args) -> int:
@@ -103,7 +93,7 @@ def cmd_split(args) -> int:
         raise CliError(f"bad --ratios/--names value: {exc}", code=USAGE_ERROR) from None
     if len(names) != 3:
         raise CliError("need exactly three split names", code=USAGE_ERROR)
-    manifest = _load_manifest(args.manifest)
+    manifest = load_manifest(args.manifest)
     if args.lab is not None:
         records = [r for r in manifest.records if r.lab_id == args.lab]
         if not records:
@@ -120,7 +110,7 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args)
-    manifest = _load_manifest(args.manifest)
+    manifest = load_manifest(args.manifest)
     trained = train_models(manifest, config, workers=config["workers"])
     trained = dataclasses.replace(trained, thresholds=calibrate_reference(
         manifest, trained, config, workers=config["workers"],
@@ -134,11 +124,10 @@ def cmd_train(args) -> int:
 
 def cmd_calibrate(args) -> int:
     config = _load_config(args)
-    manifest = _load_manifest(args.manifest)
+    manifest = load_manifest(args.manifest)
     ref_paths = model_paths(args.models)
     del ref_paths["thresholds"]   # the reference thresholds play no part in calibration
-    reference = load_models({kind: _require(path, "model")
-                             for kind, path in ref_paths.items()})
+    reference = load_models(ref_paths)
     cal = calibrate_lab(manifest, reference, config, workers=config["workers"],
                         global_seed=config["seed"],
                         with_adaptation=not args.no_adaptation)
@@ -151,9 +140,9 @@ def cmd_calibrate(args) -> int:
 
 def cmd_run(args) -> int:
     config = _load_config(args)
-    manifest = _load_manifest(args.manifest)
+    manifest = load_manifest(args.manifest)
     paths = model_paths(args.models, args.lab)
-    models = load_models({kind: _require(path, "model") for kind, path in paths.items()})
+    models = load_models(paths)
     try:
         split = Split(args.split) if args.split else None
     except ValueError:
@@ -189,12 +178,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    manifest = _load_manifest(args.manifest)
-    specimens = load_specimen_results(
-        _require(os.path.join(args.run, "specimen_results.csv"), "results"),
-        _require(os.path.join(args.run, "class_scores.csv"), "class scores"))
-    thresholds = load_thresholds(
-        _require(os.path.join(args.run, "thresholds.txt"), "thresholds"))
+    manifest = load_manifest(args.manifest)
+    specimens = load_specimen_results(os.path.join(args.run, "specimen_results.csv"),
+                                      os.path.join(args.run, "class_scores.csv"))
+    thresholds = load_thresholds(os.path.join(args.run, "thresholds.txt"))
     report = evaluate(specimens, manifest.truth_by_specimen(), thresholds)
     if args.out:
         write_report(report, args.out)
@@ -205,9 +192,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    timings = load_timings(_require(os.path.join(args.run, "timings.csv"), "timings"))
-    run_manifest = load_run_manifest(
-        _require(os.path.join(args.run, "run_manifest.txt"), "run manifest"))
+    timings = load_timings(os.path.join(args.run, "timings.csv"))
+    run_manifest = load_run_manifest(os.path.join(args.run, "run_manifest.txt"))
     print(format_profile(profile(timings, wall_ms=run_manifest["wall_ms"])))
     return 0
 
@@ -288,9 +274,14 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except OSError as exc:
+        # a file that cannot be opened or read: missing, a directory, unreadable
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename is not None
+              else f"error: {exc}", file=sys.stderr)
+        return DATA_ERROR
     except ValueError as exc:
-        # library-level validation failures (ManifestError, ConfigError
-        # and the rest) are data errors
+        # malformed input (each reader's error names path:line) and the
+        # library's other validation failures are data errors
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -187,4 +187,7 @@ def load_thresholds(path) -> ThresholdSet:
                              f"got {level!r}")
         targets.append(target)
         values.append(value)
-    return ThresholdSet(targets=tuple(targets), values=tuple(values))
+    try:
+        return ThresholdSet(targets=tuple(targets), values=tuple(values))
+    except ValueError as exc:
+        raise TableError(f"{path}: {exc}") from None

@@ -8,11 +8,13 @@ by that module (tiling.*, roi.*, confidence.*, classifier.*).
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 
 from .classifier import TrainConfig
 from .confidence import DEFAULT_T, DEFAULT_TARGETS, _target
 from .roi import THETA_ROI
+from .tables import TableError, finite, read_text
 from .tiling import TilingConfig
 
 _TILING = TilingConfig()
@@ -35,21 +37,21 @@ CONFIG_KEYS = {
     "seed": (int, 0, "global seed for corpus generation and inference"),
     "workers": (int, 1, "worker processes for corpus generation and runs"),
     "paths.workdir": (str, "triage-work", "default base directory for outputs"),
-    "tiling.s_min": (float, _TILING.s_min, "tissue saturation floor"),
-    "tiling.l_max": (float, _TILING.l_max, "tissue luminance ceiling"),
-    "tiling.min_tissue_fraction": (float, _TILING.min_tissue_fraction,
+    "tiling.s_min": (finite, _TILING.s_min, "tissue saturation floor"),
+    "tiling.l_max": (finite, _TILING.l_max, "tissue luminance ceiling"),
+    "tiling.min_tissue_fraction": (finite, _TILING.min_tissue_fraction,
                                    "minimum tissue fraction to keep a tile"),
     "tiling.tile_px": (int, _TILING.tile_px, "tile edge length in pixels"),
-    "roi.theta": (float, THETA_ROI, "positive fraction needed to select a tile"),
+    "roi.theta": (finite, THETA_ROI, "positive fraction needed to select a tile"),
     "confidence.T": (int, DEFAULT_T, "prediction repetitions per slide"),
-    "confidence.keep_prob": (float, _TRAIN.keep_prob, "hidden-unit keep probability"),
+    "confidence.keep_prob": (finite, _TRAIN.keep_prob, "hidden-unit keep probability"),
     "confidence.targets": (_parse_targets, DEFAULT_TARGETS,
                            "accuracy targets for confidence levels"),
     "classifier.epochs": (int, _TRAIN.epochs, "training epochs"),
-    "classifier.learning_rate": (float, _TRAIN.learning_rate, "training learning rate"),
+    "classifier.learning_rate": (finite, _TRAIN.learning_rate, "training learning rate"),
     "classifier.batch_size": (int, _TRAIN.batch_size, "training minibatch size"),
     "classifier.seed": (int, _TRAIN.seed, "training seed"),
-    "classifier.finetune_lr_scale": (float, _TRAIN.finetune_lr_scale,
+    "classifier.finetune_lr_scale": (finite, _TRAIN.finetune_lr_scale,
                                      "fine-tuning learning-rate factor"),
     "classifier.finetune_epochs": (int, _TRAIN.finetune_epochs, "fine-tuning epochs"),
 }
@@ -112,22 +114,26 @@ class Config:
 
 
 def load_config(path) -> Config:
-    """The config a key=value file sets; a malformed line, an unknown or
-    repeated key and a bad value are rejected at path:line."""
+    """The config a key=value UTF-8 file sets; a byte that is not UTF-8, a
+    malformed line, an unknown or repeated key and a bad value (a number
+    that is NaN or infinite among them) are rejected at path:line."""
+    try:
+        text = read_text(path)
+    except TableError as exc:   # a byte that is not UTF-8
+        raise ConfigError(str(exc)) from None
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: repeated config key {key!r}")
-            try:
-                _parse(key, value)
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            values[key] = value
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: repeated config key {key!r}")
+        try:
+            _parse(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        values[key] = value
     return Config(values)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tables import TableError, optional, read_table, write_table
+from .tables import optional, read_table, write_table
 
 MANIFEST_HEADER = "wsi-triage-manifest v1"
 
@@ -160,10 +160,6 @@ def build_splits(
     return DatasetManifest(records=list(manifest.records), splits=split_map)
 
 
-# Every file reader raises TableError; the CLI and callers catch it by this name.
-ManifestError = TableError
-
-
 def save_manifest(manifest: DatasetManifest, path) -> None:
     """One record per row: slide_id,specimen_id,lab_id,truth,split,raster_path."""
     rows = []
@@ -188,13 +184,9 @@ def load_manifest(path) -> DatasetManifest:
 
     records: list[SlideRecord] = []
     splits: dict[str, Split] = {}
-    seen = set()
     columns = (str, str, str, ClassLabel.from_token, optional(Split), raster)
-    for lineno, row in read_table(path, [MANIFEST_HEADER], columns):
+    for _, row in read_table(path, [MANIFEST_HEADER], columns):
         slide_id, specimen_id, lab_id, label, split, raster_path = row
-        if slide_id in seen:
-            raise ManifestError(f"{path}:{lineno}: duplicate slide_id {slide_id!r}")
-        seen.add(slide_id)
         records.append(SlideRecord(slide_id, specimen_id, lab_id, label, raster_path))
         if split is not None:
             splits[slide_id] = split

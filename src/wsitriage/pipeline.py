@@ -30,7 +30,7 @@ from .parallel import pmap
 from .pnm import read_ppm
 from . import tiling
 from .roi import PixelSegmenter, load_segmenter, save_segmenter, segment_tiles, select
-from .tables import TableError, read_table, write_table
+from .tables import TableError, finite, read_table, write_table
 
 RUN_MANIFEST_HEAD = ("wsi-triage-run v2", "key,value")
 
@@ -288,7 +288,7 @@ def save_timings(timings, path) -> None:
 
 
 def load_timings(path):
-    columns = [_outcome if name == "outcome" else convert
+    columns = [_outcome if name == "outcome" else finite if convert is float else convert
                for name, convert in _TIMING_FIELDS.items()]
     return [StageTiming(*row) for _, row in read_table(path, TIMINGS_HEAD, columns)]
 
@@ -304,7 +304,7 @@ def _file_digest(path) -> str:
 # the typed fields of a run manifest; model.<kind> and config.<key> rows
 # are text
 _RUN_FIELDS = {"run_id": str, "global_seed": int, "worker_count": int,
-               "input_manifest": str, "wall_ms": float}
+               "input_manifest": str, "wall_ms": finite}
 
 
 def save_run_manifest(path, run_id: str, global_seed: int, workers: int,
@@ -325,8 +325,6 @@ def load_run_manifest(path) -> dict:
     """key -> value of a run manifest written by save_run_manifest."""
     fields = {}
     for lineno, (key, value) in read_table(path, RUN_MANIFEST_HEAD, (str, str)):
-        if key in fields:
-            raise TableError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             fields[key] = _RUN_FIELDS.get(key, str)(value)
         except ValueError as exc:

@@ -75,6 +75,8 @@ def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
         buf = fh.read(n)
         if len(buf) != n:
             raise PNMError(f"{path}: truncated pixel data ({len(buf)} of {n} bytes)")
+        if fh.read(1):
+            raise PNMError(f"{path}: bytes after the {n} bytes of pixel data")
     arr = np.frombuffer(buf, dtype=np.uint8)
     if channels == 1:
         return arr.reshape(h, w)

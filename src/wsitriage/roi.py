@@ -144,6 +144,8 @@ def save_segmenter(model: PixelSegmenter, path) -> None:
 
 
 def load_segmenter(path) -> PixelSegmenter:
-    v = read_arrays(path, SEGMENTER_HEADER, ("weights", "bias", "feat_mean", "feat_std"))
+    v = read_arrays(path, SEGMENTER_HEADER, {
+        "weights": (N_PIXEL_FEATURES,), "bias": (),
+        "feat_mean": (N_PIXEL_FEATURES,), "feat_std": (N_PIXEL_FEATURES,)})
     return PixelSegmenter(weights=v["weights"], bias=float(v["bias"]),
                           feat_mean=v["feat_mean"], feat_std=v["feat_std"])

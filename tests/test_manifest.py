@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsitriage.manifest import (ClassLabel, DatasetManifest, ManifestError,
-                                SlideRecord, Split, build_splits,
-                                load_manifest, save_manifest)
+from wsitriage.manifest import (ClassLabel, DatasetManifest, SlideRecord, Split,
+                                build_splits, load_manifest, save_manifest)
+from wsitriage.tables import TableError
 
 
 def make_manifest(n_specimens, slides_per_specimen=1):
@@ -120,19 +120,19 @@ class TestManifestIO:
         path.write_text("wsi-triage-manifest v1\n"
                         "a,sp1,lab,Basaloid,,x.ppm\n"
                         "a,sp2,lab,Other,,y.ppm\n")
-        with pytest.raises(ManifestError, match=":3"):
+        with pytest.raises(TableError, match=":3"):
             load_manifest(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("not-a-manifest\n")
-        with pytest.raises(ManifestError, match=":1"):
+        with pytest.raises(TableError, match=":1"):
             load_manifest(path)
 
     def test_bad_field_count(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("wsi-triage-manifest v1\na,b,c\n")
-        with pytest.raises(ManifestError, match=":2"):
+        with pytest.raises(TableError, match=":2"):
             load_manifest(path)
 
     def test_empty_raster_path_names_line(self, tmp_path):
@@ -140,16 +140,16 @@ class TestManifestIO:
         path.write_text("wsi-triage-manifest v1\n"
                         "a,sp1,lab,Basaloid,,x.ppm\n"
                         "b,sp2,lab,Other,,\n")
-        with pytest.raises(ManifestError, match=":3: empty raster_path"):
+        with pytest.raises(TableError, match=":3: empty raster_path"):
             load_manifest(path)
 
     def test_unknown_label_and_split(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("wsi-triage-manifest v1\na,sp,lab,Spindle,,x.ppm\n")
-        with pytest.raises(ManifestError):
+        with pytest.raises(TableError):
             load_manifest(path)
         path.write_text("wsi-triage-manifest v1\na,sp,lab,Other,Dev,x.ppm\n")
-        with pytest.raises(ManifestError):
+        with pytest.raises(TableError):
             load_manifest(path)
 
     def test_duplicate_in_constructor(self):

@@ -357,7 +357,7 @@ class TestRunManifest:
 
     @pytest.mark.parametrize("edit, error", [
         (lambda t: t.replace("wall_ms,1.0", "wall_ms,fast"), ":7: could not convert"),
-        (lambda t: t + "global_seed,3\n", r":\d+: duplicate key 'global_seed'"),
+        (lambda t: t + "global_seed,3\n", r":\d+: repeated key 'global_seed'"),
         (lambda t: t.replace("wall_ms,1.0\n", ""), r": missing keys \['wall_ms'\]"),
     ])
     def test_malformed_run_manifest_names_path(self, tmp_path, config, edit, error):
