@@ -133,8 +133,9 @@ def adapt_pixels(pixels: np.ndarray, model: AdapterModel,
     transfer would tint it into phantom tissue.  A pixel's result depends
     on its RGB code alone, so the tissue test and the transfer run once
     per distinct code (the palette) and are scattered back to the pixels:
-    one sort of (code << 32 | position) keys finds the palette as runs of
-    equal codes and, in its low half, where each pixel goes.
+    one sort of (position, code) uint32 pairs, read as little-endian
+    uint64 keys (code << 32 | position), finds the palette as runs of
+    equal codes and, in each key's low half, where each pixel goes.
     """
     out = np.asarray(pixels, dtype=np.uint8).copy()
     if model.is_identity:
@@ -142,18 +143,18 @@ def adapt_pixels(pixels: np.ndarray, model: AdapterModel,
     if out.size == 0:
         raise ValueError("empty raster")
     flat = out.reshape(-1, 3)
-    keys = _pack(flat).astype(np.uint64)
-    keys <<= np.uint64(32)
-    keys |= np.arange(len(flat), dtype=np.uint64)
-    keys.sort()
-    sorted_codes = (keys >> np.uint64(32)).astype(np.uint32)
+    keys = np.empty((len(flat), 2), dtype="<u4")
+    keys[:, 0] = np.arange(len(flat), dtype=np.uint32)
+    keys[:, 1] = _pack(flat)
+    keys.view("<u8").reshape(-1).sort()
+    positions, sorted_codes = keys[:, 0], keys[:, 1]
     starts = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
     palette = _unpack(sorted_codes[np.concatenate(([0], starts))])
     tissue = segment_tissue(palette, config)
     palette[tissue] = _transfer(palette[tissue], model)
     counts = np.diff(np.concatenate(([0], starts, [len(flat)])))
     codes = np.empty(len(flat), dtype=np.uint32)
-    codes[(keys & np.uint64(0xFFFFFFFF)).astype(np.intp)] = np.repeat(_pack(palette), counts)
+    codes[positions] = np.repeat(_pack(palette), counts)
     _unpack(codes, flat)
     return out
 

@@ -16,8 +16,7 @@ import numpy as np
 
 from .manifest import N_CLASSES, stable_seed
 from .tables import read_arrays, write_arrays
-from .tiling import (Tiles, TilingConfig, blocks, color_planes,
-                     gradient_magnitude, tissue_mask)
+from .tiling import Tiles, TilingConfig, blocks, pixel_planes, tissue_mask
 
 CLASSIFIER_HEADER = "wsi-triage-classifier v2"
 
@@ -38,18 +37,19 @@ def featurize_tiles(tiles: Tiles, config: TilingConfig = TilingConfig()) -> np.n
     pixels = tiles.pixels
     features = np.empty((len(pixels), N_FEATURES))
     for rows in blocks(pixels):
-        features[rows] = _block_features(pixels[rows], config)
+        planes = pixel_planes(pixels[rows])
+        features[rows] = block_features(pixels[rows], planes.saturation, planes.luma,
+                                        planes.grad, config)
     return features
 
 
-def _block_features(stack: np.ndarray, config: TilingConfig) -> np.ndarray:
-    """featurize_tiles' rows of one (n, H, W, 3) block, in one vectorized
-    pass."""
-    saturation, luma = color_planes(stack)
+def block_features(stack: np.ndarray, saturation: np.ndarray, luma: np.ndarray,
+                   grad: np.ndarray, config: TilingConfig) -> np.ndarray:
+    """featurize_tiles' rows of an (n, H, W, 3) uint8 block whose
+    pixel_planes are saturation, luma and grad, in one vectorized pass."""
     masks = tissue_mask(saturation, luma, config)
-    grad_bins = np.minimum(
-        (gradient_magnitude(luma) * (N_GRAD_BINS / GRAD_RANGE)).astype(np.intp),
-        N_GRAD_BINS - 1)
+    grad_bins = np.minimum((grad * (N_GRAD_BINS / GRAD_RANGE)).astype(np.intp),
+                           N_GRAD_BINS - 1)
 
     # one bincount per histogram kind over all tiles: tile i counts into
     # bins [16 i, 16 i + 16); non-tissue pixels count into a spare last tile
@@ -61,15 +61,15 @@ def _block_features(stack: np.ndarray, config: TilingConfig) -> np.ndarray:
                     minlength=(n + 1) * N_COLOR_BINS)[:n * N_COLOR_BINS]
         .reshape(n, N_COLOR_BINS)
         for c in range(3)], axis=1)
-    grad = np.bincount((grad_bins + offsets).reshape(-1),
-                       minlength=n * N_GRAD_BINS).reshape(n, N_GRAD_BINS)
+    grad_hist = np.bincount((grad_bins + offsets).reshape(-1),
+                            minlength=n * N_GRAD_BINS).reshape(n, N_GRAD_BINS)
 
     # a tile without tissue keeps uniform color histograms
     n_tissue = masks.sum(axis=(1, 2))[:, None, None]
     color_hists = np.full((n, 3, N_COLOR_BINS), 1.0 / N_COLOR_BINS)
     np.divide(color, n_tissue, out=color_hists, where=n_tissue > 0)
     return np.concatenate([color_hists.reshape(n, 3 * N_COLOR_BINS),
-                           grad / grad.sum(axis=1, keepdims=True)], axis=1)
+                           grad_hist / grad_hist.sum(axis=1, keepdims=True)], axis=1)
 
 
 def pool(features: np.ndarray) -> np.ndarray:

@@ -3,13 +3,18 @@ with repeated masked prediction, score; plus parallel corpus execution and
 a per-slide record of outcome, tile counts and stage times.
 
 Parallelism is per slide; every slide's stochastic stream is seeded from
-(global seed, slide_id), so results are a pure function of the inputs and
-identical at any worker count or schedule.  Failing slides yield error
-records, never abort a corpus run.
+(global seed, slide_id), so results are identical at any worker count or
+schedule.  On one BLAS kernel they are a pure function of the inputs.
+Read, segment, tile, ROI, featurize and pool call no BLAS routine, so
+their bits are the same on any OpenBLAS kernel; adapt's 3x3 colour
+products, classify's 64 -> 32 -> 4 products and the training of every
+model run through BLAS, and another kernel can move their last bits.
+Failing slides yield error records, never abort a corpus run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import os
@@ -21,7 +26,7 @@ import numpy as np
 
 from .adaptation import AdapterModel, adapt_tiles, load_adapter, save_adapter
 from .aggregation import SLIDE_OUTCOMES, SlideResult, aggregate
-from .classifier import NetParams, featurize_tiles, load_params, pool, save_params
+from .classifier import NetParams, block_features, load_params, pool, save_params
 from .config import Config
 from .confidence import (ThresholdSet, load_thresholds, mc_predict, save_thresholds,
                          score)
@@ -29,7 +34,7 @@ from .manifest import DatasetManifest, SlideRecord, Split, stable_seed
 from .parallel import pmap
 from .pnm import read_ppm
 from . import tiling
-from .roi import PixelSegmenter, load_segmenter, save_segmenter, segment_tiles, select
+from .roi import PixelSegmenter, load_segmenter, positive_fractions, save_segmenter
 from .tables import TableError, finite, read_table, write_table
 
 RUN_MANIFEST_HEAD = ("wsi-triage-run v2", "key,value")
@@ -115,16 +120,30 @@ def _outcome(text):
 
 
 class _Laps(dict):
-    """StageTiming fields by name: lap(stage) records the milliseconds
-    since the previous lap (or since creation) as <stage>_ms."""
+    """StageTiming fields by name: lap(stage) adds the milliseconds since
+    the previous lap (or since creation) to <stage>_ms."""
 
     def __init__(self):
         self.t0 = time.perf_counter()
 
     def lap(self, stage: str) -> None:
         now = time.perf_counter()
-        self[f"{stage}_ms"] = (now - self.t0) * 1000.0
+        self._add(stage, now - self.t0)
         self.t0 = now
+
+    @contextlib.contextmanager
+    def aside(self, stage: str):
+        """Add the time of the enclosed work to <stage>_ms and leave it out
+        of the lap it interrupts."""
+        start = time.perf_counter()
+        yield
+        seconds = time.perf_counter() - start
+        self._add(stage, seconds)
+        self.t0 += seconds
+
+    def _add(self, stage: str, seconds: float) -> None:
+        key = f"{stage}_ms"
+        self[key] = self.get(key, 0.0) + seconds * 1000.0
 
 
 def slide_tiles(record: SlideRecord, config: Config, laps: _Laps | None = None):
@@ -146,18 +165,34 @@ def embed_record(record: SlideRecord, models: Models, config: Config,
     """The slide's embedding, or None when no tile is selected: read,
     segment, tile, adapt, select ROIs, featurize and pool, the one path
     from a SlideRecord to its embedding.  Each stage's lap and the tile
-    counts go into laps when given."""
+    counts go into laps when given.
+
+    The adapted tiles are taken once, a block at a time (tiling.blocks):
+    the block's pixel_planes give its positive fractions, and the same
+    planes give the features of the tiles select would keep.  The
+    embedding is bitwise pool(featurize_tiles(select(tiles,
+    segment_tiles(tiles, ...)).selected)); the features' share of each
+    block counts as featurize time, the rest as roi."""
     laps = _Laps() if laps is None else laps
     tiles = slide_tiles(record, config, laps)
-    tiles = adapt_tiles(tiles, models.adapter, config.tiling)
+    pixels = adapt_tiles(tiles, models.adapter, config.tiling).pixels
     laps.lap("adapt")
-    fractions = segment_tiles(tiles, models.segmenter)
-    selection = select(tiles, fractions, theta=config["roi.theta"])
+    theta, features = config["roi.theta"], []
+    for rows in tiling.blocks(pixels):
+        block = pixels[rows]
+        planes = tiling.pixel_planes(block)
+        keep = positive_fractions(planes, models.segmenter) >= theta   # select's rule
+        if keep.any():
+            with laps.aside("featurize"):
+                features.append(block_features(
+                    block[keep], planes.saturation[keep], planes.luma[keep],
+                    planes.grad[keep], config.tiling))
     laps.lap("roi")
-    laps.update(n_tiles=len(tiles), n_roi_tiles=len(selection))
-    if selection.empty:
+    n_roi_tiles = sum(len(f) for f in features)
+    laps.update(n_tiles=len(pixels), n_roi_tiles=n_roi_tiles)
+    if not n_roi_tiles:
         return None
-    embedding = pool(featurize_tiles(selection.selected, config.tiling))
+    embedding = pool(np.concatenate(features))
     laps.lap("featurize")
     return embedding
 

@@ -6,6 +6,8 @@ bit-exact round-trippable and inspectable with standard image tools.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 
@@ -72,9 +74,12 @@ def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
         if maxval != 255:
             raise PNMError(f"{path}: unsupported maxval {maxval} (only 8-bit)")
         n = w * h * channels
+        # the header's claim is checked against the file before any read,
+        # so a forged size never becomes a request for that many bytes
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size < n:
+            raise PNMError(f"{path}: truncated pixel data ({size} of {n} bytes)")
         buf = fh.read(n)
-        if len(buf) != n:
-            raise PNMError(f"{path}: truncated pixel data ({len(buf)} of {n} bytes)")
         if fh.read(1):
             raise PNMError(f"{path}: bytes after the {n} bytes of pixel data")
     arr = np.frombuffer(buf, dtype=np.uint8)

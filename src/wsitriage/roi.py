@@ -18,7 +18,7 @@ from scipy import ndimage
 
 from .manifest import stable_seed
 from .tables import read_arrays, write_arrays
-from .tiling import Tiles, blocks, color_planes, gradient_magnitude
+from .tiling import Planes, Tiles, blocks, pixel_planes
 
 THETA_ROI = 0.05
 
@@ -27,21 +27,28 @@ SEGMENTER_HEADER = "wsi-triage-segmenter v2"
 N_PIXEL_FEATURES = 7
 
 
+def _feature_planes(planes: Planes):
+    """pixel_features' 7 planes in its order, each made when it is asked
+    for: rgb, saturation, darkness, gradient, local std."""
+    for channel in (planes.r, planes.g, planes.b):
+        yield channel / np.float32(255.0)
+    yield planes.saturation
+    yield np.float32(1.0) - planes.luma
+    yield planes.grad
+    luma = planes.luma
+    size = (1,) * (luma.ndim - 2) + (5, 5)
+    m = ndimage.uniform_filter(luma, size=size, mode="nearest")
+    m2 = ndimage.uniform_filter(luma * luma, size=size, mode="nearest")
+    m *= m
+    m2 -= m
+    yield np.sqrt(np.maximum(m2, np.float32(0.0), out=m2), out=m2)
+
+
 def pixel_features(pixels: np.ndarray) -> np.ndarray:
     """(..., H, W, 7) feature stack: rgb, saturation, darkness, gradient,
     local std.  Accepts one tile (H, W, 3) or a stack (N, H, W, 3); the
     local filters never mix pixels across tiles."""
-    pixels = np.asarray(pixels).astype(np.float32)   # each channel converted once
-    one = np.float32(1.0)
-    r, g, b = (pixels[..., c] / np.float32(255.0) for c in range(3))
-    saturation, luma = color_planes(pixels)
-    del pixels   # held to the end, the float32 stack would raise the peak memory
-    grad = gradient_magnitude(luma)
-    size = (1,) * (luma.ndim - 2) + (5, 5)
-    m = ndimage.uniform_filter(luma, size=size, mode="nearest")
-    m2 = ndimage.uniform_filter(luma * luma, size=size, mode="nearest")
-    local_std = np.sqrt(np.maximum(m2 - m * m, np.float32(0.0)))
-    return np.stack([r, g, b, saturation, one - luma, grad, local_std], axis=-1)
+    return np.stack(list(_feature_planes(pixel_planes(pixels))), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -64,24 +71,44 @@ class PixelSegmenter:
     feat_std: np.ndarray
 
     def scores(self, pixels: np.ndarray) -> np.ndarray:
-        """Per-pixel logits; standardization is folded into the weights so
-        the whole map is one float32 matmul."""
-        folded_w = (self.weights / self.feat_std).astype(np.float32)
-        folded_b = np.float32(self.bias - float((self.feat_mean / self.feat_std)
-                                                @ self.weights))
-        return pixel_features(pixels) @ folded_w + folded_b
+        """Per-pixel float32 logits of a tile or a stack of tiles."""
+        return self.logits(pixel_planes(pixels))
+
+    def logits(self, planes: Planes) -> np.ndarray:
+        """Per-pixel float32 logits from planes already taken.  The
+        standardization is folded into the weights and the bias, and the
+        7 weighted feature planes are added one at a time in
+        pixel_features' order, then the bias: no feature stack is built,
+        and no BLAS kernel decides the order of the sum."""
+        weights = (self.weights / self.feat_std).astype(np.float32)
+        shift = 0.0
+        for mean, std, weight in zip(self.feat_mean, self.feat_std, self.weights):
+            shift += float(mean / std * weight)
+        feature_planes = _feature_planes(planes)
+        logits = next(feature_planes) * weights[0]
+        term = np.empty_like(logits)
+        for weight, plane in zip(weights[1:], feature_planes):
+            logits += np.multiply(plane, weight, out=term)
+        logits += np.float32(self.bias - shift)
+        return logits
 
 
 def segment_tiles(tiles: Tiles, model: PixelSegmenter) -> np.ndarray:
-    """(N,) positive fractions of the (adapted) tiles' lesion maps; a pixel
-    is positive at threshold 0.5 on the logistic output, i.e. 0 on the
-    logit.  The logits are taken a block of whole tiles at a time (see
-    tiling.blocks), and only each block's fractions are kept."""
+    """(N,) positive fractions of the (adapted) tiles' lesion maps.  The
+    logits are taken a block of whole tiles at a time (see tiling.blocks),
+    and only each block's fractions are kept."""
     pixels = tiles.pixels
     fractions = np.empty(len(pixels))
     for rows in blocks(pixels):
-        fractions[rows] = (model.scores(pixels[rows]) >= 0.0).mean(axis=(1, 2))
+        fractions[rows] = positive_fractions(pixel_planes(pixels[rows]), model)
     return fractions
+
+
+def positive_fractions(planes: Planes, model: PixelSegmenter) -> np.ndarray:
+    """(N,) positive fractions of the lesion maps of a stack of tiles whose
+    pixel_planes are planes; a pixel is positive at threshold 0.5 on the
+    logistic output, i.e. 0 on the logit."""
+    return (model.logits(planes) >= 0.0).mean(axis=(1, 2))
 
 
 def select(tiles: Tiles, fractions, theta: float = THETA_ROI) -> ROISelection:

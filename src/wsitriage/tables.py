@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 _ARRAY_COLUMNS = "name,shape,values"
+_ECHO_CHARS = 80   # of a mismatched top line, echoed in its error
 
 
 class TableError(ValueError):
@@ -70,7 +71,10 @@ def read_table(path, head, columns):
     for lineno, expected in enumerate(head, start=1):
         line = lines.readline().rstrip("\r\n")
         if line != expected:
-            raise TableError(f"{path}:{lineno}: expected {expected!r}, got {line!r}")
+            got = repr(line[:_ECHO_CHARS])
+            if len(line) > _ECHO_CHARS:
+                got += f"... ({len(line)} characters)"
+            raise TableError(f"{path}:{lineno}: expected {expected!r}, got {got}")
     reader = csv.reader(lines, strict=True)
     start = len(head) + 1
     key_lines = {}

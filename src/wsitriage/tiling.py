@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,16 +59,31 @@ class Tiles:
 
 def color_planes(pixels: np.ndarray):
     """(saturation, luma) float32 planes of an (..., 3) RGB stack, uint8 or
-    already float32 over 0..255.
+    float32 over 0..255.
 
     Saturation is (max - min) / max over the raw 0..255 channel levels;
     luma is Rec. 601 luma divided by 255, on the normalized 0..1 scale.
     """
-    r, g, b = (pixels[..., c].astype(np.float32, copy=False) for c in range(3))
-    mx = np.maximum(np.maximum(r, g), b)
-    mn = np.minimum(np.minimum(r, g), b)
-    saturation = (mx - mn) / np.maximum(mx, np.float32(1e-12))
-    luma = np.float32(0.299) * r + np.float32(0.587) * g + np.float32(0.114) * b
+    return _saturation_luma(*_channels(pixels))
+
+
+def _channels(pixels: np.ndarray) -> list:
+    """The r, g and b planes of an (..., 3) stack, as contiguous float32."""
+    return [pixels[..., c].astype(np.float32) for c in range(3)]
+
+
+def _saturation_luma(r: np.ndarray, g: np.ndarray, b: np.ndarray):
+    """color_planes of the channel planes, written into as few new planes
+    as the operations allow."""
+    mx = np.maximum(r, g)
+    np.maximum(mx, b, out=mx)
+    saturation = np.minimum(r, g)
+    np.minimum(saturation, b, out=saturation)
+    np.subtract(mx, saturation, out=saturation)
+    saturation /= np.maximum(mx, np.float32(1e-12), out=mx)
+    luma = np.float32(0.299) * r
+    luma += np.multiply(np.float32(0.587), g, out=mx)
+    luma += np.multiply(np.float32(0.114), b, out=mx)
     luma /= np.float32(255.0)
     return saturation, luma
 
@@ -76,6 +92,25 @@ def gradient_magnitude(plane: np.ndarray) -> np.ndarray:
     """Central-difference gradient magnitude over the last two axes, so a
     stack of tiles never mixes pixels across tiles."""
     return np.hypot(np.gradient(plane, axis=-2), np.gradient(plane, axis=-1))
+
+
+class Planes(NamedTuple):
+    """The float32 planes of one tile or a stack of tiles that the ROI
+    logit and the tile features read, each taken once (pixel_planes)."""
+    r: np.ndarray            # the channels over 0..255
+    g: np.ndarray
+    b: np.ndarray
+    saturation: np.ndarray   # color_planes
+    luma: np.ndarray
+    grad: np.ndarray         # gradient_magnitude(luma)
+
+
+def pixel_planes(pixels: np.ndarray) -> Planes:
+    """The Planes of an (H, W, 3) tile or an (N, H, W, 3) stack of uint8
+    pixels; each channel is cast to float32 once."""
+    channels = _channels(np.asarray(pixels))
+    saturation, luma = _saturation_luma(*channels)
+    return Planes(*channels, saturation, luma, gradient_magnitude(luma))
 
 
 def segment_tissue(raster: np.ndarray, config: TilingConfig = TilingConfig()) -> np.ndarray:

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wsitriage.adaptation import AdapterModel, DomainStats, adapt_pixels, fit_stats
+from wsitriage.adaptation import (AdapterModel, DomainStats, adapt_pixels, adapt_tiles,
+                                  fit_stats)
 from wsitriage.classifier import featurize_tiles, pool
 from wsitriage.config import Config
 from wsitriage.manifest import (ClassLabel, DatasetManifest, SlideRecord, Split,
@@ -13,7 +14,7 @@ from wsitriage.pipeline import (Models, StageTiming, embed_record, format_profil
                                 load_run_manifest, load_timings, profile, run_corpus,
                                 run_slide, save_run_manifest, save_timings)
 from wsitriage.pnm import write_ppm
-from wsitriage.roi import N_PIXEL_FEATURES, PixelSegmenter
+from wsitriage.roi import N_PIXEL_FEATURES, PixelSegmenter, segment_tiles, select
 from wsitriage import tiling
 from wsitriage.synthesis import (default_lab_profiles, generate_corpus, generate_slide,
                                  identity_profile)
@@ -107,9 +108,10 @@ class TestRunSlide:
 
     def test_error_after_read_same_from_run_slide_and_run_corpus(
             self, small_corpus, small_models, config, monkeypatch):
-        def boom(tiles, model):
+        def boom(planes, model):
             raise RuntimeError("segmenter failed, on purpose")
-        monkeypatch.setattr(pipeline, "segment_tiles", boom)
+        # the ROI stage's per-block call
+        monkeypatch.setattr(pipeline, "positive_fractions", boom)
         records = sorted(small_corpus.records, key=lambda r: r.slide_id)[:2]
         alone = [run_slide(record, small_models, config, 0) for record in records]
         for result, timing in alone:
@@ -139,7 +141,64 @@ class TestRunSlide:
         assert not np.array_equal(a.matrix, c.matrix)   # seed matters
 
 
+def constant_segmenter(bias):
+    """A segmenter whose every logit is bias: every tile is selected for a
+    positive bias, none for a negative one."""
+    return PixelSegmenter(weights=np.zeros(N_PIXEL_FEATURES), bias=bias,
+                          feat_mean=np.zeros(N_PIXEL_FEATURES),
+                          feat_std=np.ones(N_PIXEL_FEATURES))
+
+
+@pytest.fixture(scope="module")
+def lab_a_records(tmp_path_factory):
+    """Three lab_a slides on disk: Basaloid, Melanocytic and Other."""
+    out = tmp_path_factory.mktemp("lab-a")
+    lab_a = {p.lab_id: p for p in default_lab_profiles()}["lab_a"]
+    records = []
+    for i, label in enumerate([ClassLabel.BASALOID, ClassLabel.MELANOCYTIC,
+                               ClassLabel.OTHER]):
+        path = str(out / f"s{i}.ppm")
+        write_ppm(path, generate_slide(label, lab_a, 40 + i).raster)
+        records.append(SlideRecord(f"s{i}", f"sp{i}", "lab_a", label, path))
+    return records
+
+
 class TestEmbedRecord:
+    # bias None is the trained segmenter; full and partial say whether some
+    # block has all of its tiles selected and some block only part of them
+    @pytest.mark.parametrize("tile_px, bias, full, partial", [
+        (128, None, True, True), (32, None, False, True),
+        (128, -1.0, False, False), (128, 1.0, True, False)],
+        ids=["default", "tile-32", "none-selected", "all-selected"])
+    def test_bitwise_the_stage_by_stage_embedding(self, lab_a_records, small_models,
+                                                  tile_px, bias, full, partial):
+        """The one block pass gives what segment_tiles, select, featurize_tiles
+        and pool give one after the other, bit for bit."""
+        config = Config({"tiling.tile_px": tile_px})
+        segmenter = small_models.segmenter if bias is None else constant_segmenter(bias)
+        ref = small_models.adapter.target
+        full_blocks = partial_blocks = 0
+        for record in lab_a_records:
+            tiles = pipeline.slide_tiles(record, config)
+            models = Models(segmenter, small_models.classifier,
+                            AdapterModel(fit_stats(tiles.pixels, config.tiling), ref))
+            tiles = adapt_tiles(tiles, models.adapter, config.tiling)
+            fractions = segment_tiles(tiles, segmenter)
+            selection = select(tiles, fractions, theta=config["roi.theta"])
+            embedding = embed_record(record, models, config)
+            _, timing = run_slide(record, models, config)
+            assert (timing.n_tiles, timing.n_roi_tiles) == (len(tiles), len(selection))
+            if selection.empty:
+                assert embedding is None
+            else:
+                expected = pool(featurize_tiles(selection.selected, config.tiling))
+                assert embedding.tobytes() == expected.tobytes()
+            for rows in tiling.blocks(tiles.pixels):
+                kept = fractions[rows] >= config["roi.theta"]
+                full_blocks += kept.all()
+                partial_blocks += kept.any() and not kept.all()
+        assert (bool(full_blocks), bool(partial_blocks)) == (full, partial)
+
     def test_adapts_over_configured_tissue_mask(self, tmp_path):
         config = Config({"tiling.s_min": 0.2, "tiling.l_max": 0.7})
         lab_a = {p.lab_id: p for p in default_lab_profiles()}["lab_a"]
@@ -153,10 +212,8 @@ class TestEmbedRecord:
         adapter = AdapterModel(source, DomainStats(source.mean + [0.05, -0.03, 0.02],
                                                    source.std * 1.2))
         # every pixel scores positive, so every tile is selected
-        keep_all = PixelSegmenter(weights=np.zeros(N_PIXEL_FEATURES), bias=1.0,
-                                  feat_mean=np.zeros(N_PIXEL_FEATURES),
-                                  feat_std=np.ones(N_PIXEL_FEATURES))
-        embedding = embed_record(record, Models(keep_all, adapter=adapter), config)
+        embedding = embed_record(record, Models(constant_segmenter(1.0), adapter=adapter),
+                                 config)
 
         def embed(pixels):
             return pool(featurize_tiles(replace(tiles, pixels=pixels), config.tiling))

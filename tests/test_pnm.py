@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,20 @@ def test_truncated_data(tmp_path):
     path.write_bytes(b"P6\n4 4\n255\n\x00\x00")
     with pytest.raises(PNMError, match="truncated"):
         read_ppm(path)
+
+
+def test_forged_size_rejected_before_any_read(tmp_path):
+    path = tmp_path / "x.ppm"
+    path.write_bytes(b"P6\n40000 40000\n255\n\x00\x00\x00")
+    tracemalloc.start()
+    try:
+        with pytest.raises(PNMError, match=r"x.ppm: truncated pixel data "
+                                           r"\(3 of 4800000000 bytes\)"):
+            read_ppm(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20   # the claimed 4.8 GB were never asked for
 
 
 def test_unsupported_maxval(tmp_path):

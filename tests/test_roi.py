@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import ndimage
+
+import wsitriage
 
 from wsitriage.manifest import ClassLabel
 from wsitriage.pnm import read_pgm, read_ppm
@@ -105,6 +111,48 @@ class TestSegment:
 
     def test_empty_tiles_give_no_fractions(self, small_models):
         assert len(segment_tiles(blank_tiles(0), small_models.segmenter)) == 0
+
+
+# the sha256 of PixelSegmenter.scores on fixed pixels and a fixed segmenter
+SCORES_DIGEST = """
+import hashlib
+import numpy as np
+from wsitriage.roi import N_PIXEL_FEATURES, PixelSegmenter
+rng = np.random.default_rng(17)
+pixels = rng.integers(0, 256, size=(4, 128, 128, 3), dtype=np.uint8)
+segmenter = PixelSegmenter(weights=rng.normal(size=N_PIXEL_FEATURES), bias=0.3,
+                           feat_mean=rng.normal(size=N_PIXEL_FEATURES),
+                           feat_std=rng.uniform(0.1, 1.0, size=N_PIXEL_FEATURES))
+print(hashlib.sha256(segmenter.scores(pixels).tobytes()).hexdigest())
+"""
+
+
+def scores_digest(coretype):
+    """SCORES_DIGEST in a fresh interpreter whose OpenBLAS runs the named
+    kernel (None: the kernel OpenBLAS picks for this CPU)."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wsitriage.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", SCORES_DIGEST], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+def test_scores_same_bytes_on_every_blas_kernel():
+    """The logit is an elementwise sum in a fixed order, so the OpenBLAS
+    kernel (OPENBLAS_CORETYPE) cannot move its bits."""
+    kernels = [None, "Prescott"]
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as cpu
+    except ImportError:
+        cpu = {"AVX2": True, "FMA3": True}
+    if cpu.get("AVX2") and cpu.get("FMA3"):   # what the Haswell kernel runs on
+        kernels.append("Haswell")
+    digests = {kernel: scores_digest(kernel) for kernel in kernels}
+    assert len(set(digests.values())) == 1, digests
 
 
 class TestSelect:

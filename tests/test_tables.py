@@ -63,6 +63,15 @@ class TestReadTable:
         with pytest.raises(TableError, match=f"{path}:1:"):
             list(read_table(path, ["head v2"], (str, str)))
 
+    def test_long_top_line_echoed_short(self, path):
+        path.write_text("x" * 200_000 + "\na,b\n")
+        with pytest.raises(TableError) as err:
+            list(read_table(path, ["head v1", "a,b"], (str, str)))
+        message = str(err.value)
+        assert message.startswith(f"{path}:1: expected 'head v1', got 'xxx")
+        assert message.endswith("... (200000 characters)")
+        assert len(message) < len(str(path)) + 200
+
     def test_wrong_field_count_names_line(self, path):
         path.write_text('h\na,b\n"c\nd",e\nf\n')
         with pytest.raises(TableError, match=f"{path}:5: expected 2 fields, got 1"):
