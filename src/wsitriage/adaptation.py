@@ -27,14 +27,25 @@ _RGB2LMS = np.array([
     [0.1967, 0.7244, 0.0782],
     [0.0241, 0.1288, 0.8444],
 ])
-_LMS2RGB = np.linalg.inv(_RGB2LMS)
+# The inverses are literals: np.linalg.inv of the forward matrices under
+# OpenBLAS's SkylakeX kernel.  An inverse taken at import moves in its
+# last bits with the OpenBLAS kernel (OPENBLAS_CORETYPE).
+_LMS2RGB = np.array([
+    [4.468669863496255, -3.5886759034721267, 0.11960436657860116],
+    [-1.2197166276177631, 2.3830879129554567, -0.16263011175140055],
+    [0.058508476938545856, -0.2610784390276937, 1.205665908525623],
+])
 
 _DECOR = np.diag([1.0 / np.sqrt(3.0), 1.0 / np.sqrt(6.0), 1.0 / np.sqrt(2.0)]) @ np.array([
     [1.0, 1.0, 1.0],
     [1.0, 1.0, -2.0],
     [1.0, -1.0, 0.0],
 ])
-_DECOR_INV = np.linalg.inv(_DECOR)
+_DECOR_INV = np.array([
+    [0.5773502691896257, 0.40824829046386296, 0.7071067811865476],
+    [0.5773502691896257, 0.40824829046386296, -0.7071067811865476],
+    [0.5773502691896255, -0.8164965809277259, 1.1404650007967886e-16],
+])
 
 _LMS_FLOOR = 1e-6
 

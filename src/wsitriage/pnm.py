@@ -15,6 +15,12 @@ class PNMError(ValueError):
     """Raised for malformed PPM/PGM files."""
 
 
+# The longest header token read.  Twenty digits already claim more pixels
+# than any file holds, and int() of a longer run of digits is slow, then
+# refused by Python past 4300 digits.
+MAX_TOKEN = 20
+
+
 def _read_token(fh, path) -> bytes:
     """Next whitespace-delimited header token, skipping '#' comments."""
     token = b""
@@ -30,6 +36,8 @@ def _read_token(fh, path) -> bytes:
             if token:
                 return token
             continue
+        if len(token) == MAX_TOKEN:
+            raise PNMError(f"{path}: header token longer than {MAX_TOKEN} bytes")
         token += ch
 
 

@@ -26,10 +26,16 @@ SEGMENTER_HEADER = "wsi-triage-segmenter v2"
 
 N_PIXEL_FEATURES = 7
 
+SAMPLES_PER_TILE = 300      # train_segmenter: pixels drawn per tile,
+EPOCHS = 150                # and its full-batch gradient descent
+LEARNING_RATE = 2.0
+L2 = 1e-4
+
 
 def _feature_planes(planes: Planes):
-    """pixel_features' 7 planes in its order, each made when it is asked
-    for: rgb, saturation, darkness, gradient, local std."""
+    """The segmenter's 7 feature planes in order, each made when it is asked
+    for: rgb, saturation, darkness, gradient, local std.  The local filters
+    run over the last two axes, so they never mix pixels across tiles."""
     for channel in (planes.r, planes.g, planes.b):
         yield channel / np.float32(255.0)
     yield planes.saturation
@@ -42,13 +48,6 @@ def _feature_planes(planes: Planes):
     m *= m
     m2 -= m
     yield np.sqrt(np.maximum(m2, np.float32(0.0), out=m2), out=m2)
-
-
-def pixel_features(pixels: np.ndarray) -> np.ndarray:
-    """(..., H, W, 7) feature stack: rgb, saturation, darkness, gradient,
-    local std.  Accepts one tile (H, W, 3) or a stack (N, H, W, 3); the
-    local filters never mix pixels across tiles."""
-    return np.stack(list(_feature_planes(pixel_planes(pixels))), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ class PixelSegmenter:
         """Per-pixel float32 logits from planes already taken.  The
         standardization is folded into the weights and the bias, and the
         7 weighted feature planes are added one at a time in
-        pixel_features' order, then the bias: no feature stack is built,
+        _feature_planes' order, then the bias: no feature stack is built,
         and no BLAS kernel decides the order of the sum."""
         weights = (self.weights / self.feat_std).astype(np.float32)
         shift = 0.0
@@ -119,31 +118,30 @@ def select(tiles: Tiles, fractions, theta: float = THETA_ROI) -> ROISelection:
     return ROISelection(tiles[fractions >= theta])
 
 
-def train_segmenter(pairs, seed: int = 0, samples_per_tile: int = 300,
-                    epochs: int = 150, learning_rate: float = 2.0,
-                    l2: float = 1e-4) -> PixelSegmenter:
-    """Fit the logistic pixel model on (tile_pixels, truth_mask) pairs.
-
-    Pixels are subsampled per tile, balanced between classes where
-    possible; training is deterministic full-batch gradient descent.
-    """
+def train_segmenter(pairs, seed: int = 0) -> PixelSegmenter:
+    """Fit the logistic pixel model on (pixels, masks) pairs: a slide's
+    (N, H, W, 3) adapted tiles and their (N, H, W) lesion masks.  Each tile
+    gives up to SAMPLES_PER_TILE // 2 pixels of each class, positives first,
+    with features gathered from the ROI logit's planes a block of whole
+    tiles at a time; then deterministic full-batch gradient descent."""
     pairs = list(pairs)
-    if not pairs:
-        raise ValueError("no training pairs")
+    if not any(len(pixels) for pixels, _ in pairs):
+        raise ValueError("no training tiles")
     rng = np.random.default_rng(stable_seed("segmenter", seed))
     xs, ys = [], []
-    half = samples_per_tile // 2
-    for pixels, mask in pairs:
-        feats = pixel_features(pixels).reshape(-1, N_PIXEL_FEATURES)
-        flat = np.asarray(mask, dtype=bool).reshape(-1)
-        pos = np.flatnonzero(flat)
-        neg = np.flatnonzero(~flat)
-        for idx, want in ((pos, half), (neg, half)):
-            if len(idx) == 0:
-                continue
-            take = rng.choice(idx, size=min(want, len(idx)), replace=False)
-            xs.append(feats[take])
-            ys.append(flat[take])
+    for pixels, masks in pairs:
+        for rows in blocks(pixels):
+            flat = np.asarray(masks[rows], dtype=bool).reshape(len(pixels[rows]), -1)
+            take = []
+            for i, tile_mask in enumerate(flat):
+                for idx in (np.flatnonzero(tile_mask), np.flatnonzero(~tile_mask)):
+                    if len(idx):
+                        take.append(i * flat.shape[1] + rng.choice(
+                            idx, size=min(SAMPLES_PER_TILE // 2, len(idx)), replace=False))
+            take = np.concatenate(take)
+            planes = _feature_planes(pixel_planes(pixels[rows]))
+            xs.append(np.stack([plane.reshape(-1)[take] for plane in planes], axis=1))
+            ys.append(flat.reshape(-1)[take])
     x = np.concatenate(xs)
     y = np.concatenate(ys).astype(np.float64)
     if y.min() == y.max():
@@ -156,11 +154,11 @@ def train_segmenter(pairs, seed: int = 0, samples_per_tile: int = 300,
     w = np.zeros(N_PIXEL_FEATURES)
     b = 0.0
     n = len(y)
-    for _ in range(epochs):
+    for _ in range(EPOCHS):
         p = 1.0 / (1.0 + np.exp(-(xs_std @ w + b)))
         err = p - y
-        w -= learning_rate * (xs_std.T @ err / n + l2 * w)
-        b -= learning_rate * float(err.mean())
+        w -= LEARNING_RATE * (xs_std.T @ err / n + L2 * w)
+        b -= LEARNING_RATE * float(err.mean())
     return PixelSegmenter(weights=w, bias=b, feat_mean=mean, feat_std=std)
 
 

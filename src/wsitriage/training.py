@@ -19,6 +19,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .adaptation import AdapterModel, DomainStats, adapt_tiles, fit_stats
 from .classifier import N_FEATURES, accuracy, fine_tune, train
@@ -62,17 +63,16 @@ def sample_tiles(records, config: Config) -> np.ndarray:
 
 
 def segmenter_pairs(records, adapter: AdapterModel | None, config: Config):
-    """Up to SEGMENTER_MAX_TILES (adapted tile pixels, ground-truth lesion
-    mask) training pairs."""
-    pairs = []
-    side = config.tiling.tile_px
+    """One (adapted tiles, ground-truth lesion masks) pair of stacks per
+    slide, up to SEGMENTER_MAX_TILES tiles in all, empty for a blank slide."""
+    pairs, n_tiles = [], 0
     for rec, tiles in _tissue_tiles(records, config):
         lesion = read_pgm(mask_path_for(rec.raster_path)) > 0
-        tiles = adapt_tiles(tiles[:SEGMENTER_MAX_TILES - len(pairs)], adapter,
-                            config.tiling)
-        for (y, x), pixels in zip(tiles.origins, tiles.pixels):
-            pairs.append((pixels, lesion[y:y + side, x:x + side]))
-        if len(pairs) >= SEGMENTER_MAX_TILES:
+        tiles = adapt_tiles(tiles[:SEGMENTER_MAX_TILES - n_tiles], adapter, config.tiling)
+        y, x = tiles.origins.T
+        pairs.append((tiles.pixels, sliding_window_view(lesion, tiles.pixels.shape[1:3])[y, x]))
+        n_tiles += len(tiles)
+        if n_tiles >= SEGMENTER_MAX_TILES:
             break
     return pairs
 

@@ -1,9 +1,14 @@
 """Shared fixtures: a small on-disk reference corpus and models trained on
-it, built once per session."""
+it, built once per session, and a runner of code under a named OpenBLAS
+kernel."""
 
 import os
+import subprocess
+import sys
 
 import pytest
+
+import wsitriage
 
 from wsitriage.config import Config
 from wsitriage.manifest import build_splits
@@ -28,3 +33,20 @@ def small_models(small_corpus):
     """The run-ready reference model set trained on the small corpus."""
     return train_models(small_corpus, Config(), workers=N_WORKERS)
 
+
+@pytest.fixture
+def run_under_blas_kernel():
+    """run(code, coretype): the stdout of Python code run in a fresh
+    interpreter whose OpenBLAS runs the named kernel (OPENBLAS_CORETYPE;
+    None: the kernel OpenBLAS picks for this CPU)."""
+    def run(code, coretype):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        src = os.path.dirname(os.path.dirname(os.path.abspath(wsitriage.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        return done.stdout.strip()
+    return run

@@ -237,3 +237,22 @@ class TestPersistence:
         path.write_text("nope\n")
         with pytest.raises(ValueError):
             load_adapter(path)
+
+
+# the sha256 of the inverse colour matrices
+INVERSES_DIGEST = """
+import hashlib
+from wsitriage.adaptation import _DECOR_INV, _LMS2RGB
+print(hashlib.sha256(_LMS2RGB.tobytes() + _DECOR_INV.tobytes()).hexdigest())
+"""
+
+
+def test_inverse_matrices_same_bytes_on_every_blas_kernel(run_under_blas_kernel):
+    """The inverses are literals, so the OpenBLAS kernel cannot move their
+    bits, and each undoes its forward matrix."""
+    digests = {kernel: run_under_blas_kernel(INVERSES_DIGEST, kernel)
+               for kernel in (None, "Prescott")}
+    assert len(set(digests.values())) == 1, digests
+    for inverse, forward in ((_LMS2RGB, _RGB2LMS), (_DECOR_INV, _DECOR)):
+        assert inverse.dtype == np.float64
+        assert np.allclose(inverse @ forward, np.eye(3), rtol=0, atol=1e-14)

@@ -1,9 +1,10 @@
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from wsitriage.pnm import PNMError, read_pgm, read_ppm, write_pgm, write_ppm
+from wsitriage.pnm import MAX_TOKEN, PNMError, read_pgm, read_ppm, write_pgm, write_ppm
 
 
 def test_ppm_round_trip(tmp_path):
@@ -84,3 +85,26 @@ def test_malformed_header_number(tmp_path, header, what):
     path.write_bytes(header + bytes(12))
     with pytest.raises(PNMError, match=f"x.ppm: {what} must be a positive integer"):
         read_ppm(path)
+
+
+@pytest.mark.parametrize("digits", [MAX_TOKEN + 1, 5_000])
+def test_overlong_header_number(tmp_path, digits):
+    path = tmp_path / "x.ppm"
+    path.write_bytes(b"P6\n" + b"1" * digits + b" 2\n255\n" + bytes(12))
+    with pytest.raises(PNMError, match=f"^{path}: header token longer than"):
+        read_ppm(path)
+
+
+def test_longest_header_number_read(tmp_path):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"P5\n" + b"0" * (MAX_TOKEN - 1) + b"3 2\n255\n" + bytes(6))
+    assert read_pgm(path).shape == (2, 3)
+
+
+def test_million_digit_token_rejected_fast(tmp_path):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"P5\n" + b"7" * 1_000_000 + b" 2\n255\n")
+    start = time.perf_counter()
+    with pytest.raises(PNMError, match="header token longer than"):
+        read_pgm(path)
+    assert time.perf_counter() - start < 0.5

@@ -1,19 +1,18 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from scipy import ndimage
 
-import wsitriage
-
-from wsitriage.manifest import ClassLabel
-from wsitriage.pnm import read_pgm, read_ppm
-from wsitriage.roi import (load_segmenter, pixel_features, save_segmenter,
+from wsitriage import training
+from wsitriage.adaptation import adapt_tiles
+from wsitriage.config import Config
+from wsitriage.manifest import ClassLabel, SlideRecord, Split, stable_seed
+from wsitriage.pipeline import slide_tiles
+from wsitriage.pnm import read_pgm, read_ppm, write_pgm, write_ppm
+from wsitriage.roi import (EPOCHS, L2, LEARNING_RATE, N_PIXEL_FEATURES, SAMPLES_PER_TILE,
+                           _feature_planes, load_segmenter, save_segmenter,
                            segment_tiles, select, train_segmenter)
 from wsitriage.synthesis import default_lab_profiles, generate_slide, mask_path_for
-from wsitriage.tiling import BLOCK_PX, Tiles, segment_tissue, tile
+from wsitriage.tiling import BLOCK_PX, Tiles, pixel_planes, segment_tissue, tile
 
 
 def blank_tiles(n):
@@ -34,8 +33,9 @@ def lesion_tiles(small_corpus, small_models):
 
 
 def reference_pixel_features(pixels):
-    """pixel_features written out plane by plane, each channel converted
-    from uint8 on its own: the formula the one-cast version must match."""
+    """The (..., H, W, 7) stack of the segmenter's feature planes, written
+    out plane by plane, each channel converted from uint8 on its own: the
+    formulas the one-cast planes must match."""
     f32 = np.float32
     r, g, b = (pixels[..., c].astype(f32) / f32(255.0) for c in range(3))
     r8, g8, b8 = (pixels[..., c].astype(f32) for c in range(3))
@@ -52,18 +52,29 @@ def reference_pixel_features(pixels):
     return np.stack([r, g, b, saturation, f32(1.0) - luma, grad, local_std], axis=-1)
 
 
+def assert_feature_planes_bitwise(pixels):
+    """The planes _feature_planes takes from pixel_planes equal the
+    reference formulas, plane by plane."""
+    planes = list(_feature_planes(pixel_planes(pixels)))
+    reference = reference_pixel_features(pixels)
+    assert len(planes) == N_PIXEL_FEATURES == reference.shape[-1]
+    for k, plane in enumerate(planes):
+        assert plane.dtype == np.float32
+        assert np.array_equal(plane, reference[..., k]), k
+
+
 class TestPixelFeatures:
     def test_random_stack_bitwise(self):
         pixels = np.random.default_rng(5).integers(0, 256, size=(34, 32, 32, 3),
                                                    dtype=np.uint8)
-        assert np.array_equal(pixel_features(pixels), reference_pixel_features(pixels))
+        assert_feature_planes_bitwise(pixels)
 
     def test_lab_a_stack_bitwise(self):
         lab_a = next(p for p in default_lab_profiles() if p.lab_id == "lab_a")
         raster = generate_slide(ClassLabel.BASALOID, lab_a, 7).raster
         pixels = tile(raster, segment_tissue(raster), "s").pixels
         assert len(pixels) > 1
-        assert np.array_equal(pixel_features(pixels), reference_pixel_features(pixels))
+        assert_feature_planes_bitwise(pixels)
 
 
 class TestSegment:
@@ -127,21 +138,7 @@ print(hashlib.sha256(segmenter.scores(pixels).tobytes()).hexdigest())
 """
 
 
-def scores_digest(coretype):
-    """SCORES_DIGEST in a fresh interpreter whose OpenBLAS runs the named
-    kernel (None: the kernel OpenBLAS picks for this CPU)."""
-    env = dict(os.environ)
-    env.pop("OPENBLAS_CORETYPE", None)
-    if coretype is not None:
-        env["OPENBLAS_CORETYPE"] = coretype
-    src = os.path.dirname(os.path.dirname(os.path.abspath(wsitriage.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", SCORES_DIGEST], env=env,
-                          capture_output=True, text=True, check=True)
-    return done.stdout.strip()
-
-
-def test_scores_same_bytes_on_every_blas_kernel():
+def test_scores_same_bytes_on_every_blas_kernel(run_under_blas_kernel):
     """The logit is an elementwise sum in a fixed order, so the OpenBLAS
     kernel (OPENBLAS_CORETYPE) cannot move its bits."""
     kernels = [None, "Prescott"]
@@ -151,7 +148,7 @@ def test_scores_same_bytes_on_every_blas_kernel():
         cpu = {"AVX2": True, "FMA3": True}
     if cpu.get("AVX2") and cpu.get("FMA3"):   # what the Haswell kernel runs on
         kernels.append("Haswell")
-    digests = {kernel: scores_digest(kernel) for kernel in kernels}
+    digests = {kernel: run_under_blas_kernel(SCORES_DIGEST, kernel) for kernel in kernels}
     assert len(set(digests.values())) == 1, digests
 
 
@@ -187,23 +184,91 @@ class TestSelect:
             select(blank_tiles(2), np.array([0.5]))
 
 
+def reference_train_segmenter(pairs, seed):
+    """train_segmenter written tile by tile: each tile's (H * W, 7)
+    reference_pixel_features rows, its positives and then its negatives
+    drawn with the same RNG, then the same gradient descent.  Returns the
+    weights, bias, feature means and feature stds."""
+    rng = np.random.default_rng(stable_seed("segmenter", seed))
+    xs, ys = [], []
+    for stack, masks in pairs:
+        for pixels, mask in zip(stack, masks):
+            feats = reference_pixel_features(pixels).reshape(-1, N_PIXEL_FEATURES)
+            flat = mask.reshape(-1)
+            for idx in (np.flatnonzero(flat), np.flatnonzero(~flat)):
+                if len(idx):
+                    take = rng.choice(idx, size=min(SAMPLES_PER_TILE // 2, len(idx)),
+                                      replace=False)
+                    xs.append(feats[take])
+                    ys.append(flat[take])
+    x = np.concatenate(xs)
+    y = np.concatenate(ys).astype(np.float64)
+    mean = x.mean(axis=0)
+    std = np.maximum(x.std(axis=0), 1e-6)
+    xs_std = (x - mean) / std
+    w = np.zeros(N_PIXEL_FEATURES)
+    b = 0.0
+    for _ in range(EPOCHS):
+        err = 1.0 / (1.0 + np.exp(-(xs_std @ w + b))) - y
+        w -= LEARNING_RATE * (xs_std.T @ err / len(y) + L2 * w)
+        b -= LEARNING_RATE * float(err.mean())
+    return w, b, mean, std
+
+
 class TestTrainSegmenter:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
             train_segmenter([])
+        no_tiles = (np.zeros((0, 128, 128, 3), dtype=np.uint8),
+                    np.zeros((0, 128, 128), dtype=bool))
+        with pytest.raises(ValueError):
+            train_segmenter([no_tiles, no_tiles])
 
     def test_single_class_rejected(self):
-        pixels = np.full((128, 128, 3), 235, dtype=np.uint8)
-        empty = np.zeros((128, 128), dtype=bool)
+        pixels = np.full((1, 128, 128, 3), 235, dtype=np.uint8)
+        empty = np.zeros((1, 128, 128), dtype=bool)
         with pytest.raises(ValueError):
             train_segmenter([(pixels, empty)])
 
     def test_deterministic(self, lesion_tiles):
-        pairs = list(zip(lesion_tiles[0].pixels, lesion_tiles[1]))
-        a = train_segmenter(pairs, seed=3, epochs=20)
-        b = train_segmenter(pairs, seed=3, epochs=20)
+        pairs = [(lesion_tiles[0].pixels, np.stack(lesion_tiles[1]))]
+        a = train_segmenter(pairs, seed=3)
+        b = train_segmenter(pairs, seed=3)
         assert np.array_equal(a.weights, b.weights)
         assert a.bias == b.bias
+
+    def test_pairs_match_tile_by_tile_reference(self, small_corpus, small_models,
+                                                tmp_path, monkeypatch):
+        """On Train slides that include a blank slide (no tissue tile) and a
+        slide cut short by SEGMENTER_MAX_TILES, segmenter_pairs cuts each
+        mask at its tile's origin, and the block-wise training gives the
+        tile-by-tile reference's segmenter bit for bit."""
+        config = Config()
+        blank = str(tmp_path / "blank.ppm")
+        write_ppm(blank, np.full((384, 512, 3), 240, dtype=np.uint8))
+        write_pgm(mask_path_for(blank), np.zeros((384, 512), dtype=np.uint8))
+        train = sorted(small_corpus.records_in(Split.TRAIN), key=lambda r: r.slide_id)[:3]
+        records = [SlideRecord("0-blank", "0", "lab", ClassLabel.OTHER, blank)] + train
+        counts = [len(slide_tiles(rec, config)) for rec in records]
+        assert counts[0] == 0 and min(counts[1:]) > 1
+        cut = counts[3] // 2
+        monkeypatch.setattr(training, "SEGMENTER_MAX_TILES", sum(counts[:3]) + cut)
+
+        pairs = training.segmenter_pairs(records, small_models.adapter, config)
+        assert [len(pixels) for pixels, _ in pairs] == counts[:3] + [cut]
+        for rec, (pixels, masks) in zip(records, pairs):
+            tiles = adapt_tiles(slide_tiles(rec, config)[:len(pixels)],
+                                small_models.adapter, config.tiling)
+            lesion = read_pgm(mask_path_for(rec.raster_path)) > 0
+            assert np.array_equal(pixels, tiles.pixels)
+            assert masks.shape == pixels.shape[:3] and masks.dtype == bool
+            for (y, x), mask in zip(tiles.origins, masks):
+                assert np.array_equal(mask, lesion[y:y + 128, x:x + 128])
+
+        segmenter = train_segmenter(pairs, seed=3)
+        got = (segmenter.weights, segmenter.bias, segmenter.feat_mean, segmenter.feat_std)
+        for a, b in zip(got, reference_train_segmenter(pairs, seed=3)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestPersistence:
