@@ -27,25 +27,19 @@ _RGB2LMS = np.array([
     [0.1967, 0.7244, 0.0782],
     [0.0241, 0.1288, 0.8444],
 ])
-# The inverses are literals: np.linalg.inv of the forward matrices under
-# OpenBLAS's SkylakeX kernel.  An inverse taken at import moves in its
-# last bits with the OpenBLAS kernel (OPENBLAS_CORETYPE).
-_LMS2RGB = np.array([
-    [4.468669863496255, -3.5886759034721267, 0.11960436657860116],
-    [-1.2197166276177631, 2.3830879129554567, -0.16263011175140055],
-    [0.058508476938545856, -0.2610784390276937, 1.205665908525623],
-])
+# The inverse is the adjugate over the determinant.  The adjugate's rows
+# are the cross products of the columns, so no BLAS or LAPACK routine runs
+# and no OpenBLAS kernel (OPENBLAS_CORETYPE) can move its bits.
+_c0, _c1, _c2 = _RGB2LMS.T
+_LMS2RGB = np.array([np.cross(_c1, _c2), np.cross(_c2, _c0), np.cross(_c0, _c1)])
+_LMS2RGB /= sum(_c0 * _LMS2RGB[0])
 
-_DECOR = np.diag([1.0 / np.sqrt(3.0), 1.0 / np.sqrt(6.0), 1.0 / np.sqrt(2.0)]) @ np.array([
+# Orthonormal rows, so its inverse is its transpose.
+_DECOR = np.array([
     [1.0, 1.0, 1.0],
     [1.0, 1.0, -2.0],
     [1.0, -1.0, 0.0],
-])
-_DECOR_INV = np.array([
-    [0.5773502691896257, 0.40824829046386296, 0.7071067811865476],
-    [0.5773502691896257, 0.40824829046386296, -0.7071067811865476],
-    [0.5773502691896255, -0.8164965809277259, 1.1404650007967886e-16],
-])
+]) * (1.0 / np.sqrt([3.0, 6.0, 2.0]))[:, None]
 
 _LMS_FLOOR = 1e-6
 
@@ -127,7 +121,8 @@ def _transfer(rgb: np.ndarray, model: AdapterModel) -> np.ndarray:
              / model.source.std).astype(np.float32)
     vals *= scale
     vals += shift
-    lms = np.power(np.float32(10.0), vals @ _DECOR_INV.T.astype(np.float32))
+    # rows times _DECOR: each row times _DECOR.T, the inverse rotation
+    lms = np.power(np.float32(10.0), vals @ _DECOR.astype(np.float32))
     adapted = (lms @ _LMS2RGB.T.astype(np.float32)) * np.float32(255.0)
     np.rint(adapted, out=adapted)
     np.clip(adapted, 0, 255, out=adapted)

@@ -22,7 +22,8 @@ _TRAIN = TrainConfig()
 
 
 class ConfigError(ValueError):
-    """Raised for unknown or repeated keys, or unparseable values."""
+    """Raised for unknown or repeated keys, or unparseable or out-of-range
+    values."""
 
 
 def _parse_targets(text: str) -> tuple:
@@ -30,6 +31,24 @@ def _parse_targets(text: str) -> tuple:
     if list(targets) != sorted(targets):
         raise ValueError(f"targets must be non-decreasing, got {text}")
     return targets
+
+
+def _at_least(low: int):
+    """Parser of an integer key whose values start at low."""
+    def parse(text) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _probability(text) -> float:
+    """A number in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:   # NaN too
+        raise ValueError(f"must be in (0, 1], got {value}")
+    return value
 
 
 # key -> (parser, default, help)
@@ -41,19 +60,19 @@ CONFIG_KEYS = {
     "tiling.l_max": (finite, _TILING.l_max, "tissue luminance ceiling"),
     "tiling.min_tissue_fraction": (finite, _TILING.min_tissue_fraction,
                                    "minimum tissue fraction to keep a tile"),
-    "tiling.tile_px": (int, _TILING.tile_px, "tile edge length in pixels"),
+    "tiling.tile_px": (_at_least(1), _TILING.tile_px, "tile edge length in pixels"),
     "roi.theta": (finite, THETA_ROI, "positive fraction needed to select a tile"),
-    "confidence.T": (int, DEFAULT_T, "prediction repetitions per slide"),
-    "confidence.keep_prob": (finite, _TRAIN.keep_prob, "hidden-unit keep probability"),
+    "confidence.T": (_at_least(1), DEFAULT_T, "prediction repetitions per slide"),
+    "confidence.keep_prob": (_probability, _TRAIN.keep_prob, "hidden-unit keep probability"),
     "confidence.targets": (_parse_targets, DEFAULT_TARGETS,
                            "accuracy targets for confidence levels"),
-    "classifier.epochs": (int, _TRAIN.epochs, "training epochs"),
+    "classifier.epochs": (_at_least(0), _TRAIN.epochs, "training epochs"),
     "classifier.learning_rate": (finite, _TRAIN.learning_rate, "training learning rate"),
-    "classifier.batch_size": (int, _TRAIN.batch_size, "training minibatch size"),
+    "classifier.batch_size": (_at_least(1), _TRAIN.batch_size, "training minibatch size"),
     "classifier.seed": (int, _TRAIN.seed, "training seed"),
     "classifier.finetune_lr_scale": (finite, _TRAIN.finetune_lr_scale,
                                      "fine-tuning learning-rate factor"),
-    "classifier.finetune_epochs": (int, _TRAIN.finetune_epochs, "fine-tuning epochs"),
+    "classifier.finetune_epochs": (_at_least(0), _TRAIN.finetune_epochs, "fine-tuning epochs"),
 }
 
 

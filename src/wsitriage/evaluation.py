@@ -190,11 +190,11 @@ def format_report(report: EvalReport, title: str = "evaluation") -> str:
     return "\n".join(lines)
 
 
-def write_report(report: EvalReport, out_dir, title: str = "evaluation") -> None:
+def write_report(report: EvalReport, out_dir) -> None:
     """Text report plus CSV tables suitable for external plotting."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(format_report(report, title) + "\n")
+        fh.write(format_report(report) + "\n")
 
     levels = sorted(report.levels.items())
     write_table(os.path.join(out_dir, "accuracy_coverage.csv"),

@@ -50,26 +50,32 @@ def _read_number(fh, path, what: str) -> int:
     return int(token)
 
 
+def _shape(h, w, channels: int) -> tuple:
+    """The array shape of an h x w image: (h, w) for one channel."""
+    return (h, w) if channels == 1 else (h, w, channels)
+
+
+def _write_pnm(path, magic: bytes, pixels: np.ndarray, channels: int) -> None:
+    """Write uint8 pixels of _shape(H, W, channels) as binary PNM: the
+    magic, the size, maxval 255, then the pixel bytes."""
+    pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
+    if pixels.ndim < 2 or pixels.shape != _shape(*pixels.shape[:2], channels):
+        expected = "(H, W)" if channels == 1 else f"(H, W, {channels})"
+        raise ValueError(f"expected {expected} array, got shape {pixels.shape}")
+    h, w = pixels.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(magic + f"\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(pixels.tobytes())
+
+
 def write_ppm(path, rgb: np.ndarray) -> None:
     """Write an (H, W, 3) uint8 array as binary PPM."""
-    rgb = np.ascontiguousarray(rgb, dtype=np.uint8)
-    if rgb.ndim != 3 or rgb.shape[2] != 3:
-        raise ValueError(f"expected (H, W, 3) array, got shape {rgb.shape}")
-    h, w = rgb.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(rgb.tobytes())
+    _write_pnm(path, b"P6", rgb, 3)
 
 
 def write_pgm(path, gray: np.ndarray) -> None:
     """Write an (H, W) uint8 array as binary PGM."""
-    gray = np.ascontiguousarray(gray, dtype=np.uint8)
-    if gray.ndim != 2:
-        raise ValueError(f"expected (H, W) array, got shape {gray.shape}")
-    h, w = gray.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(gray.tobytes())
+    _write_pnm(path, b"P5", gray, 1)
 
 
 def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
@@ -90,10 +96,7 @@ def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
         buf = fh.read(n)
         if fh.read(1):
             raise PNMError(f"{path}: bytes after the {n} bytes of pixel data")
-    arr = np.frombuffer(buf, dtype=np.uint8)
-    if channels == 1:
-        return arr.reshape(h, w)
-    return arr.reshape(h, w, channels)
+    return np.frombuffer(buf, dtype=np.uint8).reshape(_shape(h, w, channels))
 
 
 def read_ppm(path) -> np.ndarray:

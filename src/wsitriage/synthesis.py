@@ -206,6 +206,10 @@ def _paint_segment(mask: np.ndarray, p0, p1, halfwidth: float) -> int:
     return added
 
 
+# the radius range, in blob radii, of the arrangements drawn as one disk per anchor
+_DISK_SCALES = {"dense_islands": (0.7, 1.4), "sparse_background": (0.6, 1.3)}
+
+
 def _lesion_mask(rng: np.random.Generator, tissue: np.ndarray,
                  recipe: TextureRecipe) -> np.ndarray:
     """Draw the class arrangement inside the tissue region until the target
@@ -221,28 +225,21 @@ def _lesion_mask(rng: np.random.Generator, tissue: np.ndarray,
     target = recipe.blob_density * n_tissue
     r = recipe.blob_radius_px
 
-    def pick():
-        i = rng.integers(0, n_anchors)
-        return int(ys[i]) * 4, int(xs[i]) * 4
-
     covered = 0
     for _ in range(400):
         if covered >= target:
             break
-        if recipe.arrangement == "dense_islands":
-            cy, cx = pick()
-            covered += _paint_disk(lesion, cy, cx, rng.uniform(0.7, 1.4) * r)
-        elif recipe.arrangement == "sparse_background":
-            cy, cx = pick()
-            covered += _paint_disk(lesion, cy, cx, rng.uniform(0.6, 1.3) * r)
+        i = rng.integers(0, n_anchors)
+        cy, cx = int(ys[i]) * 4, int(xs[i]) * 4
+        if recipe.arrangement in _DISK_SCALES:
+            scale = rng.uniform(*_DISK_SCALES[recipe.arrangement])
+            covered += _paint_disk(lesion, cy, cx, scale * r)
         elif recipe.arrangement == "nested_clusters":
-            cy, cx = pick()
             for _ in range(int(rng.integers(6, 14))):
                 oy = cy + rng.normal(0.0, 4.0 * r)
                 ox = cx + rng.normal(0.0, 4.0 * r)
                 covered += _paint_disk(lesion, int(oy), int(ox), rng.uniform(0.6, 1.3) * r)
         elif recipe.arrangement == "ridges":
-            cy, cx = pick()
             angle = rng.uniform(0.0, np.pi)
             length = rng.uniform(10.0, 30.0) * r
             dy, dx = np.sin(angle) * length / 2, np.cos(angle) * length / 2
@@ -268,15 +265,10 @@ def _render_reference(rng: np.random.Generator, label: ClassLabel, shape,
     recipe = RECIPES[label]
     lesion = (np.zeros_like(tissue) if no_lesion else _lesion_mask(rng, tissue, recipe))
 
-    plain = tissue & ~lesion
-    n_plain = int(plain.sum())
-    if n_plain:
-        speckle = rng.normal(1.0, 0.035, size=n_plain).astype(np.float32)
-        raster[plain] = np.asarray(TISSUE_RGB, dtype=np.float32) * speckle[:, None]
-    n_lesion = int(lesion.sum())
-    if n_lesion:
-        speckle = rng.normal(1.0, 0.09, size=n_lesion).astype(np.float32)
-        raster[lesion] = np.asarray(recipe.base_chroma, dtype=np.float32) * speckle[:, None]
+    for mask, sigma, rgb in ((tissue & ~lesion, 0.035, TISSUE_RGB),
+                             (lesion, 0.09, recipe.base_chroma)):
+        speckle = rng.normal(1.0, sigma, size=int(mask.sum())).astype(np.float32)
+        raster[mask] = np.asarray(rgb, dtype=np.float32) * speckle[:, None]
     return raster, lesion, tissue
 
 

@@ -3,18 +3,34 @@ import math
 import numpy as np
 import pytest
 
-from wsitriage.adaptation import (_DECOR, _DECOR_INV, _LMS2RGB, _LMS_FLOOR,
-                                  _RGB2LMS, AdapterModel, adapt_pixels, adapt_tiles,
-                                  fit_stats, load_adapter, save_adapter,
-                                  to_decorrelated)
+from wsitriage.adaptation import (_DECOR, _LMS2RGB, _LMS_FLOOR, _RGB2LMS,
+                                  AdapterModel, DomainStats, adapt_pixels,
+                                  adapt_tiles, fit_stats, load_adapter,
+                                  save_adapter, to_decorrelated)
 from wsitriage.manifest import ClassLabel
 from wsitriage.synthesis import default_lab_profiles, generate_slide, identity_profile
 from wsitriage.tiling import Tiles, TilingConfig, segment_tissue, tile
 
 
+# np.linalg.inv of _RGB2LMS and _DECOR under OpenBLAS's SkylakeX kernel:
+# reference_adapt's inverses, which the program's formulas must reproduce
+# pixel for pixel
+REFERENCE_LMS2RGB = np.array([
+    [4.468669863496255, -3.5886759034721267, 0.11960436657860116],
+    [-1.2197166276177631, 2.3830879129554567, -0.16263011175140055],
+    [0.058508476938545856, -0.2610784390276937, 1.205665908525623],
+])
+REFERENCE_DECOR_INV = np.array([
+    [0.5773502691896257, 0.40824829046386296, 0.7071067811865476],
+    [0.5773502691896257, 0.40824829046386296, -0.7071067811865476],
+    [0.5773502691896255, -0.8164965809277259, 1.1404650007967886e-16],
+])
+
+
 def reference_adapt(pixels, model, config=TilingConfig()):
     """adapt_pixels as it was before the palette transfer: the tissue mask
-    over every pixel, then the float32 transfer on the masked pixels."""
+    over every pixel, then the float32 transfer on the masked pixels, with
+    the literal inverses."""
     out = np.asarray(pixels, dtype=np.uint8).copy()
     if model.is_identity:
         return out
@@ -27,8 +43,8 @@ def reference_adapt(pixels, model, config=TilingConfig()):
              / model.source.std).astype(np.float32)
     vals *= scale
     vals += shift
-    lms = np.power(np.float32(10.0), vals @ _DECOR_INV.T.astype(np.float32))
-    adapted = (lms @ _LMS2RGB.T.astype(np.float32)) * np.float32(255.0)
+    lms = np.power(np.float32(10.0), vals @ REFERENCE_DECOR_INV.T.astype(np.float32))
+    adapted = (lms @ REFERENCE_LMS2RGB.T.astype(np.float32)) * np.float32(255.0)
     np.rint(adapted, out=adapted)
     np.clip(adapted, 0, 255, out=adapted)
     out[mask] = adapted.astype(np.uint8)
@@ -205,6 +221,18 @@ class TestAdapt:
             assert np.array_equal(adapt_pixels(pixels, model, config),
                                   reference_adapt(pixels, model, config))
 
+    def test_every_97th_code_matches_reference_under_a_fixed_adapter(self):
+        """A hand-set adapter, so the check rests on no fit: lab_a's
+        appearance, as fitted on one slide, onto the reference's."""
+        model = AdapterModel(
+            source=DomainStats([-0.2865, -0.0522, 0.0082], [0.231, 0.0905, 0.005]),
+            target=DomainStats([-0.2798, -0.0505, 0.0079], [0.223, 0.0857, 0.0027]))
+        codes = np.arange(0, 1 << 24, 97, dtype=np.uint32)
+        pixels = np.stack([codes >> 16, codes >> 8, codes], axis=-1).astype(np.uint8)
+        adapted = adapt_pixels(pixels, model)
+        assert np.array_equal(adapted, reference_adapt(pixels, model))
+        assert not np.array_equal(adapted, pixels)
+
     def test_lab_a_stacks_match_reference(self, reference_tiles):
         lab_a = default_lab_profiles()[1]
         stacks = [tiles_for(lab_a, seed, ClassLabel(seed % 4)).pixels for seed in (3, 4)]
@@ -239,20 +267,21 @@ class TestPersistence:
             load_adapter(path)
 
 
-# the sha256 of the inverse colour matrices
+# the sha256 of the inverse colour matrices (_DECOR's inverse is _DECOR.T)
 INVERSES_DIGEST = """
 import hashlib
-from wsitriage.adaptation import _DECOR_INV, _LMS2RGB
-print(hashlib.sha256(_LMS2RGB.tobytes() + _DECOR_INV.tobytes()).hexdigest())
+from wsitriage.adaptation import _DECOR, _LMS2RGB
+print(hashlib.sha256(_LMS2RGB.tobytes() + _DECOR.tobytes()).hexdigest())
 """
 
 
 def test_inverse_matrices_same_bytes_on_every_blas_kernel(run_under_blas_kernel):
-    """The inverses are literals, so the OpenBLAS kernel cannot move their
-    bits, and each undoes its forward matrix."""
+    """The inverses are formulas that call no BLAS or LAPACK routine, so
+    the OpenBLAS kernel cannot move their bits, and each undoes its forward
+    matrix."""
     digests = {kernel: run_under_blas_kernel(INVERSES_DIGEST, kernel)
                for kernel in (None, "Prescott")}
     assert len(set(digests.values())) == 1, digests
-    for inverse, forward in ((_LMS2RGB, _RGB2LMS), (_DECOR_INV, _DECOR)):
+    for inverse, forward in ((_LMS2RGB, _RGB2LMS), (_DECOR.T, _DECOR)):
         assert inverse.dtype == np.float64
         assert np.allclose(inverse @ forward, np.eye(3), rtol=0, atol=1e-14)

@@ -241,6 +241,20 @@ class TestErrors:
         assert "confidence.targets" in capsys.readouterr().err
         assert not os.path.exists(models)
 
+    @pytest.mark.parametrize("line", ["tiling.tile_px=0", "tiling.tile_px=-128",
+                                      "classifier.batch_size=0", "confidence.keep_prob=0",
+                                      "confidence.T=0", "classifier.epochs=-5"])
+    def test_out_of_range_value_is_usage_error_before_training(self, workflow, tmp_path,
+                                                               capsys, line):
+        config = tmp_path / "c.cfg"
+        config.write_text(line + "\n")
+        models = str(tmp_path / "m")
+        assert main(["train", "--manifest", workflow["ref_manifest"],
+                     "--models", models, "--config", str(config)]) == 1
+        key = line.split("=")[0]
+        assert f"error: {config}:1: bad value for '{key}'" in capsys.readouterr().err
+        assert not os.path.exists(models)
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["split"]) == 1   # missing required arguments
 

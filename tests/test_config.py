@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from wsitriage.classifier import KEEP_PROB, TrainConfig
-from wsitriage.config import CONFIG_KEYS, Config, ConfigError
+from wsitriage.config import CONFIG_KEYS, Config, ConfigError, load_config
 from wsitriage.confidence import DEFAULT_T, DEFAULT_TARGETS
 from wsitriage.roi import THETA_ROI
 from wsitriage.tiling import TilingConfig
@@ -37,3 +37,32 @@ def test_readme_configuration_table_matches_config_keys():
 def test_bad_targets_rejected_by_name(targets):
     with pytest.raises(ConfigError, match="confidence.targets"):
         Config({"confidence.targets": targets})
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("tiling.tile_px", "0", "must be at least 1, got 0"),
+    ("tiling.tile_px", "-128", "must be at least 1, got -128"),
+    ("confidence.T", "0", "must be at least 1, got 0"),
+    ("classifier.batch_size", "0", "must be at least 1, got 0"),
+    ("classifier.epochs", "-5", "must be at least 0, got -5"),
+    ("classifier.finetune_epochs", "-1", "must be at least 0, got -1"),
+    ("confidence.keep_prob", "0", r"must be in \(0, 1\], got 0.0"),
+    ("confidence.keep_prob", "1.5", r"must be in \(0, 1\], got 1.5"),
+], ids=["tile_px-0", "tile_px-negative", "T-0", "batch_size-0", "epochs-negative",
+        "finetune_epochs-negative", "keep_prob-0", "keep_prob-above-1"])
+def test_value_out_of_range_rejected_at_path_line(tmp_path, key, value, message):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"seed=1\n{key}={value}\n")
+    with pytest.raises(ConfigError, match=f"^{path}:2: bad value for '{key}': {message}$"):
+        load_config(path)
+    with pytest.raises(ConfigError, match=f"^bad value for '{key}'"):
+        Config({key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tiling.tile_px", 1), ("confidence.T", 1), ("classifier.batch_size", 1),
+    ("classifier.epochs", 0), ("classifier.finetune_epochs", 0),
+    ("confidence.keep_prob", 1.0),
+])
+def test_range_bounds_accepted(key, value):
+    assert Config({key: str(value)})[key] == value

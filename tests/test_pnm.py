@@ -23,6 +23,15 @@ def test_pgm_round_trip(tmp_path):
     assert np.array_equal(read_pgm(path), img)
 
 
+@pytest.mark.parametrize("write, magic, shape", [
+    (write_ppm, b"P6", (5, 7, 3)), (write_pgm, b"P5", (5, 7))], ids=["ppm", "pgm"])
+def test_file_is_header_then_pixels(tmp_path, write, magic, shape):
+    img = np.random.default_rng(2).integers(0, 256, size=shape, dtype=np.uint8)
+    path = tmp_path / "x"
+    write(path, np.asfortranarray(img))
+    assert path.read_bytes() == magic + b"\n7 5\n255\n" + img.tobytes()
+
+
 def test_header_comments_skipped(tmp_path):
     path = tmp_path / "c.pgm"
     body = bytes(range(6))
@@ -67,11 +76,14 @@ def test_unsupported_maxval(tmp_path):
         read_pgm(path)
 
 
-def test_shape_validation():
-    with pytest.raises(ValueError):
-        write_ppm("/tmp/never.ppm", np.zeros((4, 4), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        write_pgm("/tmp/never.pgm", np.zeros((4, 4, 3), dtype=np.uint8))
+def test_shape_validation(tmp_path):
+    with pytest.raises(ValueError, match=r"expected \(H, W, 3\) array, got shape \(4, 4\)"):
+        write_ppm(tmp_path / "x.ppm", np.zeros((4, 4), dtype=np.uint8))
+    with pytest.raises(ValueError, match=r"expected \(H, W\) array, got shape \(4, 4, 3\)"):
+        write_pgm(tmp_path / "x.pgm", np.zeros((4, 4, 3), dtype=np.uint8))
+    with pytest.raises(ValueError, match=r"expected \(H, W\) array, got shape \(4,\)"):
+        write_pgm(tmp_path / "x.pgm", np.zeros(4, dtype=np.uint8))
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("header, what", [

@@ -6,12 +6,81 @@ import pytest
 
 from wsitriage.manifest import ClassLabel
 from wsitriage.pnm import read_pgm, read_ppm
-from wsitriage.synthesis import (RECIPES, LabProfile, default_lab_profiles,
-                                 generate_corpus, generate_slide,
-                                 identity_profile, inject_artifact,
-                                 mask_path_for)
+from wsitriage.synthesis import (BACKGROUND_LEVEL, RECIPES, TISSUE_RGB,
+                                 LabProfile, _paint_disk, _paint_segment,
+                                 _render_reference, _tissue_region,
+                                 default_lab_profiles, generate_corpus,
+                                 generate_slide, identity_profile,
+                                 inject_artifact, mask_path_for)
 
 SMALL = (256, 384)   # small raster keeps the unit tests quick
+
+
+def reference_lesion_mask(rng, tissue, recipe):
+    """_lesion_mask with one branch per arrangement, each drawing its own
+    anchor."""
+    lesion = np.zeros_like(tissue)
+    ys, xs = np.nonzero(tissue[::4, ::4])
+    n_anchors = len(ys)
+    if n_anchors == 0:
+        return lesion
+    target = recipe.blob_density * int(tissue.sum())
+    r = recipe.blob_radius_px
+
+    def pick():
+        i = rng.integers(0, n_anchors)
+        return int(ys[i]) * 4, int(xs[i]) * 4
+
+    covered = 0
+    for _ in range(400):
+        if covered >= target:
+            break
+        if recipe.arrangement == "dense_islands":
+            cy, cx = pick()
+            covered += _paint_disk(lesion, cy, cx, rng.uniform(0.7, 1.4) * r)
+        elif recipe.arrangement == "sparse_background":
+            cy, cx = pick()
+            covered += _paint_disk(lesion, cy, cx, rng.uniform(0.6, 1.3) * r)
+        elif recipe.arrangement == "nested_clusters":
+            cy, cx = pick()
+            for _ in range(int(rng.integers(6, 14))):
+                oy = cy + rng.normal(0.0, 4.0 * r)
+                ox = cx + rng.normal(0.0, 4.0 * r)
+                covered += _paint_disk(lesion, int(oy), int(ox), rng.uniform(0.6, 1.3) * r)
+        elif recipe.arrangement == "ridges":
+            cy, cx = pick()
+            angle = rng.uniform(0.0, np.pi)
+            length = rng.uniform(10.0, 30.0) * r
+            dy, dx = np.sin(angle) * length / 2, np.cos(angle) * length / 2
+            covered += _paint_segment(lesion, (cy - dy, cx - dx), (cy + dy, cx + dx),
+                                      rng.uniform(0.7, 1.2) * r)
+    lesion &= tissue
+    return lesion
+
+
+def reference_render(rng, label, shape, no_lesion):
+    """_render_reference with one speckle block each for plain tissue and
+    lesion, each skipped when its region is empty."""
+    h, w = shape
+    glass = rng.random((h, w), dtype=np.float32)
+    glass *= 10.0
+    glass += BACKGROUND_LEVEL - 5
+    raster = np.empty((h, w, 3), dtype=np.float32)
+    raster[:] = glass[:, :, None]
+    tissue = _tissue_region(rng, h, w)
+    recipe = RECIPES[label]
+    lesion = (np.zeros_like(tissue) if no_lesion
+              else reference_lesion_mask(rng, tissue, recipe))
+    plain = tissue & ~lesion
+    n_plain = int(plain.sum())
+    if n_plain:
+        speckle = rng.normal(1.0, 0.035, size=n_plain).astype(np.float32)
+        raster[plain] = np.asarray(TISSUE_RGB, dtype=np.float32) * speckle[:, None]
+    n_lesion = int(lesion.sum())
+    if n_lesion:
+        speckle = rng.normal(1.0, 0.09, size=n_lesion).astype(np.float32)
+        raster[lesion] = np.asarray(recipe.base_chroma, dtype=np.float32) * speckle[:, None]
+    return raster, lesion, tissue
 
 
 class TestLabProfile:
@@ -36,6 +105,20 @@ class TestLabProfile:
 
 
 class TestGenerateSlide:
+    @pytest.mark.parametrize("no_lesion", [False, True], ids=["lesion", "no_lesion"])
+    @pytest.mark.parametrize("label", list(ClassLabel), ids=lambda c: c.token)
+    def test_render_bitwise_the_per_branch_reference(self, label, no_lesion):
+        """Raster, lesion and tissue masks, and the generator state after
+        them, equal the reference's at each seed."""
+        for seed in (0, 1, 2):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _render_reference(rng, label, SMALL, no_lesion)
+            expected = reference_render(ref_rng, label, SMALL, no_lesion)
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert got[1].any() != no_lesion
+            assert rng.random() == ref_rng.random()
+
     def test_deterministic(self):
         a = generate_slide(ClassLabel.SQUAMOUS, default_lab_profiles()[1], 5,
                            shape=SMALL)
