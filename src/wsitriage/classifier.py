@@ -87,9 +87,6 @@ class NetParams:
     w2: np.ndarray   # (32, 4)
     b2: np.ndarray   # (4,)
 
-    def copy(self) -> "NetParams":
-        return NetParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
-
 
 def dropout_scale(rng: np.random.Generator, shape, keep_prob: float) -> np.ndarray:
     """Hidden-unit scaling of shape `shape`: each unit is kept with
@@ -118,20 +115,24 @@ def init_params(seed: int = 0) -> NetParams:
     )
 
 
+def _forward(x: np.ndarray, params: NetParams, scale: np.ndarray | None):
+    """(hidden units, scaled hidden units, the 4 sigmoids) of one embedding
+    or of a batch; scale omits hidden units and rescales the survivors,
+    None uses all units unscaled."""
+    h = np.tanh(x @ params.w1 + params.b1)
+    hm = h if scale is None else h * scale
+    return h, hm, _sigmoid(hm @ params.w2 + params.b2)
+
+
 def predict(embedding: np.ndarray, params: NetParams,
             scale: np.ndarray | None = None) -> np.ndarray:
-    """Forward pass to the 4 per-class sigmoids; scale (one dropout_scale
-    row) omits hidden units and rescales the survivors, None uses all
-    units unscaled.
+    """Forward pass to the 4 per-class sigmoids; scale is one dropout_scale
+    row, or None for all units unscaled.
 
     Outputs are clamped away from exact 0/1 so saturated units still
     yield valid strictly-(0,1) probabilities downstream.
     """
-    h = np.tanh(embedding @ params.w1 + params.b1)
-    if scale is not None:
-        h = h * scale
-    out = _sigmoid(h @ params.w2 + params.b2)
-    return np.clip(out, 1e-12, 1.0 - 1e-12)
+    return np.clip(_forward(embedding, params, scale)[2], 1e-12, 1.0 - 1e-12)
 
 
 def predict_class(embedding: np.ndarray, params: NetParams) -> int:
@@ -156,11 +157,7 @@ def loss_and_grad(params: NetParams, x: np.ndarray, y: np.ndarray,
     the finite-difference gradient check relies on.
     """
     n = len(x)
-    z1 = x @ params.w1 + params.b1
-    h = np.tanh(z1)
-    hm = h * mask_scale
-    z2 = hm @ params.w2 + params.b2
-    p = _sigmoid(z2)
+    h, hm, p = _forward(x, params, mask_scale)
 
     eps = 1e-12
     loss = float(-(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps)).sum() / n)
@@ -204,24 +201,21 @@ def train(x: np.ndarray, labels, config: TrainConfig = TrainConfig(),
         warnings.warn(f"training set is missing classes {missing}", stacklevel=2)
 
     lr = config.learning_rate
-    params = init_params(config.seed) if params is None else params.copy()
+    if params is None:
+        params = init_params(config.seed)
     y = one_hot(labels)
     rng = np.random.default_rng(stable_seed("classifier-train", config.seed))
 
-    w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
     n = len(x)
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             scale = dropout_scale(rng, (len(idx), N_HIDDEN), config.keep_prob)
-            cur = NetParams(w1, b1, w2, b2)
-            _, g = loss_and_grad(cur, x[idx], y[idx], scale)
-            w1 = w1 - lr * g["w1"]
-            b1 = b1 - lr * g["b1"]
-            w2 = w2 - lr * g["w2"]
-            b2 = b2 - lr * g["b2"]
-    return NetParams(w1, b1, w2, b2)
+            _, g = loss_and_grad(params, x[idx], y[idx], scale)
+            # out of place: the params passed in are never written
+            params = NetParams(*(getattr(params, k) - lr * g[k] for k in _PARAM_SHAPES))
+    return params
 
 
 def fine_tune(params: NetParams, x: np.ndarray, labels,

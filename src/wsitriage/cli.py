@@ -15,7 +15,7 @@ import sys
 
 from .aggregation import (load_specimen_results, save_class_scores,
                           save_slide_results, save_specimen_results)
-from .config import CONFIG_KEYS, Config, ConfigError, load_config
+from .config import Config, ConfigError, load_config
 from .confidence import load_thresholds, save_thresholds
 from .evaluation import evaluate, format_report, write_report
 from .manifest import (DatasetManifest, Split, build_splits, check_ratios,
@@ -45,18 +45,9 @@ class _Parser(argparse.ArgumentParser):
 def _load_config(args) -> Config:
     """The effective config of a command: the --config file (or the
     defaults) with --seed and --workers applied over it."""
-    config = Config()
-    if args.config is not None:
-        try:
-            config = load_config(args.config)
-        except ConfigError as exc:
-            raise CliError(str(exc), code=USAGE_ERROR) from None
-    for key in ("seed", "workers"):
-        if getattr(args, key) is not None:
-            config.values[key] = CONFIG_KEYS[key][0](getattr(args, key))
-    if config["workers"] < 1:
-        raise CliError(f"workers must be >= 1, got {config['workers']}")
-    return config
+    overrides = {key: getattr(args, key) for key in ("seed", "workers")
+                 if getattr(args, key) is not None}
+    return Config(overrides) if args.config is None else load_config(args.config, overrides)
 
 
 def cmd_synth(args) -> int:
@@ -71,6 +62,9 @@ def cmd_synth(args) -> int:
     unknown = [lab for lab in labs if lab not in profiles]
     if unknown:
         raise CliError(f"unknown lab profiles: {unknown}", code=USAGE_ERROR)
+    repeated = sorted({lab for lab in labs if labs.count(lab) > 1})
+    if repeated:
+        raise CliError(f"repeated lab profiles: {repeated}", code=USAGE_ERROR)
     out = args.out or os.path.join(config["paths.workdir"], "corpus")
     manifest = generate_corpus(
         n_specimens_per_lab=args.specimens,
@@ -274,6 +268,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except OSError as exc:
         # a file that cannot be opened or read: missing, a directory, unreadable
         print(f"error: {exc.filename}: {exc.strerror}" if exc.filename is not None

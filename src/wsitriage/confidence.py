@@ -26,21 +26,24 @@ DEFAULT_TARGETS = (0.90, 0.95, 0.98)
 THRESHOLDS_HEAD = ("wsi-triage-thresholds v2", "level,target,threshold")
 
 
-class _Unreachable:
-    """Sentinel for a target accuracy no threshold can achieve."""
+class _Unreachable(float):
+    """+inf for a target accuracy no threshold can achieve: no score clears
+    it, and it sorts after every threshold.  UNREACHABLE is its one
+    instance, and pickling and copying return it too."""
 
-    _instance = None
+    __slots__ = ()
 
     def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+        return UNREACHABLE
+
+    def __reduce__(self):
+        return "UNREACHABLE"   # the module global, at every pickle protocol
 
     def __repr__(self):
         return "UNREACHABLE"
 
 
-UNREACHABLE = _Unreachable()
+UNREACHABLE = float.__new__(_Unreachable, math.inf)
 
 
 @dataclass(frozen=True)
@@ -98,17 +101,9 @@ class ThresholdSet:
             _target(t)
         if list(self.targets) != sorted(self.targets):
             raise ValueError("targets must be non-decreasing")
-        last = -np.inf
-        seen_unreachable = False
-        for v in map(_threshold, self.values):
-            if v is UNREACHABLE:
-                seen_unreachable = True
-                continue
-            if seen_unreachable:
-                raise ValueError("a reachable level cannot follow an unreachable one")
-            if v < last:
-                raise ValueError("thresholds must be non-decreasing in level")
-            last = v
+        values = [_threshold(v) for v in self.values]
+        if values != sorted(values):
+            raise ValueError("thresholds must be non-decreasing in level")
 
     @property
     def levels(self) -> tuple:
@@ -122,13 +117,10 @@ class ThresholdSet:
 
     def level(self, score: float) -> int:
         """The highest level whose threshold the score clears, inclusive of
-        the threshold; 0 when it clears none.  An UNREACHABLE threshold is
-        never cleared."""
-        level = 0
-        for lv, v in zip(self.levels, self.values):
-            if v is not UNREACHABLE and score >= v:
-                level = lv
-        return level
+        the threshold; 0 when it clears none.  The thresholds do not
+        decrease, so the cleared levels are the first ones, and an
+        UNREACHABLE threshold is never cleared."""
+        return int(sum(score >= v for v in self.values))
 
 
 def calibrate_thresholds(results, targets=DEFAULT_TARGETS) -> ThresholdSet:

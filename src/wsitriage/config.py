@@ -54,7 +54,7 @@ def _probability(text) -> float:
 # key -> (parser, default, help)
 CONFIG_KEYS = {
     "seed": (int, 0, "global seed for corpus generation and inference"),
-    "workers": (int, 1, "worker processes for corpus generation and runs"),
+    "workers": (_at_least(1), 1, "worker processes for corpus generation and runs"),
     "paths.workdir": (str, "triage-work", "default base directory for outputs"),
     "tiling.s_min": (finite, _TILING.s_min, "tissue saturation floor"),
     "tiling.l_max": (finite, _TILING.l_max, "tissue luminance ceiling"),
@@ -132,10 +132,11 @@ class Config:
             yield f"config.{key}", str(value)
 
 
-def load_config(path) -> Config:
-    """The config a key=value UTF-8 file sets; a byte that is not UTF-8, a
-    malformed line, an unknown or repeated key and a bad value (a number
-    that is NaN or infinite among them) are rejected at path:line."""
+def load_config(path, overrides=None) -> Config:
+    """The config a key=value UTF-8 file sets, with overrides (key -> value,
+    each through its key's parser) applied over it; a byte that is not
+    UTF-8, a malformed line, an unknown or repeated key and a bad value (a
+    number that is NaN or infinite among them) are rejected at path:line."""
     try:
         text = read_text(path)
     except TableError as exc:   # a byte that is not UTF-8
@@ -155,4 +156,4 @@ def load_config(path) -> Config:
         except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
         values[key] = value
-    return Config(values)
+    return Config({**values, **(overrides or {})})

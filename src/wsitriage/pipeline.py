@@ -240,9 +240,12 @@ class CorpusRun:
 def run_corpus(manifest: DatasetManifest, models: Models, config: Config,
                workers: int = 1, global_seed: int = 0,
                split: Split | None = None) -> CorpusRun:
-    """Run every manifest slide (optionally one split), slides in
-    canonical slide_id order, then aggregate per specimen."""
+    """Run every manifest slide (optionally one split, which must hold a
+    slide), slides in canonical slide_id order, then aggregate per
+    specimen."""
     records = manifest.records if split is None else manifest.records_in(split)
+    if split is not None and not records:
+        raise ValueError(f"no slide of the manifest is in split {split.value}")
     records = sorted(records, key=lambda r: r.slide_id)
 
     t0 = time.perf_counter()

@@ -400,6 +400,9 @@ def generate_corpus(n_specimens_per_lab: int, labs: list[LabProfile],
     check_corpus_size(n_specimens_per_lab, slides_per_specimen_range)
     if not labs:
         raise ValueError("at least one lab profile is required")
+    lab_ids = [profile.lab_id for profile in labs]
+    if len(set(lab_ids)) != len(lab_ids):
+        raise ValueError(f"repeated lab_id among {lab_ids}")
     lo, hi = slides_per_specimen_range
 
     out_dir = os.path.abspath(out_dir)

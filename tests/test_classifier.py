@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsitriage.classifier import (NetParams, TrainConfig, accuracy,
+from wsitriage.classifier import (N_HIDDEN, NetParams, TrainConfig, accuracy,
                                   dropout_scale, featurize_tiles,
                                   fine_tune,
                                   init_params, load_params, loss_and_grad,
                                   one_hot, pool, predict, predict_class,
                                   save_params, train)
-from wsitriage.manifest import ClassLabel
+from wsitriage.manifest import ClassLabel, stable_seed
 from wsitriage.synthesis import default_lab_profiles, generate_slide
 from wsitriage.tiling import BLOCK_PX, Tiles, TilingConfig, segment_tissue, tile
 
@@ -256,6 +256,57 @@ class TestTrain:
         x, y = separable_embeddings(5)
         with pytest.raises(ValueError, match="keep_prob"):
             train(x, y, TrainConfig(epochs=1, keep_prob=keep_prob))
+
+
+def reference_train(x, labels, config, params=None):
+    """Seeded minibatch SGD written out as four arrays and a new NetParams
+    for each batch."""
+    x = np.asarray(x, dtype=np.float64)
+    params = init_params(config.seed) if params is None else params
+    y = one_hot(labels)
+    rng = np.random.default_rng(stable_seed("classifier-train", config.seed))
+    lr = config.learning_rate
+    w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
+    for _ in range(config.epochs):
+        order = rng.permutation(len(x))
+        for start in range(0, len(x), config.batch_size):
+            idx = order[start:start + config.batch_size]
+            scale = dropout_scale(rng, (len(idx), N_HIDDEN), config.keep_prob)
+            cur = NetParams(w1, b1, w2, b2)
+            _, g = loss_and_grad(cur, x[idx], y[idx], scale)
+            w1 = w1 - lr * g["w1"]
+            b1 = b1 - lr * g["b1"]
+            w2 = w2 - lr * g["w2"]
+            b2 = b2 - lr * g["b2"]
+    return NetParams(w1, b1, w2, b2)
+
+
+def param_bytes(params):
+    return [getattr(params, k).tobytes() for k in ("w1", "b1", "w2", "b2")]
+
+
+class TestTrainMatchesReference:
+    def test_train_bytes_equal_reference(self):
+        x, y = separable_embeddings(10, seed=3)
+        config = TrainConfig(epochs=7, batch_size=16, seed=5)
+        assert param_bytes(train(x, y, config)) == param_bytes(reference_train(x, y, config))
+
+    def test_fine_tune_bytes_equal_reference(self):
+        x, y = separable_embeddings(10, seed=4)
+        base = train(x, y, TrainConfig(epochs=3, seed=2))
+        config = TrainConfig(seed=6, finetune_epochs=5)
+        tuned_config = TrainConfig(seed=6, epochs=5, learning_rate=config.learning_rate
+                                   * config.finetune_lr_scale)
+        assert (param_bytes(fine_tune(base, x, y, config))
+                == param_bytes(reference_train(x, y, tuned_config, base)))
+
+    def test_fine_tune_leaves_base_unwritten(self):
+        x, y = separable_embeddings(10, seed=4)
+        base = train(x, y, TrainConfig(epochs=3, seed=2))
+        before = param_bytes(base)
+        tuned = fine_tune(base, x, y, TrainConfig(seed=6, finetune_epochs=5))
+        assert param_bytes(base) == before
+        assert param_bytes(tuned) != before
 
 
 class TestFineTune:

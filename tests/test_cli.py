@@ -243,7 +243,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("line", ["tiling.tile_px=0", "tiling.tile_px=-128",
                                       "classifier.batch_size=0", "confidence.keep_prob=0",
-                                      "confidence.T=0", "classifier.epochs=-5"])
+                                      "confidence.T=0", "classifier.epochs=-5",
+                                      "workers=0"])
     def test_out_of_range_value_is_usage_error_before_training(self, workflow, tmp_path,
                                                                capsys, line):
         config = tmp_path / "c.cfg"
@@ -262,16 +263,33 @@ class TestErrors:
         assert main(["synth", "--out", str(tmp_path / "c"),
                      "--labs", "lab_zz", "--specimens", "1"]) == 1
 
-    def test_zero_workers_is_data_error(self, tmp_path, capsys, workflow):
+    def test_zero_workers_is_usage_error(self, tmp_path, capsys, workflow):
+        message = "error: bad value for 'workers': must be at least 1, got 0"
         assert main(["synth", "--out", str(tmp_path / "c"), "--labs", "reference",
-                     "--specimens", "1", "--workers", "0"]) == 2
-        assert "workers must be >= 1" in capsys.readouterr().err
+                     "--specimens", "1", "--workers", "0"]) == 1
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "c")
         # rejected before any slide is read or model written
         models = str(tmp_path / "m")
         assert main(["train", "--manifest", workflow["ref_manifest"],
-                     "--models", models, "--workers", "0"]) == 2
-        assert "workers must be >= 1" in capsys.readouterr().err
+                     "--models", models, "--workers", "0"]) == 1
+        assert message in capsys.readouterr().err
         assert not os.path.exists(models)
+
+    def test_repeated_lab_profile_is_usage_error_before_any_write(self, tmp_path, capsys):
+        out = tmp_path / "dup"
+        assert main(["synth", "--out", str(out), "--labs", "lab_a,lab_a",
+                     "--specimens", "1"]) == 1
+        assert "repeated lab profiles: ['lab_a']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_of_a_split_with_no_slide_is_data_error(self, workflow, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["run", "--manifest", os.path.join(workflow["corpus"], "manifest.txt"),
+                     "--models", workflow["models"], "--split", "Test",
+                     "--out", str(out), "--workers", "1"]) == 2
+        assert "split Test" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_ratio_values(self, tmp_path, workflow):
         code = main(["split", "--manifest", workflow["ref_manifest"],

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from wsitriage.confidence import (UNREACHABLE, ThresholdSet, calibrate_threshold
                                   score, validate_matrix)
 from wsitriage.evaluation import evaluate, format_report
 from wsitriage.manifest import ClassLabel
+from wsitriage.parallel import pmap
 
 
 def brute_force_threshold(pairs, target):
@@ -237,3 +241,19 @@ class TestThresholdSet:
         loaded = load_thresholds(path)
         assert loaded.targets == ts.targets
         assert loaded.values == ts.values
+
+    def test_unreachable_stays_the_sentinel_through_pickle_copy_and_pmap(self):
+        ts = ThresholdSet(targets=(0.90, 0.95, 0.98), values=(0.2, UNREACHABLE, UNREACHABLE))
+        copies = [pickle.loads(pickle.dumps(ts, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.deepcopy(ts)] + pmap(copy.copy, [ts, ts], workers=2)
+        for other in copies:
+            assert other == ts
+            assert other.value(1) == 0.2
+            assert other.value(2) is UNREACHABLE and other.value(3) is UNREACHABLE
+            assert repr(other.value(3)) == "UNREACHABLE"
+
+    def test_unreachable_sorts_after_every_threshold(self):
+        assert sorted([UNREACHABLE, 1.0, 0.0, 0.5]) == [0.0, 0.5, 1.0, UNREACHABLE]
+        assert sorted([UNREACHABLE, 1.0])[-1] is UNREACHABLE
+        assert not 1.0 >= UNREACHABLE

@@ -48,8 +48,9 @@ def test_bad_targets_rejected_by_name(targets):
     ("classifier.finetune_epochs", "-1", "must be at least 0, got -1"),
     ("confidence.keep_prob", "0", r"must be in \(0, 1\], got 0.0"),
     ("confidence.keep_prob", "1.5", r"must be in \(0, 1\], got 1.5"),
+    ("workers", "0", "must be at least 1, got 0"),
 ], ids=["tile_px-0", "tile_px-negative", "T-0", "batch_size-0", "epochs-negative",
-        "finetune_epochs-negative", "keep_prob-0", "keep_prob-above-1"])
+        "finetune_epochs-negative", "keep_prob-0", "keep_prob-above-1", "workers-0"])
 def test_value_out_of_range_rejected_at_path_line(tmp_path, key, value, message):
     path = tmp_path / "c.cfg"
     path.write_text(f"seed=1\n{key}={value}\n")
@@ -62,7 +63,16 @@ def test_value_out_of_range_rejected_at_path_line(tmp_path, key, value, message)
 @pytest.mark.parametrize("key, value", [
     ("tiling.tile_px", 1), ("confidence.T", 1), ("classifier.batch_size", 1),
     ("classifier.epochs", 0), ("classifier.finetune_epochs", 0),
-    ("confidence.keep_prob", 1.0),
+    ("confidence.keep_prob", 1.0), ("workers", 1),
 ])
 def test_range_bounds_accepted(key, value):
     assert Config({key: str(value)})[key] == value
+
+
+def test_overrides_go_through_their_keys_parser(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("seed=1\nworkers=2\n")
+    config = load_config(path, {"seed": 7, "workers": "3"})
+    assert (config["seed"], config["workers"]) == (7, 3)
+    with pytest.raises(ConfigError, match="^bad value for 'workers': must be at least 1, got 0$"):
+        load_config(path, {"workers": 0})

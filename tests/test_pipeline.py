@@ -246,6 +246,11 @@ class TestRunCorpus:
         expected = {r.slide_id for r in small_corpus.records_in(Split.TEST)}
         assert {r.slide_id for r in run.slide_results} == expected
 
+    def test_split_without_a_slide_rejected(self, small_corpus, small_models, config):
+        with pytest.raises(ValueError, match="no slide of the manifest is in split "
+                           "CalibValidation"):
+            run_corpus(small_corpus, small_models, config, split=Split.CALIB_VALIDATION)
+
     def test_empty_manifest(self, small_models, config):
         from wsitriage.manifest import DatasetManifest
         run = run_corpus(DatasetManifest(records=[]), small_models, config,

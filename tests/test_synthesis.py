@@ -284,3 +284,10 @@ class TestGenerateCorpus:
             generate_corpus(2, [], (1, 1), 0, str(tmp_path))
         with pytest.raises(ValueError):
             generate_corpus(2, [identity_profile()], (2, 1), 0, str(tmp_path))
+
+    def test_repeated_lab_rejected_before_the_directory_is_made(self, tmp_path):
+        out = tmp_path / "dup"
+        with pytest.raises(ValueError, match="repeated lab_id"):
+            generate_corpus(1, [identity_profile(), identity_profile()], (1, 1), 0,
+                            str(out), shape=SMALL)
+        assert not out.exists()
