@@ -14,8 +14,9 @@ from wsitriage.config import Config
 from wsitriage.manifest import Split, build_splits
 from wsitriage.pipeline import slide_tiles
 from wsitriage.pnm import read_pgm
-from wsitriage.roi import segment_tiles
+from wsitriage.roi import positive_fractions
 from wsitriage.synthesis import default_lab_profiles, generate_corpus, mask_path_for
+from wsitriage.tiling import pixel_planes
 from wsitriage.training import train_models
 
 out_dir = os.path.join(tempfile.gettempdir(), "wsitriage-demo-train")
@@ -32,7 +33,7 @@ print(f"trained on {trained.n_train_slides} slides; "
 record = manifest.records_in(Split.TRAIN)[0]
 lesion = read_pgm(mask_path_for(record.raster_path)) > 0
 tiles = slide_tiles(record, config)[:8]   # read, segment and tile, unadapted
-fractions = segment_tiles(tiles, trained.segmenter)
+fractions = positive_fractions(pixel_planes(tiles.pixels), trained.segmenter)
 print(f"\nslide {record.slide_id} ({record.truth.token}):")
 print(f"positive fractions of its first {len(tiles)} tiles: {fractions.round(3)}")
 print("tile origin      predicted  truth")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .confidence import ThresholdSet
 from .manifest import ClassLabel
-from .tables import TableError, optional, read_table, write_table
+from .tables import TableError, at_least, interval, optional, read_table, write_table
 
 RESULTS_HEAD = ("wsi-triage-specimen-results v1",
                 "specimen_id,final,class,score,level,source_slide")
@@ -140,12 +140,7 @@ def save_class_scores(specimens, path) -> None:
         if spec.class_means is not None))
 
 
-def _probability(value) -> float:
-    """A score or class mean: a mean of sigmoids, so a number in [0, 1]."""
-    value = float(value)
-    if not 0.0 <= value <= 1.0:   # NaN too
-        raise ValueError(f"score must be in [0, 1], got {value}")
-    return value
+_score = interval(0, 1, "score")   # a score or class mean: a mean of sigmoids
 
 
 def load_specimen_results(results_path, class_scores_path) -> list[SpecimenResult]:
@@ -155,10 +150,10 @@ def load_specimen_results(results_path, class_scores_path) -> list[SpecimenResul
     would count a repeated row twice and leave a specimen without class
     scores out of every ROC curve."""
     means_by_id = {specimen_id: np.array(means) for _, (specimen_id, *means) in read_table(
-        class_scores_path, CLASS_SCORES_HEAD, (str,) + (_probability,) * 4)}
+        class_scores_path, CLASS_SCORES_HEAD, (str,) + (_score,) * 4)}
 
     columns = (str, FinalOutcome, optional(ClassLabel.from_token),
-               optional(_probability), str, str)
+               optional(_score), optional(at_least(0)), str)
     out = {}
     for lineno, (specimen_id, final, cls, s, _, source) in read_table(
             results_path, RESULTS_HEAD, columns):

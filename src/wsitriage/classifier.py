@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .manifest import N_CLASSES, stable_seed
-from .tables import read_arrays, write_arrays
+from .tables import interval, read_arrays, write_arrays
 from .tiling import Tiles, TilingConfig, blocks, pixel_planes, tissue_mask
 
 CLASSIFIER_HEADER = "wsi-triage-classifier v2"
@@ -91,8 +91,7 @@ class NetParams:
 def dropout_scale(rng: np.random.Generator, shape, keep_prob: float) -> np.ndarray:
     """Hidden-unit scaling of shape `shape`: each unit is kept with
     probability keep_prob and survivors are scaled by 1/keep_prob."""
-    if not 0.0 < keep_prob <= 1.0:
-        raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
+    keep_prob = interval(0, 1, "keep_prob", open_low=True)(keep_prob)
     return (rng.random(shape) < keep_prob) / keep_prob
 
 

@@ -2,8 +2,9 @@
 calibration, frozen runs, evaluation, and timing profiles.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (missing or
-malformed input files, the offending path named on stderr; a run with any
-Error slide, after its outputs are written).
+malformed input files, the offending path named on stderr; a run over no
+slide, before any output; a run with any Error slide, after its outputs
+are written).
 """
 
 from __future__ import annotations
@@ -159,8 +160,7 @@ def cmd_run(args) -> int:
         global_seed=config["seed"], workers=config["workers"],
         input_manifest=args.manifest, model_files=paths, config=config,
         wall_ms=run.wall_ms)
-    throughput = (profile(run.timings, run.wall_ms).throughput_per_hour
-                  if run.timings else 0.0)
+    throughput = profile(run.timings, run.wall_ms).throughput_per_hour
     print(f"processed {len(run.slide_results)} slides "
           f"({len(run.specimens)} specimens) in {run.wall_ms:.0f} ms; "
           f"throughput {throughput:.0f} slides/hour")

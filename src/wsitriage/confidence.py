@@ -18,7 +18,7 @@ import numpy as np
 
 from .classifier import KEEP_PROB, N_HIDDEN, NetParams, dropout_scale, predict
 from .manifest import N_CLASSES, ClassLabel
-from .tables import TableError, read_table, write_table
+from .tables import TableError, interval, read_table, write_table
 
 DEFAULT_T = 30
 DEFAULT_TARGETS = (0.90, 0.95, 0.98)
@@ -97,10 +97,7 @@ class ThresholdSet:
     def __post_init__(self):
         if len(self.targets) != len(self.values):
             raise ValueError("targets and values must have equal length")
-        for t in self.targets:
-            _target(t)
-        if list(self.targets) != sorted(self.targets):
-            raise ValueError("targets must be non-decreasing")
+        check_targets(self.targets)
         values = [_threshold(v) for v in self.values]
         if values != sorted(values):
             raise ValueError("thresholds must be non-decreasing in level")
@@ -153,21 +150,23 @@ def save_thresholds(thresholds: ThresholdSet, path) -> None:
                                     thresholds.values)))
 
 
-def _target(value) -> float:
-    value = float(value)
-    if not 0.0 < value <= 1.0:   # NaN too
-        raise ValueError(f"target must be in (0, 1], got {value}")
-    return value
+_target = interval(0, 1, "target", open_low=True)
+
+
+def check_targets(targets) -> tuple:
+    """The accuracy targets of levels 1, 2, ...: each in (0, 1], and
+    non-decreasing."""
+    targets = tuple(_target(t) for t in targets)
+    if list(targets) != sorted(targets):
+        raise ValueError(f"targets must be non-decreasing, got {targets}")
+    return targets
 
 
 def _threshold(value):
     """A threshold: UNREACHABLE (`unreachable` in a file) or a number in [0, 1]."""
     if value is UNREACHABLE or value == "unreachable":
         return UNREACHABLE
-    value = float(value)
-    if not 0.0 <= value <= 1.0:   # NaN too
-        raise ValueError(f"threshold must be in [0, 1], got {value}")
-    return value
+    return interval(0, 1, "threshold")(value)
 
 
 def load_thresholds(path) -> ThresholdSet:

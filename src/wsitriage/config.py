@@ -9,12 +9,13 @@ by that module (tiling.*, roi.*, confidence.*, classifier.*).
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from .classifier import TrainConfig
-from .confidence import DEFAULT_T, DEFAULT_TARGETS, _target
+from .confidence import DEFAULT_T, DEFAULT_TARGETS, check_targets
 from .roi import THETA_ROI
-from .tables import TableError, finite, read_text
+from .tables import TableError, at_least, interval, read_text
 from .tiling import TilingConfig
 
 _TILING = TilingConfig()
@@ -27,52 +28,37 @@ class ConfigError(ValueError):
 
 
 def _parse_targets(text: str) -> tuple:
-    targets = tuple(_target(v) for v in str(text).split(",") if v != "")
-    if list(targets) != sorted(targets):
-        raise ValueError(f"targets must be non-decreasing, got {text}")
-    return targets
+    return check_targets(v for v in str(text).split(",") if v != "")
 
 
-def _at_least(low: int):
-    """Parser of an integer key whose values start at low."""
-    def parse(text) -> int:
-        value = int(text)
-        if value < low:
-            raise ValueError(f"must be at least {low}, got {value}")
-        return value
-    return parse
-
-
-def _probability(text) -> float:
-    """A number in (0, 1]."""
-    value = float(text)
-    if not 0.0 < value <= 1.0:   # NaN too
-        raise ValueError(f"must be in (0, 1], got {value}")
-    return value
+_UNIT = interval(0, 1)
+_NON_NEGATIVE = interval(0, math.inf)
 
 
 # key -> (parser, default, help)
 CONFIG_KEYS = {
     "seed": (int, 0, "global seed for corpus generation and inference"),
-    "workers": (_at_least(1), 1, "worker processes for corpus generation and runs"),
+    "workers": (at_least(1), 1, "worker processes for corpus generation and runs"),
     "paths.workdir": (str, "triage-work", "default base directory for outputs"),
-    "tiling.s_min": (finite, _TILING.s_min, "tissue saturation floor"),
-    "tiling.l_max": (finite, _TILING.l_max, "tissue luminance ceiling"),
-    "tiling.min_tissue_fraction": (finite, _TILING.min_tissue_fraction,
+    "tiling.s_min": (_UNIT, _TILING.s_min, "tissue saturation floor"),
+    "tiling.l_max": (_UNIT, _TILING.l_max, "tissue luminance ceiling"),
+    "tiling.min_tissue_fraction": (_UNIT, _TILING.min_tissue_fraction,
                                    "minimum tissue fraction to keep a tile"),
-    "tiling.tile_px": (_at_least(1), _TILING.tile_px, "tile edge length in pixels"),
-    "roi.theta": (finite, THETA_ROI, "positive fraction needed to select a tile"),
-    "confidence.T": (_at_least(1), DEFAULT_T, "prediction repetitions per slide"),
-    "confidence.keep_prob": (_probability, _TRAIN.keep_prob, "hidden-unit keep probability"),
+    "tiling.tile_px": (at_least(1), _TILING.tile_px, "tile edge length in pixels"),
+    "roi.theta": (_UNIT, THETA_ROI, "positive fraction needed to select a tile"),
+    "confidence.T": (at_least(1), DEFAULT_T, "prediction repetitions per slide"),
+    "confidence.keep_prob": (interval(0, 1, open_low=True), _TRAIN.keep_prob,
+                             "hidden-unit keep probability"),
     "confidence.targets": (_parse_targets, DEFAULT_TARGETS,
                            "accuracy targets for confidence levels"),
-    "classifier.epochs": (_at_least(0), _TRAIN.epochs, "training epochs"),
-    "classifier.learning_rate": (finite, _TRAIN.learning_rate, "training learning rate"),
-    "classifier.batch_size": (_at_least(1), _TRAIN.batch_size, "training minibatch size"),
+    "classifier.epochs": (at_least(0), _TRAIN.epochs, "training epochs"),
+    "classifier.learning_rate": (_NON_NEGATIVE, _TRAIN.learning_rate,
+                                 "training learning rate"),
+    "classifier.batch_size": (at_least(1), _TRAIN.batch_size, "training minibatch size"),
     "classifier.seed": (int, _TRAIN.seed, "training seed"),
-    "classifier.finetune_lr_scale": (finite, _TRAIN.finetune_lr_scale,
+    "classifier.finetune_lr_scale": (_NON_NEGATIVE, _TRAIN.finetune_lr_scale,
                                      "fine-tuning learning-rate factor"),
-    "classifier.finetune_epochs": (_at_least(0), _TRAIN.finetune_epochs, "fine-tuning epochs"),
+    "classifier.finetune_epochs": (at_least(0), _TRAIN.finetune_epochs, "fine-tuning epochs"),
 }
 
 
@@ -104,24 +90,14 @@ class Config:
 
     @property
     def tiling(self) -> TilingConfig:
-        return TilingConfig(
-            s_min=self["tiling.s_min"],
-            l_max=self["tiling.l_max"],
-            min_tissue_fraction=self["tiling.min_tissue_fraction"],
-            tile_px=self["tiling.tile_px"],
-        )
+        return TilingConfig(**{f.name: self[f"tiling.{f.name}"] for f in fields(TilingConfig)})
 
     @property
     def train(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self["classifier.epochs"],
-            learning_rate=self["classifier.learning_rate"],
-            batch_size=self["classifier.batch_size"],
-            seed=self["classifier.seed"],
-            keep_prob=self["confidence.keep_prob"],
-            finetune_lr_scale=self["classifier.finetune_lr_scale"],
-            finetune_epochs=self["classifier.finetune_epochs"],
-        )
+        """classifier.<field> for each field, but confidence.keep_prob."""
+        return TrainConfig(**{f.name: self[f"confidence.{f.name}" if f.name == "keep_prob"
+                                           else f"classifier.{f.name}"]
+                              for f in fields(TrainConfig)})
 
     def snapshot(self):
         """(config.<key>, value text) for every key, in key order."""

@@ -35,7 +35,7 @@ from .parallel import pmap
 from .pnm import read_ppm
 from . import tiling
 from .roi import PixelSegmenter, load_segmenter, positive_fractions, save_segmenter
-from .tables import TableError, finite, read_table, write_table
+from .tables import TableError, at_least, finite, read_table, write_table
 
 RUN_MANIFEST_HEAD = ("wsi-triage-run v2", "key,value")
 
@@ -240,11 +240,13 @@ class CorpusRun:
 def run_corpus(manifest: DatasetManifest, models: Models, config: Config,
                workers: int = 1, global_seed: int = 0,
                split: Split | None = None) -> CorpusRun:
-    """Run every manifest slide (optionally one split, which must hold a
-    slide), slides in canonical slide_id order, then aggregate per
-    specimen."""
+    """Run every manifest slide (optionally one split), slides in canonical
+    slide_id order, then aggregate per specimen; a manifest or split that
+    holds no slide is rejected."""
+    if not manifest.records:
+        raise ValueError("the manifest holds no slide")
     records = manifest.records if split is None else manifest.records_in(split)
-    if split is not None and not records:
+    if not records:
         raise ValueError(f"no slide of the manifest is in split {split.value}")
     records = sorted(records, key=lambda r: r.slide_id)
 
@@ -341,7 +343,7 @@ def _file_digest(path) -> str:
 
 # the typed fields of a run manifest; model.<kind> and config.<key> rows
 # are text
-_RUN_FIELDS = {"run_id": str, "global_seed": int, "worker_count": int,
+_RUN_FIELDS = {"run_id": str, "global_seed": int, "worker_count": at_least(1),
                "input_manifest": str, "wall_ms": finite}
 
 

@@ -69,10 +69,6 @@ class PixelSegmenter:
     feat_mean: np.ndarray
     feat_std: np.ndarray
 
-    def scores(self, pixels: np.ndarray) -> np.ndarray:
-        """Per-pixel float32 logits of a tile or a stack of tiles."""
-        return self.logits(pixel_planes(pixels))
-
     def logits(self, planes: Planes) -> np.ndarray:
         """Per-pixel float32 logits from planes already taken.  The
         standardization is folded into the weights and the bias, and the
@@ -162,15 +158,15 @@ def train_segmenter(pairs, seed: int = 0) -> PixelSegmenter:
     return PixelSegmenter(weights=w, bias=b, feat_mean=mean, feat_std=std)
 
 
+_ARRAY_SHAPES = {"weights": (N_PIXEL_FEATURES,), "bias": (),
+                 "feat_mean": (N_PIXEL_FEATURES,), "feat_std": (N_PIXEL_FEATURES,)}
+
+
 def save_segmenter(model: PixelSegmenter, path) -> None:
-    write_arrays(path, SEGMENTER_HEADER, {
-        "weights": model.weights, "bias": model.bias,
-        "feat_mean": model.feat_mean, "feat_std": model.feat_std})
+    write_arrays(path, SEGMENTER_HEADER,
+                 {name: getattr(model, name) for name in _ARRAY_SHAPES})
 
 
 def load_segmenter(path) -> PixelSegmenter:
-    v = read_arrays(path, SEGMENTER_HEADER, {
-        "weights": (N_PIXEL_FEATURES,), "bias": (),
-        "feat_mean": (N_PIXEL_FEATURES,), "feat_std": (N_PIXEL_FEATURES,)})
-    return PixelSegmenter(weights=v["weights"], bias=float(v["bias"]),
-                          feat_mean=v["feat_mean"], feat_std=v["feat_std"])
+    v = read_arrays(path, SEGMENTER_HEADER, _ARRAY_SHAPES)
+    return PixelSegmenter(**{**v, "bias": float(v["bias"])})

@@ -12,6 +12,7 @@ change the output.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -21,6 +22,7 @@ from scipy import ndimage
 from .manifest import ClassLabel, DatasetManifest, SlideRecord, save_manifest, stable_seed
 from .parallel import pmap
 from .pnm import write_pgm, write_ppm
+from .tables import interval
 
 SLIDE_H = 1024
 SLIDE_W = 1536
@@ -54,13 +56,11 @@ class LabProfile:
             raise ValueError("color_offset must be a 3-vector")
         if abs(np.linalg.det(self.color_matrix)) <= 1e-6:
             raise ValueError(f"color_matrix for {self.lab_id!r} is not invertible")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        interval(0, math.inf, "noise_sigma")(self.noise_sigma)
         for kind, rate in self.artifact_rates.items():
             if kind not in ARTIFACT_KINDS:
                 raise ValueError(f"unknown artifact kind {kind!r}")
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"artifact rate for {kind!r} outside [0, 1]")
+            interval(0, 1, f"artifact rate for {kind!r}")(rate)
 
 
 @dataclass(frozen=True)

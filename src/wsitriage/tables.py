@@ -112,6 +112,29 @@ def finite(value) -> float:
     return value
 
 
+def interval(low, high, name: str = "", open_low: bool = False):
+    """Converter for a finite number in [low, high], or in (low, high] when
+    open_low; high may be math.inf.  The error names the value as name."""
+    bounds = f"{'(' if open_low else '['}{low}, {high}{')' if high == math.inf else ']'}"
+
+    def convert(value) -> float:
+        value = float(value)
+        if not (low <= value <= high and math.isfinite(value)) or (open_low and value == low):
+            raise ValueError(f"{name} must be in {bounds}, got {value}".lstrip())
+        return value
+    return convert
+
+
+def at_least(low: int):
+    """Converter for an integer from low up."""
+    def convert(value) -> int:
+        value = int(value)
+        if value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
+    return convert
+
+
 def write_arrays(path, header: str, arrays: dict) -> None:
     """Model file: one `name,shape,values` row per array, in dict order."""
     rows = []

@@ -244,7 +244,11 @@ class TestErrors:
     @pytest.mark.parametrize("line", ["tiling.tile_px=0", "tiling.tile_px=-128",
                                       "classifier.batch_size=0", "confidence.keep_prob=0",
                                       "confidence.T=0", "classifier.epochs=-5",
-                                      "workers=0"])
+                                      "workers=0", "roi.theta=2", "roi.theta=-1",
+                                      "tiling.l_max=-5", "tiling.s_min=40",
+                                      "tiling.min_tissue_fraction=7",
+                                      "classifier.learning_rate=-0.8",
+                                      "classifier.finetune_lr_scale=-1"])
     def test_out_of_range_value_is_usage_error_before_training(self, workflow, tmp_path,
                                                                capsys, line):
         config = tmp_path / "c.cfg"
@@ -334,15 +338,16 @@ class TestErrors:
                      "--models", str(tmp_path / "m")])
         assert code == 2
 
-    def test_run_on_empty_manifest_ok(self, tmp_path, workflow):
+    def test_run_on_empty_manifest_is_data_error(self, tmp_path, workflow, capsys):
         empty = tmp_path / "empty.manifest"
         empty.write_text("wsi-triage-manifest v1\n")
         out = str(tmp_path / "runout")
         code = main(["run", "--manifest", str(empty),
                      "--models", workflow["models"], "--out", out,
                      "--workers", "1"])
-        assert code == 0
-        assert os.path.exists(os.path.join(out, "specimen_results.csv"))
+        assert code == 2
+        assert "the manifest holds no slide" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
     def test_uncalibrated_lab_is_data_error(self, workflow, tmp_path, capsys):

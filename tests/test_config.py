@@ -49,8 +49,18 @@ def test_bad_targets_rejected_by_name(targets):
     ("confidence.keep_prob", "0", r"must be in \(0, 1\], got 0.0"),
     ("confidence.keep_prob", "1.5", r"must be in \(0, 1\], got 1.5"),
     ("workers", "0", "must be at least 1, got 0"),
+    ("roi.theta", "2", r"must be in \[0, 1\], got 2.0"),
+    ("roi.theta", "-1", r"must be in \[0, 1\], got -1.0"),
+    ("tiling.l_max", "-5", r"must be in \[0, 1\], got -5.0"),
+    ("tiling.s_min", "40", r"must be in \[0, 1\], got 40.0"),
+    ("tiling.min_tissue_fraction", "7", r"must be in \[0, 1\], got 7.0"),
+    ("classifier.learning_rate", "-0.8", r"must be in \[0, inf\), got -0.8"),
+    ("classifier.finetune_lr_scale", "-1", r"must be in \[0, inf\), got -1.0"),
 ], ids=["tile_px-0", "tile_px-negative", "T-0", "batch_size-0", "epochs-negative",
-        "finetune_epochs-negative", "keep_prob-0", "keep_prob-above-1", "workers-0"])
+        "finetune_epochs-negative", "keep_prob-0", "keep_prob-above-1", "workers-0",
+        "theta-above-1", "theta-negative", "l_max-negative", "s_min-above-1",
+        "min_tissue_fraction-above-1", "learning_rate-negative",
+        "finetune_lr_scale-negative"])
 def test_value_out_of_range_rejected_at_path_line(tmp_path, key, value, message):
     path = tmp_path / "c.cfg"
     path.write_text(f"seed=1\n{key}={value}\n")
@@ -63,7 +73,9 @@ def test_value_out_of_range_rejected_at_path_line(tmp_path, key, value, message)
 @pytest.mark.parametrize("key, value", [
     ("tiling.tile_px", 1), ("confidence.T", 1), ("classifier.batch_size", 1),
     ("classifier.epochs", 0), ("classifier.finetune_epochs", 0),
-    ("confidence.keep_prob", 1.0), ("workers", 1),
+    ("confidence.keep_prob", 1.0), ("workers", 1), ("roi.theta", 0.0), ("roi.theta", 1.0),
+    ("tiling.s_min", 0.0), ("tiling.l_max", 1.0), ("tiling.min_tissue_fraction", 1.0),
+    ("classifier.learning_rate", 0.0), ("classifier.finetune_lr_scale", 0.0),
 ])
 def test_range_bounds_accepted(key, value):
     assert Config({key: str(value)})[key] == value

@@ -5,9 +5,12 @@ Mutation fuzzing (Zeller et al., The Fuzzing Book): each property starts
 from a file the program wrote, applies one mutation (truncate, flip,
 insert or delete a byte, drop or repeat a line, open a quote, add a
 200,000-character field, put nan or inf in a number) and reads it back.
-The deterministic tests below pin each case that must be rejected.
+A blank line between rows cannot matter, so a mutant with blank lines
+inserted after the top lines must read back equal to the original.  The
+deterministic tests below pin each case that must be rejected.
 """
 
+import dataclasses
 import re
 
 import numpy as np
@@ -171,6 +174,56 @@ def test_mutated_specimen_tables_read_or_rejected_with_a_path(written, tmp_path_
                   TableError, paths["specimen_results.csv"], paths["class_scores.csv"])
 
 
+# file name -> its top lines, for every table format and the config file
+TOP_LINES = {"manifest.txt": 1, "config.cfg": 0, "reference.adapter": 2,
+             "segmenter.txt": 2, "classifier.txt": 2, "reference.thresholds": 2,
+             "timings.csv": 2, "run_manifest.txt": 2, "specimen_results.csv": 2,
+             "class_scores.csv": 2}
+
+
+def _read(paths, name):
+    """What the reader of paths[name] returns; a specimen table is read
+    with the other table of its pair."""
+    if name in READERS:
+        return READERS[name][0](paths[name])
+    return load_specimen_results(paths["specimen_results.csv"], paths["class_scores.csv"])
+
+
+def _assert_same(a, b):
+    """a equals b: dataclasses field by field, arrays elementwise."""
+    assert type(a) is type(b), (a, b)
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _assert_same(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, np.ndarray):
+        assert a.shape == b.shape and np.array_equal(a, b), (a, b)
+    elif isinstance(a, dict):
+        assert list(a) == list(b), (a, b)
+        for key in a:
+            _assert_same(a[key], b[key])
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), (a, b)
+        for x, y in zip(a, b):
+            _assert_same(x, y)
+    else:
+        assert a == b, (a, b)
+
+
+@pytest.mark.parametrize("name", sorted(TOP_LINES))
+@MUTATIONS
+@given(data=st.data())
+def test_blank_lines_after_the_top_lines_read_back_equal(written, tmp_path_factory, name,
+                                                         data):
+    lines = written[name].read_bytes().split(b"\n")   # the last one is empty
+    at = data.draw(st.lists(st.integers(TOP_LINES[name], len(lines) - 1),
+                            min_size=1, max_size=4))
+    for k in sorted(at, reverse=True):
+        lines.insert(k, data.draw(st.sampled_from([b"", b"\r"])))   # LF or CRLF
+    mutant = tmp_path_factory.getbasetemp() / f"blank-{name}"
+    mutant.write_bytes(b"\n".join(lines))
+    _assert_same(_read({**written, name: mutant}, name), _read(written, name))
+
+
 def _edited(written, tmp_path, name, edit):
     """A copy of written[name] with edit applied to its bytes."""
     path = tmp_path / name
@@ -216,13 +269,9 @@ class TestTables:
             return b"\n".join(lines[:line - 1] + [lines[line - 2]] + lines[line - 1:])
 
         path = _edited(written, tmp_path, name, repeat_first_row)
-        paths = {**written, name: path}
         with pytest.raises(TableError, match=rf"^{path}:{line}: repeated key '.*', "
                                              rf"first on line {line - 1}$"):
-            if name in READERS:
-                READERS[name][0](path)
-            else:
-                load_specimen_results(paths["specimen_results.csv"], paths["class_scores.csv"])
+            _read({**written, name: path}, name)
 
 
 class TestModelFiles:
@@ -284,6 +333,24 @@ class TestNonFinite:
         path.write_text(f"seed=1\ntiling.s_min={value}\n")
         with pytest.raises(ConfigError, match=f"^{path}:2: bad value for 'tiling.s_min'"):
             load_config(path)
+
+
+class TestCounts:
+    @pytest.mark.parametrize("level, message", [
+        (b"banana", "invalid literal for int"), (b"-1", "must be at least 0, got -1$")],
+        ids=["not-a-number", "negative"])
+    def test_specimen_level(self, written, tmp_path, level, message):
+        path = _edited(written, tmp_path, "specimen_results.csv",
+                       lambda b: b.replace(b"0.8,2,s1", b"0.8," + level + b",s1"))
+        with pytest.raises(TableError, match=f"^{path}:3: {message}"):
+            load_specimen_results(path, written["class_scores.csv"])
+
+    @pytest.mark.parametrize("count", ["-3", "0"])
+    def test_run_manifest_worker_count(self, written, tmp_path, count):
+        path = _edited(written, tmp_path, "run_manifest.txt",
+                       lambda b: b.replace(b"worker_count,2", f"worker_count,{count}".encode()))
+        with pytest.raises(TableError, match=f"^{path}:5: must be at least 1, got {count}$"):
+            load_run_manifest(path)
 
 
 class TestOtherReaders:

@@ -252,14 +252,10 @@ class TestRunCorpus:
             run_corpus(small_corpus, small_models, config, split=Split.CALIB_VALIDATION)
 
     def test_empty_manifest(self, small_models, config):
-        from wsitriage.manifest import DatasetManifest
-        run = run_corpus(DatasetManifest(records=[]), small_models, config,
-                         workers=1)
-        assert run.slide_results == []
-        assert run.specimens == []
-        assert run.timings == []
-        with pytest.raises(ValueError, match="no timings to profile"):
-            profile(run.timings, run.wall_ms)
+        for split in (None, Split.TEST):
+            with pytest.raises(ValueError, match="^the manifest holds no slide$"):
+                run_corpus(DatasetManifest(records=[]), small_models, config,
+                           workers=1, split=split)
 
     def test_throughput_counts_no_error_slides(self, tmp_path, small_models, config):
         from wsitriage.manifest import DatasetManifest

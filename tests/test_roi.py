@@ -95,7 +95,7 @@ class TestSegment:
     def test_positive_fraction_definitional(self, lesion_tiles, small_models):
         tiles, _ = lesion_tiles
         fractions = segment_tiles(tiles, small_models.segmenter)
-        masks = small_models.segmenter.scores(tiles.pixels) >= 0.0
+        masks = small_models.segmenter.logits(pixel_planes(tiles.pixels)) >= 0.0
         assert len(fractions) == len(tiles) > 1
         for fraction, mask in zip(fractions, masks):
             assert fraction == mask.sum() / mask.size
@@ -107,8 +107,8 @@ class TestSegment:
         batched = segment_tiles(tiles, small_models.segmenter)
         for i, (a, b) in enumerate(zip(singles, batched)):
             assert a == b
-            single_mask = small_models.segmenter.scores(tiles.pixels[i]) >= 0.0
-            batch_mask = small_models.segmenter.scores(tiles.pixels)[i] >= 0.0
+            single_mask = small_models.segmenter.logits(pixel_planes(tiles.pixels[i])) >= 0.0
+            batch_mask = small_models.segmenter.logits(pixel_planes(tiles.pixels))[i] >= 0.0
             assert np.array_equal(single_mask, batch_mask)
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -124,17 +124,18 @@ class TestSegment:
         assert len(segment_tiles(blank_tiles(0), small_models.segmenter)) == 0
 
 
-# the sha256 of PixelSegmenter.scores on fixed pixels and a fixed segmenter
+# the sha256 of PixelSegmenter.logits on fixed pixels and a fixed segmenter
 SCORES_DIGEST = """
 import hashlib
 import numpy as np
 from wsitriage.roi import N_PIXEL_FEATURES, PixelSegmenter
+from wsitriage.tiling import pixel_planes
 rng = np.random.default_rng(17)
 pixels = rng.integers(0, 256, size=(4, 128, 128, 3), dtype=np.uint8)
 segmenter = PixelSegmenter(weights=rng.normal(size=N_PIXEL_FEATURES), bias=0.3,
                            feat_mean=rng.normal(size=N_PIXEL_FEATURES),
                            feat_std=rng.uniform(0.1, 1.0, size=N_PIXEL_FEATURES))
-print(hashlib.sha256(segmenter.scores(pixels).tobytes()).hexdigest())
+print(hashlib.sha256(segmenter.logits(pixel_planes(pixels)).tobytes()).hexdigest())
 """
 
 
