@@ -31,24 +31,36 @@ _OPENBLAS_THREAD_SYMBOLS = (
 )
 
 
-def openblas_thread_controls() -> list[tuple[str, object, object]]:
-    """(path, set_num_threads, get_num_threads) for each OpenBLAS loaded in
-    this process, found through /proc/self/maps; empty where that file does
-    not exist.  Only libraries already mapped are opened, so this never
-    loads a BLAS that numpy or scipy did not."""
+_OPENBLAS_CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_",
+                              "scipy_openblas_get_corename", "openblas_get_corename")
+
+
+def _openblas_libraries() -> list[tuple[str, ctypes.CDLL]]:
+    """(path, library) for each OpenBLAS loaded in this process, found
+    through /proc/self/maps; empty where that file does not exist.  Only
+    libraries already mapped are opened, so this never loads a BLAS that
+    numpy or scipy did not."""
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split(None, 5)[-1].strip() for line in fh}
     except OSError:
         return []
-    controls = []
+    libraries = []
     for path in sorted(paths):
         if not path.startswith("/") or "openblas" not in os.path.basename(path).lower():
             continue
         try:
-            lib = ctypes.CDLL(path)
+            libraries.append((path, ctypes.CDLL(path)))
         except OSError:
             continue
+    return libraries
+
+
+def openblas_thread_controls() -> list[tuple[str, object, object]]:
+    """(path, set_num_threads, get_num_threads) for each OpenBLAS loaded in
+    this process."""
+    controls = []
+    for path, lib in _openblas_libraries():
         for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
             setter = getattr(lib, set_name, None)
             getter = getattr(lib, get_name, None)
@@ -59,6 +71,23 @@ def openblas_thread_controls() -> list[tuple[str, object, object]]:
             controls.append((path, setter, getter))
             break
     return controls
+
+
+def blas_core() -> str:
+    """The kernel (core) name of each OpenBLAS loaded in this process, such
+    as "SkylakeX", or "Katmai" under OPENBLAS_CORETYPE=Prescott; distinct
+    names joined by a space, "unknown" when no OpenBLAS reports one."""
+    names = []
+    for _, lib in _openblas_libraries():
+        for name in _OPENBLAS_CORENAME_SYMBOLS:
+            get_corename = getattr(lib, name, None)
+            if get_corename is not None:
+                get_corename.argtypes, get_corename.restype = [], ctypes.c_char_p
+                core = get_corename()
+                if core:
+                    names.append(core.decode("ascii", "replace"))
+                break
+    return " ".join(dict.fromkeys(names)) or "unknown"
 
 
 def _init_worker(fn):

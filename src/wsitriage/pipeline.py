@@ -31,7 +31,7 @@ from .config import Config
 from .confidence import (ThresholdSet, load_thresholds, mc_predict, save_thresholds,
                          score)
 from .manifest import DatasetManifest, SlideRecord, Split, stable_seed
-from .parallel import pmap
+from .parallel import blas_core, pmap
 from .pnm import read_ppm
 from . import tiling
 from .roi import PixelSegmenter, load_segmenter, positive_fractions, save_segmenter
@@ -351,11 +351,12 @@ def save_run_manifest(path, run_id: str, global_seed: int, workers: int,
                       input_manifest, model_files: dict, config: Config,
                       wall_ms: float) -> None:
     """What a run used: its seed, worker count, input manifest (absolute),
-    a digest of each model file, every config value and its wall time."""
+    OpenBLAS kernel, a digest of each model file, every config value and
+    its wall time."""
     rows = [("run_id", run_id), ("global_seed", global_seed),
             ("worker_count", workers),
             ("input_manifest", os.path.abspath(input_manifest)),
-            ("wall_ms", float(wall_ms))]
+            ("wall_ms", float(wall_ms)), ("blas_core", blas_core())]
     rows += [(f"model.{kind}", _file_digest(p)) for kind, p in sorted(model_files.items())]
     rows += config.snapshot()
     write_table(path, RUN_MANIFEST_HEAD, rows)

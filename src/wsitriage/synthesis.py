@@ -253,13 +253,15 @@ def _lesion_mask(rng: np.random.Generator, tissue: np.ndarray,
 
 def _render_reference(rng: np.random.Generator, label: ClassLabel, shape,
                       no_lesion: bool):
-    """Reference-appearance raster plus ROI and tissue masks (float32 RGB)."""
+    """Reference appearance as three float32 colour planes (3, H, W), plus
+    the ROI and tissue masks.  Planes keep each fill a 1-D scatter of one
+    value per pixel instead of an RGB triple into an interleaved raster."""
     h, w = shape
-    glass = rng.random((h, w), dtype=np.float32)
+    planes = np.empty((3, h, w), dtype=np.float32)
+    glass = rng.random((h, w), dtype=np.float32, out=planes[0])
     glass *= 10.0
     glass += BACKGROUND_LEVEL - 5
-    raster = np.empty((h, w, 3), dtype=np.float32)
-    raster[:] = glass[:, :, None]
+    planes[1:] = glass
 
     tissue = _tissue_region(rng, h, w)
     recipe = RECIPES[label]
@@ -268,8 +270,9 @@ def _render_reference(rng: np.random.Generator, label: ClassLabel, shape,
     for mask, sigma, rgb in ((tissue & ~lesion, 0.035, TISSUE_RGB),
                              (lesion, 0.09, recipe.base_chroma)):
         speckle = rng.normal(1.0, sigma, size=int(mask.sum())).astype(np.float32)
-        raster[mask] = np.asarray(rgb, dtype=np.float32) * speckle[:, None]
-    return raster, lesion, tissue
+        for plane, value in zip(planes, np.asarray(rgb, dtype=np.float32)):
+            plane[mask] = value * speckle
+    return planes, lesion, tissue
 
 
 def inject_artifact(raster: np.ndarray, kind: str, seed: int,
@@ -330,18 +333,22 @@ def generate_slide(label: ClassLabel, profile: LabProfile, seed: int,
     """Render one slide: reference texture, lab appearance transform,
     then any artifacts drawn from the profile's rates."""
     rng = np.random.default_rng(stable_seed("slide", seed))
-    reference, roi, tissue = _render_reference(rng, label, shape, no_lesion)
+    planes, roi, tissue = _render_reference(rng, label, shape, no_lesion)
+    h, w = roi.shape
 
-    flat = reference.reshape(-1, 3)
-    out = flat @ profile.color_matrix.T.astype(np.float32)
-    out += profile.color_offset.astype(np.float32)
+    # (3, 3) @ (3, H*W) gives each output the bits of the interleaved
+    # (H*W, 3) @ (3, 3).T; the pixels interleave once, as the noise is added
+    out = profile.color_matrix.astype(np.float32) @ planes.reshape(3, -1)
+    out += profile.color_offset.astype(np.float32)[:, None]
     if profile.noise_sigma > 0:
-        noise = rng.standard_normal(out.shape, dtype=np.float32)
+        noise = rng.standard_normal((h * w, 3), dtype=np.float32)
         noise *= np.float32(profile.noise_sigma)
-        out += noise
+        out = np.add(out.T, noise, out=noise)
+    else:
+        out = np.ascontiguousarray(out.T)
     out += np.float32(0.5)  # truncation after +0.5 rounds half-up
     np.clip(out, 0, 255, out=out)
-    raster = out.astype(np.uint8).reshape(reference.shape)
+    raster = out.astype(np.uint8).reshape(h, w, 3)
 
     drawn = [k for k in ARTIFACT_KINDS
              if rng.random() < profile.artifact_rates.get(k, 0.0)]

@@ -1,6 +1,6 @@
 """Shared fixtures: a small on-disk reference corpus and models trained on
-it, built once per session, and a runner of code under a named OpenBLAS
-kernel."""
+it, built once per session, a runner of code under a named OpenBLAS kernel
+and the kernels this CPU can run."""
 
 import os
 import subprocess
@@ -50,3 +50,17 @@ def run_under_blas_kernel():
                               capture_output=True, text=True, check=True)
         return done.stdout.strip()
     return run
+
+
+@pytest.fixture
+def blas_kernels():
+    """The OPENBLAS_CORETYPE values to compare: the kernel OpenBLAS picks
+    (None), Prescott, and Haswell where the CPU has what it runs on."""
+    kernels = [None, "Prescott"]
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as cpu
+    except ImportError:
+        cpu = {"AVX2": True, "FMA3": True}
+    if cpu.get("AVX2") and cpu.get("FMA3"):
+        kernels.append("Haswell")
+    return kernels

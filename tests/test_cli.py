@@ -15,6 +15,7 @@ from wsitriage.cli import main
 from wsitriage.config import Config
 from wsitriage.confidence import load_thresholds
 from wsitriage.manifest import Split, load_manifest, save_manifest
+from wsitriage.parallel import blas_core
 from wsitriage.pipeline import load_models, load_run_manifest, model_paths, run_corpus
 from wsitriage.tables import read_table
 from wsitriage.training import calibrate_lab, train_models
@@ -115,6 +116,10 @@ class TestWorkflow:
         assert (fields["global_seed"], fields["worker_count"]) == (5, 2)
         assert (fields["config.seed"], fields["config.workers"]) == ("5", "2")
         assert fields["input_manifest"] == os.path.abspath(workflow["lab_manifest"])
+
+    def test_run_manifest_records_the_blas_core(self, workflow):
+        fields = load_run_manifest(os.path.join(workflow["run"], "run_manifest.txt"))
+        assert fields["blas_core"] == blas_core()
 
     def test_run_manifest_digests_the_labs_model_set(self, workflow):
         fields = load_run_manifest(os.path.join(workflow["run"], "run_manifest.txt"))

@@ -4,7 +4,7 @@ import os
 import numpy  # noqa: F401  (maps numpy's OpenBLAS into the process)
 import pytest
 
-from wsitriage.parallel import openblas_thread_controls, pmap
+from wsitriage.parallel import blas_core, openblas_thread_controls, pmap
 
 
 def blas_threads(_item=None):
@@ -25,6 +25,9 @@ class TestBlasThreads:
         before = blas_threads()
         assert pmap(blas_threads, range(4), workers=1) == [before] * 4
         assert blas_threads() == before
+
+    def test_blas_core_named(self):
+        assert blas_core() != "unknown"
 
 
 PARENT_CALLS = []

@@ -139,17 +139,11 @@ print(hashlib.sha256(segmenter.logits(pixel_planes(pixels)).tobytes()).hexdigest
 """
 
 
-def test_scores_same_bytes_on_every_blas_kernel(run_under_blas_kernel):
+def test_scores_same_bytes_on_every_blas_kernel(run_under_blas_kernel, blas_kernels):
     """The logit is an elementwise sum in a fixed order, so the OpenBLAS
     kernel (OPENBLAS_CORETYPE) cannot move its bits."""
-    kernels = [None, "Prescott"]
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__ as cpu
-    except ImportError:
-        cpu = {"AVX2": True, "FMA3": True}
-    if cpu.get("AVX2") and cpu.get("FMA3"):   # what the Haswell kernel runs on
-        kernels.append("Haswell")
-    digests = {kernel: run_under_blas_kernel(SCORES_DIGEST, kernel) for kernel in kernels}
+    digests = {kernel: run_under_blas_kernel(SCORES_DIGEST, kernel)
+               for kernel in blas_kernels}
     assert len(set(digests.values())) == 1, digests
 
 

@@ -4,14 +4,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from wsitriage.manifest import ClassLabel
+from wsitriage.manifest import ClassLabel, stable_seed
 from wsitriage.pnm import read_pgm, read_ppm
-from wsitriage.synthesis import (BACKGROUND_LEVEL, RECIPES, TISSUE_RGB,
-                                 LabProfile, _paint_disk, _paint_segment,
-                                 _render_reference, _tissue_region,
-                                 default_lab_profiles, generate_corpus,
-                                 generate_slide, identity_profile,
-                                 inject_artifact, mask_path_for)
+from wsitriage.synthesis import (ARTIFACT_KINDS, BACKGROUND_LEVEL, RECIPES,
+                                 TISSUE_RGB, LabProfile, _paint_disk,
+                                 _paint_segment, _render_reference,
+                                 _tissue_region, default_lab_profiles,
+                                 generate_corpus, generate_slide,
+                                 identity_profile, inject_artifact,
+                                 mask_path_for)
 
 SMALL = (256, 384)   # small raster keeps the unit tests quick
 
@@ -83,6 +84,70 @@ def reference_render(rng, label, shape, no_lesion):
     return raster, lesion, tissue
 
 
+def reference_slide(label, profile, seed, shape, no_lesion=False):
+    """generate_slide composed on the interleaved (H, W, 3) raster of
+    reference_render: the lab's colour product as (H*W, 3) @ (3, 3).T, then
+    offset, noise, +0.5, clip, cast and the drawn artifacts.  Returns the
+    raster, ROI mask and tissue mask."""
+    rng = np.random.default_rng(stable_seed("slide", seed))
+    reference, roi, tissue = reference_render(rng, label, shape, no_lesion)
+    out = reference.reshape(-1, 3) @ profile.color_matrix.T.astype(np.float32)
+    out += profile.color_offset.astype(np.float32)
+    if profile.noise_sigma > 0:
+        noise = rng.standard_normal(out.shape, dtype=np.float32)
+        noise *= np.float32(profile.noise_sigma)
+        out += noise
+    out += np.float32(0.5)
+    np.clip(out, 0, 255, out=out)
+    raster = out.astype(np.uint8).reshape(reference.shape)
+    drawn = [k for k in ARTIFACT_KINDS
+             if rng.random() < profile.artifact_rates.get(k, 0.0)]
+    if "blank" in drawn:
+        return (inject_artifact(raster, "blank", seed), np.zeros_like(roi),
+                np.zeros_like(tissue))
+    for kind in drawn:
+        center = None
+        if kind == "pen_ink" and tissue.any():
+            ys, xs = np.nonzero(tissue)
+            center = (int(ys.mean()), int(xs.mean()))
+        raster = inject_artifact(raster, kind, stable_seed(seed, kind), center=center)
+    return raster, roi, tissue
+
+
+def assert_slide_bitwise_the_reference(label, profile, seed, shape, no_lesion):
+    slide = generate_slide(label, profile, seed, no_lesion=no_lesion, shape=shape)
+    expected = reference_slide(label, profile, seed, shape, no_lesion)
+    for a, b in zip((slide.raster, slide.roi_mask, slide.tissue_mask), expected):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), (label, profile.lab_id, seed, shape, no_lesion)
+
+
+# the sha256 of a lab_a raster from generate_slide and from reference_slide
+SLIDE_DIGESTS = """
+import hashlib, sys
+sys.path.insert(0, {tests!r})
+from test_synthesis import reference_slide
+from wsitriage.manifest import ClassLabel
+from wsitriage.synthesis import SLIDE_H, SLIDE_W, default_lab_profiles, generate_slide
+lab_a = default_lab_profiles()[1]
+got = generate_slide(ClassLabel.SQUAMOUS, lab_a, 7).raster
+expected = reference_slide(ClassLabel.SQUAMOUS, lab_a, 7, (SLIDE_H, SLIDE_W))[0]
+print(hashlib.sha256(got.tobytes()).hexdigest(), hashlib.sha256(expected.tobytes()).hexdigest())
+"""
+
+
+def test_slide_bitwise_the_interleaved_reference_on_every_blas_kernel(
+        run_under_blas_kernel, blas_kernels):
+    """Under each OpenBLAS kernel the planar colour product gives the bytes
+    of the interleaved one.  Those bytes may still differ between kernels
+    (an FMA kernel rounds once per multiply-add); this asserts only that
+    the planar layout adds no dependence on the kernel."""
+    code = SLIDE_DIGESTS.format(tests=os.path.dirname(os.path.abspath(__file__)))
+    for kernel in blas_kernels:
+        got, expected = run_under_blas_kernel(code, kernel).split()
+        assert got == expected, kernel
+
+
 class TestLabProfile:
     def test_singular_matrix_rejected(self):
         with pytest.raises(ValueError, match="invertible"):
@@ -108,16 +173,47 @@ class TestGenerateSlide:
     @pytest.mark.parametrize("no_lesion", [False, True], ids=["lesion", "no_lesion"])
     @pytest.mark.parametrize("label", list(ClassLabel), ids=lambda c: c.token)
     def test_render_bitwise_the_per_branch_reference(self, label, no_lesion):
-        """Raster, lesion and tissue masks, and the generator state after
-        them, equal the reference's at each seed."""
+        """Colour planes, lesion and tissue masks, and the generator state
+        after them, equal the reference's at each seed; the planes are the
+        reference raster's channels."""
         for seed in (0, 1, 2):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = _render_reference(rng, label, SMALL, no_lesion)
+            planes, lesion, tissue = _render_reference(rng, label, SMALL, no_lesion)
             expected = reference_render(ref_rng, label, SMALL, no_lesion)
+            assert planes.shape == (3, *SMALL)
+            got = (np.moveaxis(planes, 0, -1), lesion, tissue)
             for a, b in zip(got, expected):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-            assert got[1].any() != no_lesion
+            assert lesion.any() != no_lesion
             assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("profile", default_lab_profiles(), ids=lambda p: p.lab_id)
+    def test_slide_bitwise_the_interleaved_reference(self, profile):
+        """Raster, ROI mask and tissue mask equal the interleaved
+        composition's, for every class, with and without a lesion."""
+        for label in ClassLabel:
+            for no_lesion in (False, True):
+                for seed in (0, 1, 2):
+                    assert_slide_bitwise_the_reference(label, profile, seed, SMALL,
+                                                       no_lesion)
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 2.2], ids=["no_noise", "noise"])
+    @pytest.mark.parametrize("shape", [SMALL, (97, 131)], ids=["small", "97x131"])
+    def test_slide_bitwise_the_interleaved_reference_noise_and_shape(self, noise_sigma,
+                                                                     shape):
+        lab_a = default_lab_profiles()[1]
+        profile = LabProfile("shift", lab_a.color_matrix, lab_a.color_offset, noise_sigma)
+        for label in ClassLabel:
+            assert_slide_bitwise_the_reference(label, profile, 4, shape, False)
+
+    @pytest.mark.parametrize("kind", ARTIFACT_KINDS)
+    def test_slide_bitwise_the_interleaved_reference_with_artifact(self, kind):
+        lab_a = default_lab_profiles()[1]
+        profile = LabProfile("shift", lab_a.color_matrix, lab_a.color_offset,
+                             lab_a.noise_sigma, {kind: 1.0})
+        for seed in (0, 1):
+            assert_slide_bitwise_the_reference(ClassLabel.SQUAMOUS, profile, seed, SMALL,
+                                               False)
 
     def test_deterministic(self):
         a = generate_slide(ClassLabel.SQUAMOUS, default_lab_profiles()[1], 5,
