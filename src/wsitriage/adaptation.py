@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tables import read_arrays, write_arrays
-from .tiling import Tiles, TilingConfig, segment_tissue
+from .tiling import Tiles, TilingConfig, blocks, segment_tissue
 
 ADAPTER_HEADER = "wsi-triage-adapter v2"
 
@@ -81,12 +81,20 @@ def fit_stats(pixels, config: TilingConfig = TilingConfig()) -> DomainStats:
     """Mean/std over the tissue pixels of an (..., 3) uint8 pixel stack, in
     decorrelated space; over all its pixels if it has none (blank corpus).
     The tissue test and the transform run once per distinct RGB code, and
-    the moments are pooled over the codes, weighted by their pixel counts."""
+    the moments are pooled over the codes, weighted by their pixel counts.
+    The codes are packed a block at a time (tiling.blocks) into one uint32
+    array and sorted in place, so no temporary the size of the stack is
+    made beyond that array."""
     pixels = np.asarray(pixels, dtype=np.uint8)
     if pixels.size == 0:
         raise ValueError("cannot fit domain stats on an empty tile sample")
-    codes, counts = np.unique(_pack(pixels.reshape(-1, 3)), return_counts=True)
-    palette = _unpack(codes)
+    flat = pixels.reshape(-1, 3)
+    codes = np.empty(len(flat), dtype=np.uint32)
+    for rows in blocks(flat):
+        codes[rows] = _pack(flat[rows])
+    codes.sort()
+    distinct, counts = _runs(codes)
+    palette = _unpack(distinct)
     tissue = segment_tissue(palette, config)
     if tissue.any():
         palette, counts = palette[tissue], counts[tissue]
@@ -100,6 +108,13 @@ def _pack(rgb: np.ndarray) -> np.ndarray:
     """(n, 3) uint8 rows -> (n,) uint32 codes (r << 16) | (g << 8) | b."""
     return ((rgb[:, 0].astype(np.uint32) << 16) | (rgb[:, 1].astype(np.uint32) << 8)
             | rgb[:, 2])
+
+
+def _runs(sorted_codes: np.ndarray):
+    """(each distinct code, its run length) of sorted codes, in order."""
+    starts = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
+    bounds = np.concatenate(([0], starts, [len(sorted_codes)]))
+    return sorted_codes[bounds[:-1]], np.diff(bounds)
 
 
 def _unpack(codes: np.ndarray, rgb: np.ndarray | None = None) -> np.ndarray:
@@ -153,12 +168,11 @@ def adapt_pixels(pixels: np.ndarray, model: AdapterModel,
     keys[:, 0] = np.arange(len(flat), dtype=np.uint32)
     keys[:, 1] = _pack(flat)
     keys.view("<u8").reshape(-1).sort()
-    positions, sorted_codes = keys[:, 0], keys[:, 1]
-    starts = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
-    palette = _unpack(sorted_codes[np.concatenate(([0], starts))])
+    positions = keys[:, 0]
+    distinct, counts = _runs(keys[:, 1])
+    palette = _unpack(distinct)
     tissue = segment_tissue(palette, config)
     palette[tissue] = _transfer(palette[tissue], model)
-    counts = np.diff(np.concatenate(([0], starts, [len(flat)])))
     codes = np.empty(len(flat), dtype=np.uint32)
     codes[positions] = np.repeat(_pack(palette), counts)
     _unpack(codes, flat)

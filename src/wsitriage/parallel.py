@@ -19,6 +19,9 @@ import ctypes
 import multiprocessing as mp
 import os
 
+import numpy as np
+import scipy
+
 
 _WORKER_FN = None
 
@@ -90,6 +93,23 @@ def blas_core() -> str:
     return " ".join(dict.fromkeys(names)) or "unknown"
 
 
+def host_facts() -> list[tuple[str, object]]:
+    """(key, value) facts about this host that can move a run's bits or
+    its speed: the OpenBLAS kernel (blas_core), the CPUs this process may
+    run on, the NumPy and SciPy versions, and the SIMD targets NumPy
+    dispatches to on this CPU ("unknown" where NumPy does not say)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        dispatch = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or "none"
+    except ImportError:
+        dispatch = "unknown"
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    return [("blas_core", blas_core()), ("cpus_usable", cpus),
+            ("numpy", np.__version__), ("scipy", scipy.__version__),
+            ("numpy_dispatch", dispatch)]
+
+
 def _init_worker(fn):
     global _WORKER_FN
     _WORKER_FN = fn
@@ -102,8 +122,9 @@ def _call_worker(item):
 
 
 def pmap(fn, items, workers: int = 1):
-    """Map fn over items, preserving order; fn and items must be picklable
-    when workers > 1."""
+    """Map fn over items, preserving order.  When workers > 1 the items and
+    results are pickled; fn is not, as the forked workers inherit it with
+    whatever it holds."""
     items = list(items)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

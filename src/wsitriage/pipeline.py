@@ -31,7 +31,7 @@ from .config import Config
 from .confidence import (ThresholdSet, load_thresholds, mc_predict, save_thresholds,
                          score)
 from .manifest import DatasetManifest, SlideRecord, Split, stable_seed
-from .parallel import blas_core, pmap
+from .parallel import host_facts, pmap
 from .pnm import read_ppm
 from . import tiling
 from .roi import PixelSegmenter, load_segmenter, positive_fractions, save_segmenter
@@ -165,7 +165,16 @@ def embed_record(record: SlideRecord, models: Models, config: Config,
     """The slide's embedding, or None when no tile is selected: read,
     segment, tile, adapt, select ROIs, featurize and pool, the one path
     from a SlideRecord to its embedding.  Each stage's lap and the tile
-    counts go into laps when given.
+    counts go into laps when given."""
+    laps = _Laps() if laps is None else laps
+    return embed_tiles(slide_tiles(record, config, laps), models, config, laps)
+
+
+def embed_tiles(tiles: tiling.Tiles, models: Models, config: Config,
+                laps: _Laps | None = None):
+    """The embedding of a slide's unadapted tissue Tiles, or None when no
+    tile is selected: adapt, select ROIs, featurize and pool.  Each
+    stage's lap and the tile counts go into laps when given.
 
     The adapted tiles are taken once, a block at a time (tiling.blocks):
     the block's pixel_planes give its positive fractions, and the same
@@ -174,7 +183,6 @@ def embed_record(record: SlideRecord, models: Models, config: Config,
     segment_tiles(tiles, ...)).selected)); the features' share of each
     block counts as featurize time, the rest as roi."""
     laps = _Laps() if laps is None else laps
-    tiles = slide_tiles(record, config, laps)
     pixels = adapt_tiles(tiles, models.adapter, config.tiling).pixels
     laps.lap("adapt")
     theta, features = config["roi.theta"], []
@@ -351,12 +359,12 @@ def save_run_manifest(path, run_id: str, global_seed: int, workers: int,
                       input_manifest, model_files: dict, config: Config,
                       wall_ms: float) -> None:
     """What a run used: its seed, worker count, input manifest (absolute),
-    OpenBLAS kernel, a digest of each model file, every config value and
-    its wall time."""
+    the host's facts (parallel.host_facts), a digest of each model file,
+    every config value and its wall time."""
     rows = [("run_id", run_id), ("global_seed", global_seed),
             ("worker_count", workers),
             ("input_manifest", os.path.abspath(input_manifest)),
-            ("wall_ms", float(wall_ms)), ("blas_core", blas_core())]
+            ("wall_ms", float(wall_ms)), *host_facts()]
     rows += [(f"model.{kind}", _file_digest(p)) for kind, p in sorted(model_files.items())]
     rows += config.snapshot()
     write_table(path, RUN_MANIFEST_HEAD, rows)

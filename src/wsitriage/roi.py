@@ -145,15 +145,19 @@ def train_segmenter(pairs, seed: int = 0) -> PixelSegmenter:
 
     mean = x.mean(axis=0)
     std = np.maximum(x.std(axis=0), 1e-6)
-    xs_std = (x - mean) / std
+    # the float32 samples cast to float64 once, as each product would cast
+    # them; the transpose is made C-contiguous, the layout that product's
+    # cast gives, so BLAS runs the same routine and keeps the bits
+    xs = ((x - mean) / std).astype(np.float64)
+    xs_t = np.ascontiguousarray(xs.T)
 
     w = np.zeros(N_PIXEL_FEATURES)
     b = 0.0
     n = len(y)
     for _ in range(EPOCHS):
-        p = 1.0 / (1.0 + np.exp(-(xs_std @ w + b)))
+        p = 1.0 / (1.0 + np.exp(-(xs @ w + b)))
         err = p - y
-        w -= LEARNING_RATE * (xs_std.T @ err / n + L2 * w)
+        w -= LEARNING_RATE * (xs_t @ err / n + L2 * w)
         b -= LEARNING_RATE * float(err.mean())
     return PixelSegmenter(weights=w, bias=b, feat_mean=mean, feat_std=std)
 

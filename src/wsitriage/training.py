@@ -16,7 +16,7 @@ files hold; train_models leaves its thresholds to calibrate_reference.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -28,45 +28,51 @@ from .confidence import ThresholdSet, calibrate_thresholds
 from .evaluation import EvalReport, evaluate
 from .manifest import DatasetManifest, Split
 from .parallel import pmap
-from .pipeline import Models, embed_record, run_corpus, slide_tiles
+from .pipeline import Models, embed_tiles, run_corpus, slide_tiles
 from .pnm import read_pgm
 from .roi import train_segmenter
 from .synthesis import mask_path_for
-
-
-def collect_embeddings(records, models: Models, config: Config, workers: int = 1):
-    """Embeddings and labels for every record with a non-empty ROI selection."""
-    records = sorted(records, key=lambda r: r.slide_id)
-    fn = functools.partial(embed_record, models=models, config=config)
-    embeddings = pmap(fn, records, workers=workers)
-    kept = [(emb, int(rec.truth)) for rec, emb in zip(records, embeddings)
-            if emb is not None]
-    x = np.stack([emb for emb, _ in kept]) if kept else np.empty((0, N_FEATURES))
-    return x, np.array([label for _, label in kept], dtype=int)
 
 
 SAMPLE_SLIDES = 24
 SEGMENTER_MAX_TILES = 600
 
 
-def _tissue_tiles(records, config: Config):
-    """(record, its unadapted tissue Tiles) for the first SAMPLE_SLIDES
-    records in slide_id order."""
-    for rec in sorted(records, key=lambda r: r.slide_id)[:SAMPLE_SLIDES]:
-        yield rec, slide_tiles(rec, config)
+@dataclass(frozen=True)
+class _Sample:
+    """The first SAMPLE_SLIDES fitting records in slide_id order, each read,
+    segmented and tiled once: what the stats, the segmenter pairs and
+    those slides' embeddings are taken from."""
+    pixels: np.ndarray   # (N, tile_px, tile_px, 3): every slide's tissue tiles in order
+    tiles: dict          # record -> its unadapted Tiles, a view into pixels
+
+
+def _cut(records, config: Config) -> _Sample:
+    """Read, segment and tile the sample's slides, into one stack."""
+    cut = {rec: slide_tiles(rec, config)
+           for rec in sorted(records, key=lambda r: r.slide_id)[:SAMPLE_SLIDES]}
+    pixels = np.concatenate([tiles.pixels for tiles in cut.values()])
+    ends = np.cumsum([len(tiles) for tiles in cut.values()])
+    return _Sample(pixels, {rec: replace(tiles, pixels=pixels[end - len(tiles):end])
+                            for (rec, tiles), end in zip(cut.items(), ends)})
 
 
 def sample_tiles(records, config: Config) -> np.ndarray:
     """One (N, tile_px, tile_px, 3) stack of the unadapted tissue tiles of
     a deterministic sample of slides."""
-    return np.concatenate([tiles.pixels for _, tiles in _tissue_tiles(records, config)])
+    return _cut(records, config).pixels
 
 
 def segmenter_pairs(records, adapter: AdapterModel | None, config: Config):
     """One (adapted tiles, ground-truth lesion masks) pair of stacks per
     slide, up to SEGMENTER_MAX_TILES tiles in all, empty for a blank slide."""
+    return _pairs(_cut(records, config), adapter, config)
+
+
+def _pairs(sample: _Sample, adapter: AdapterModel | None, config: Config):
+    """segmenter_pairs of the slides already cut."""
     pairs, n_tiles = [], 0
-    for rec, tiles in _tissue_tiles(records, config):
+    for rec, tiles in sample.tiles.items():
         lesion = read_pgm(mask_path_for(rec.raster_path)) > 0
         tiles = adapt_tiles(tiles[:SEGMENTER_MAX_TILES - n_tiles], adapter, config.tiling)
         y, x = tiles.origins.T
@@ -75,6 +81,26 @@ def segmenter_pairs(records, adapter: AdapterModel | None, config: Config):
         if n_tiles >= SEGMENTER_MAX_TILES:
             break
     return pairs
+
+
+def _embedding(cut: dict, record, models: Models, config: Config):
+    """The record's embedding from its cut Tiles, or read in the worker
+    when the record is not in the sample."""
+    tiles = cut[record] if record in cut else slide_tiles(record, config)
+    return embed_tiles(tiles, models, config)
+
+
+def _embeddings(records, sample: _Sample, models: Models, config: Config, workers: int):
+    """Embeddings and labels for every record with a non-empty ROI
+    selection.  The pool forks, so its workers inherit the sample's
+    Tiles without pickling them."""
+    records = sorted(records, key=lambda r: r.slide_id)
+    fn = functools.partial(_embedding, sample.tiles, models=models, config=config)
+    embeddings = pmap(fn, records, workers=workers)
+    kept = [(emb, int(rec.truth)) for rec, emb in zip(records, embeddings)
+            if emb is not None]
+    x = np.stack([emb for emb, _ in kept]) if kept else np.empty((0, N_FEATURES))
+    return x, np.array([label for _, label in kept], dtype=int)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -97,14 +123,14 @@ def train_models(manifest: DatasetManifest, config: Config,
     if not train_records:
         raise ValueError("manifest has no Train split records")
 
-    ref_stats = fit_stats(sample_tiles(train_records, config), config.tiling)
+    sample = _cut(train_records, config)
+    ref_stats = fit_stats(sample.pixels, config.tiling)
     identity = AdapterModel(source=ref_stats, target=ref_stats)
-
-    pairs = segmenter_pairs(train_records, identity, config)
-    segmenter = train_segmenter(pairs, seed=config["classifier.seed"])
+    segmenter = train_segmenter(_pairs(sample, identity, config),
+                                seed=config["classifier.seed"])
 
     embed_models = Models(segmenter=segmenter, adapter=identity)
-    x, labels = collect_embeddings(train_records, embed_models, config, workers)
+    x, labels = _embeddings(train_records, sample, embed_models, config, workers)
     if len(x) == 0:
         raise ValueError("no training slide produced an ROI selection")
     params = train(x, labels, config.train)
@@ -160,13 +186,14 @@ def calibrate_lab(lab_manifest: DatasetManifest, base: Models,
     if not cf_records or not lab_manifest.records_in(Split.CALIB_VALIDATION):
         raise ValueError(f"lab {lab_id!r} needs CalibFinetune and CalibValidation splits")
 
+    sample = _cut(cf_records, config)
     ref_stats = base.adapter.target
-    lab_stats = (fit_stats(sample_tiles(cf_records, config), config.tiling)
-                 if with_adaptation else ref_stats)
+    lab_stats = fit_stats(sample.pixels, config.tiling) if with_adaptation else ref_stats
     adapter = AdapterModel(source=lab_stats, target=ref_stats)
 
     embed_models = Models(segmenter=base.segmenter, adapter=adapter)
-    x, labels = collect_embeddings(cf_records, embed_models, config, workers)
+    x, labels = _embeddings(cf_records, sample, embed_models, config, workers)
+    del sample   # the validation run's forked workers need not inherit it
     if len(x) == 0:
         raise ValueError(f"lab {lab_id!r}: no fine-tuning slide produced an ROI")
     tuned = fine_tune(base.classifier, x, labels, config.train)

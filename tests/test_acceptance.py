@@ -9,6 +9,7 @@ a priori on its calibration splits and then frozen for a single test run.
 import math
 import multiprocessing as mp
 import os
+import shutil
 import time
 
 import numpy as np
@@ -83,12 +84,15 @@ def experiment(tmp_path_factory):
         reports[lab] = evaluate(run.specimens, truths, cal.thresholds)
     phases["calibrate_and_run"] = time.perf_counter() - t0
 
-    return {
+    yield {
         "root": root, "labs": test_labs, "profiles": profiles,
         "ref_manifest": ref_manifest, "lab_manifests": lab_manifests,
         "trained": trained, "calibrations": calibrations,
         "runs": runs, "reports": reports, "phases": phases,
     }
+    # the corpora are about 4.7 GB, and pytest keeps the last three runs'
+    # temporary directories
+    shutil.rmtree(root)
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ from wsitriage.adaptation import (_DECOR, _LMS2RGB, _LMS_FLOOR, _RGB2LMS,
                                   save_adapter, to_decorrelated)
 from wsitriage.manifest import ClassLabel
 from wsitriage.synthesis import default_lab_profiles, generate_slide, identity_profile
-from wsitriage.tiling import Tiles, TilingConfig, segment_tissue, tile
+from wsitriage.tiling import BLOCK_PX, Tiles, TilingConfig, segment_tissue, tile
 
 
 # np.linalg.inv of _RGB2LMS and _DECOR under OpenBLAS's SkylakeX kernel:
@@ -87,7 +87,38 @@ def shifted_tiles(shifted_profile):
     return tiles_for(shifted_profile, 42)
 
 
+def reference_fit_stats(pixels, config=TilingConfig()):
+    """fit_stats over the palette and counts np.unique takes from the
+    whole stack's codes at once."""
+    flat = np.asarray(pixels, dtype=np.uint8).reshape(-1, 3).astype(np.uint32)
+    codes, counts = np.unique((flat[:, 0] << 16) | (flat[:, 1] << 8) | flat[:, 2],
+                              return_counts=True)
+    palette = np.stack([codes >> 16, (codes >> 8) & 255, codes & 255], axis=1)
+    palette = palette.astype(np.uint8)
+    tissue = segment_tissue(palette, config)
+    if tissue.any():
+        palette, counts = palette[tissue], counts[tissue]
+    vals = to_decorrelated(palette).T.copy()
+    mean = (vals * counts).sum(axis=1) / counts.sum()
+    var = ((vals - mean[:, None]) ** 2 * counts).sum(axis=1) / counts.sum()
+    return DomainStats(mean=mean, std=np.sqrt(var))
+
+
 class TestFitStats:
+    @pytest.mark.parametrize("stack", [
+        lambda tiles: tiles.pixels[:7],                       # 1.75 blocks of tiles
+        lambda tiles: tiles.pixels.reshape(-1, 3)[:2 * BLOCK_PX + 17],
+        lambda tiles: np.full((3, 50, 3), (170, 60, 120), dtype=np.uint8),
+        lambda tiles: np.concatenate([np.full((1, 40, 3), 240, dtype=np.uint8),
+                                      np.full((1, 40, 3), 236, dtype=np.uint8)]),
+    ], ids=["tiles", "pixels", "one-code", "no-tissue"])
+    def test_bitwise_the_unique_reference(self, reference_tiles, stack):
+        """Codes packed block by block and sorted in place give the palette
+        and counts of np.unique over the whole stack, so the same stats."""
+        pixels = stack(reference_tiles)
+        assert len(pixels.reshape(-1, 3)) % BLOCK_PX
+        assert fit_stats(pixels) == reference_fit_stats(pixels)
+
     def test_uniform_tile_floors_std(self):
         pixels = np.full((128, 128, 3), 120, dtype=np.uint8)
         stats = fit_stats([pixels])

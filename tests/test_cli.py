@@ -6,6 +6,7 @@ import shutil
 
 import numpy as np
 import pytest
+import scipy
 
 from wsitriage.adaptation import load_adapter
 from wsitriage.aggregation import (SLIDE_RESULTS_HEAD, save_class_scores,
@@ -15,7 +16,7 @@ from wsitriage.cli import main
 from wsitriage.config import Config
 from wsitriage.confidence import load_thresholds
 from wsitriage.manifest import Split, load_manifest, save_manifest
-from wsitriage.parallel import blas_core
+from wsitriage.parallel import blas_core, host_facts
 from wsitriage.pipeline import load_models, load_run_manifest, model_paths, run_corpus
 from wsitriage.tables import read_table
 from wsitriage.training import calibrate_lab, train_models
@@ -120,6 +121,19 @@ class TestWorkflow:
     def test_run_manifest_records_the_blas_core(self, workflow):
         fields = load_run_manifest(os.path.join(workflow["run"], "run_manifest.txt"))
         assert fields["blas_core"] == blas_core()
+
+    def test_run_manifest_records_the_host_facts(self, workflow):
+        fields = load_run_manifest(os.path.join(workflow["run"], "run_manifest.txt"))
+        facts = {key: str(value) for key, value in host_facts()}
+        assert {key: fields[key] for key in facts} == facts
+        assert int(fields["cpus_usable"]) >= 1
+        assert (fields["numpy"], fields["scipy"]) == (np.__version__, scipy.__version__)
+        try:
+            from numpy._core._multiarray_umath import __cpu_dispatch__
+        except ImportError:
+            assert fields["numpy_dispatch"] == "unknown"
+        else:
+            assert set(fields["numpy_dispatch"].split()) <= {*__cpu_dispatch__, "none"}
 
     def test_run_manifest_digests_the_labs_model_set(self, workflow):
         fields = load_run_manifest(os.path.join(workflow["run"], "run_manifest.txt"))

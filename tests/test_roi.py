@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -264,6 +266,36 @@ class TestTrainSegmenter:
         got = (segmenter.weights, segmenter.bias, segmenter.feat_mean, segmenter.feat_std)
         for a, b in zip(got, reference_train_segmenter(pairs, seed=3)):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+# the sha256 of train_segmenter's model and of reference_train_segmenter's,
+# whose descent keeps the float32 samples in each product, on fixed pixels
+SEGMENTER_DIGESTS = """
+import hashlib, sys
+import numpy as np
+sys.path.insert(0, {tests!r})
+from test_roi import reference_train_segmenter
+from wsitriage.roi import train_segmenter
+rng = np.random.default_rng(23)
+pixels = rng.integers(0, 256, size=(40, 128, 128, 3), dtype=np.uint8)
+masks = rng.random((40, 128, 128)) < np.linspace(0.05, 0.95, 40)[:, None, None]
+pairs = [(pixels[:25], masks[:25]), (pixels[25:], masks[25:])]
+model = train_segmenter(pairs, seed=3)
+for arrays in ((model.weights, model.bias, model.feat_mean, model.feat_std),
+               reference_train_segmenter(pairs, seed=3)):
+    print(hashlib.sha256(b"".join(np.asarray(a).tobytes() for a in arrays)).hexdigest())
+"""
+
+
+def test_train_segmenter_bitwise_the_reference_on_every_blas_kernel(
+        run_under_blas_kernel, blas_kernels):
+    """Under each OpenBLAS kernel the descent on samples cast to float64
+    once, with a C-contiguous transpose, gives the bits of the descent
+    that casts the float32 samples in each product."""
+    code = SEGMENTER_DIGESTS.format(tests=os.path.dirname(os.path.abspath(__file__)))
+    for kernel in blas_kernels:
+        got, expected = run_under_blas_kernel(code, kernel).split()
+        assert got == expected, kernel
 
 
 class TestPersistence:
