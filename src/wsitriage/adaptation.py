@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tables import read_arrays, write_arrays
-from .tiling import Tiles, TilingConfig, blocks, segment_tissue
+from .tiling import Tiles, TilingConfig, blocks, ordered_sum, segment_tissue
 
 ADAPTER_HEADER = "wsi-triage-adapter v2"
 
@@ -44,11 +44,25 @@ _DECOR = np.array([
 _LMS_FLOOR = 1e-6
 
 
+def _mix(matrix: np.ndarray, planes, dtype) -> list:
+    """The planes of the matrix product of matrix and the stacked planes,
+    in dtype: output plane i is the sum of the planes weighted by row i of
+    matrix, in index order (tiling.ordered_sum)."""
+    return [ordered_sum(planes, row) for row in matrix.astype(dtype)]
+
+
+def _decorrelated(rgb: np.ndarray, dtype) -> list:
+    """The three decorrelated log-space planes of (n, 3) RGB rows, in dtype."""
+    channels = [rgb[:, c].astype(dtype) / dtype(255.0) for c in range(3)]
+    lms = [np.log10(np.maximum(plane, dtype(_LMS_FLOOR)))
+           for plane in _mix(_RGB2LMS, channels, dtype)]
+    return _mix(_DECOR, lms, dtype)
+
+
 def to_decorrelated(rgb: np.ndarray, dtype=np.float64) -> np.ndarray:
     """(..., 3) uint8/float RGB -> (..., 3) decorrelated log-space values in dtype."""
-    flat = np.asarray(rgb).reshape(-1, 3).astype(dtype) / dtype(255.0)
-    lms = np.maximum(flat @ _RGB2LMS.T.astype(dtype), dtype(_LMS_FLOOR))
-    return (np.log10(lms) @ _DECOR.T.astype(dtype)).reshape(np.shape(rgb))
+    rgb = np.asarray(rgb)
+    return np.stack(_decorrelated(rgb.reshape(-1, 3), dtype), axis=-1).reshape(rgb.shape)
 
 
 @dataclass(frozen=True)
@@ -98,7 +112,7 @@ def fit_stats(pixels, config: TilingConfig = TilingConfig()) -> DomainStats:
     tissue = segment_tissue(palette, config)
     if tissue.any():
         palette, counts = palette[tissue], counts[tissue]
-    vals = to_decorrelated(palette).T.copy()  # rows contiguous: pairwise sums
+    vals = np.array(_decorrelated(palette, np.float64))  # rows contiguous: pairwise sums
     mean = (vals * counts).sum(axis=1) / counts.sum()
     var = ((vals - mean[:, None]) ** 2 * counts).sum(axis=1) / counts.sum()
     return DomainStats(mean=mean, std=np.sqrt(var))
@@ -130,15 +144,13 @@ def _unpack(codes: np.ndarray, rgb: np.ndarray | None = None) -> np.ndarray:
 def _transfer(rgb: np.ndarray, model: AdapterModel) -> np.ndarray:
     """Reinhard transfer of (n, 3) uint8 rows in float32 log-LMS space (the
     result is rounded to 8-bit gray levels anyway); returns the new rows."""
-    vals = to_decorrelated(rgb, np.float32)
     scale = (model.target.std / model.source.std).astype(np.float32)
     shift = (model.target.mean - model.source.mean * model.target.std
              / model.source.std).astype(np.float32)
-    vals *= scale
-    vals += shift
-    # rows times _DECOR: each row times _DECOR.T, the inverse rotation
-    lms = np.power(np.float32(10.0), vals @ _DECOR.astype(np.float32))
-    adapted = (lms @ _LMS2RGB.T.astype(np.float32)) * np.float32(255.0)
+    vals = [plane * s + t for plane, s, t in zip(_decorrelated(rgb, np.float32), scale, shift)]
+    # _DECOR.T is the inverse rotation
+    lms = [np.power(np.float32(10.0), plane) for plane in _mix(_DECOR.T, vals, np.float32)]
+    adapted = np.stack(_mix(_LMS2RGB, lms, np.float32), axis=-1) * np.float32(255.0)
     np.rint(adapted, out=adapted)
     np.clip(adapted, 0, 255, out=adapted)
     return adapted.astype(np.uint8)

@@ -9,7 +9,7 @@ specimen whose slides all lack ROIs stays unclassified as no-ROI.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -148,10 +148,8 @@ def load_specimen_results(results_path, class_scores_path) -> list[SpecimenResul
     table that per-class ROC evaluation sweeps.  A specimen may have one row
     in each file, and one with a class needs its class scores: evaluate
     would count a repeated row twice and leave a specimen without class
-    scores out of every ROC curve."""
-    means_by_id = {specimen_id: np.array(means) for _, (specimen_id, *means) in read_table(
-        class_scores_path, CLASS_SCORES_HEAD, (str,) + (_score,) * 4)}
-
+    scores out of every ROC curve.  A class-score row of a specimen that
+    the results file does not list with a class is rejected at its line."""
     columns = (str, FinalOutcome, optional(ClassLabel.from_token),
                optional(_score), optional(at_least(0)), str)
     out = {}
@@ -163,8 +161,15 @@ def load_specimen_results(results_path, class_scores_path) -> list[SpecimenResul
             raise TableError(f"{results_path}:{lineno}: {final.value} row without "
                              f"a class and a score")
         else:
-            out[specimen_id] = SpecimenResult(specimen_id, cls, s, source,
-                                              means_by_id.get(specimen_id))
+            out[specimen_id] = SpecimenResult(specimen_id, cls, s, source, None)
+
+    for lineno, (specimen_id, *means) in read_table(
+            class_scores_path, CLASS_SCORES_HEAD, (str,) + (_score,) * 4):
+        spec = out.get(specimen_id)
+        if spec is None or not spec.classified:
+            raise TableError(f"{class_scores_path}:{lineno}: class scores for specimen "
+                             f"{specimen_id!r}, which {results_path} lists without a class")
+        out[specimen_id] = replace(spec, class_means=np.array(means))
     unscored = [spec.specimen_id for spec in out.values()
                 if spec.classified and spec.class_means is None]
     if unscored:

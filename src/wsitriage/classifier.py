@@ -16,7 +16,7 @@ import numpy as np
 
 from .manifest import N_CLASSES, stable_seed
 from .tables import interval, read_arrays, write_arrays
-from .tiling import Tiles, TilingConfig, blocks, pixel_planes, tissue_mask
+from .tiling import Tiles, TilingConfig, blocks, ordered_sum, pixel_planes, tissue_mask
 
 CLASSIFIER_HEADER = "wsi-triage-classifier v2"
 
@@ -117,27 +117,25 @@ def init_params(seed: int = 0) -> NetParams:
 def _forward(x: np.ndarray, params: NetParams, scale: np.ndarray | None):
     """(hidden units, scaled hidden units, the 4 sigmoids) of one embedding
     or of a batch; scale omits hidden units and rescales the survivors,
-    None uses all units unscaled."""
-    h = np.tanh(x @ params.w1 + params.b1)
+    None uses all units unscaled.  Each product adds its 64, then 32 terms
+    in index order (tiling.ordered_sum), so a row of a batch has the bits
+    of its own pass."""
+    # term k is x's column k as (n, 1), or its entry k; weight k is row k
+    h = np.tanh(ordered_sum(x.T[..., None], params.w1) + params.b1)
     hm = h if scale is None else h * scale
-    return h, hm, _sigmoid(hm @ params.w2 + params.b2)
+    return h, hm, _sigmoid(ordered_sum(hm.T[..., None], params.w2) + params.b2)
 
 
 def predict(embedding: np.ndarray, params: NetParams,
             scale: np.ndarray | None = None) -> np.ndarray:
-    """Forward pass to the 4 per-class sigmoids; scale is one dropout_scale
-    row, or None for all units unscaled.
+    """Forward pass to the 4 per-class sigmoids of an embedding or of a
+    batch of them; scale is dropout_scale rows, or None for all units
+    unscaled.
 
     Outputs are clamped away from exact 0/1 so saturated units still
     yield valid strictly-(0,1) probabilities downstream.
     """
     return np.clip(_forward(embedding, params, scale)[2], 1e-12, 1.0 - 1e-12)
-
-
-def predict_class(embedding: np.ndarray, params: NetParams) -> int:
-    """Deterministic argmax prediction (no mask); ties break to the
-    canonical class order."""
-    return int(np.argmax(predict(embedding, params)))
 
 
 def one_hot(labels) -> np.ndarray:
@@ -226,9 +224,10 @@ def fine_tune(params: NetParams, x: np.ndarray, labels,
 
 
 def accuracy(params: NetParams, x: np.ndarray, labels) -> float:
-    labels = np.asarray(labels, dtype=int)
-    preds = [predict_class(e, params) for e in np.asarray(x, dtype=np.float64)]
-    return float(np.mean(np.asarray(preds) == labels))
+    """Share of the embeddings whose unmasked argmax is their label; ties
+    break to the canonical class order."""
+    preds = np.argmax(predict(np.asarray(x, dtype=np.float64), params), axis=1)
+    return float(np.mean(preds == np.asarray(labels, dtype=int)))
 
 
 _PARAM_SHAPES = {"w1": (N_FEATURES, N_HIDDEN), "b1": (N_HIDDEN,),

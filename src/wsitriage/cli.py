@@ -159,7 +159,7 @@ def cmd_run(args) -> int:
         run_id=os.path.basename(os.path.normpath(out)),
         global_seed=config["seed"], workers=config["workers"],
         input_manifest=args.manifest, model_files=paths, config=config,
-        wall_ms=run.wall_ms)
+        wall_ms=run.wall_ms, slide_results=run.slide_results)
     throughput = profile(run.timings, run.wall_ms).throughput_per_hour
     print(f"processed {len(run.slide_results)} slides "
           f"({len(run.specimens)} specimens) in {run.wall_ms:.0f} ms; "

@@ -58,9 +58,7 @@ def mc_predict(embedding: np.ndarray, params: NetParams, t: int = DEFAULT_T,
     if t < 1:
         raise ValueError(f"need at least one repetition, got {t}")
     scales = dropout_scale(np.random.default_rng(seed), (t, N_HIDDEN), keep_prob)
-    # one forward pass per row: a batched (T, 32) @ (32, 4) product rounds
-    # differently from T vector products, and the scores would move
-    return np.stack([predict(embedding, params, s) for s in scales])
+    return predict(embedding, params, scales)
 
 
 def validate_matrix(matrix: np.ndarray) -> np.ndarray:

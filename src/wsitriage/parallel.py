@@ -36,6 +36,8 @@ _OPENBLAS_THREAD_SYMBOLS = (
 
 _OPENBLAS_CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_",
                               "scipy_openblas_get_corename", "openblas_get_corename")
+_OPENBLAS_CONFIG_SYMBOLS = ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
+                            "openblas_get_config")
 
 
 def _openblas_libraries() -> list[tuple[str, ctypes.CDLL]]:
@@ -76,26 +78,40 @@ def openblas_thread_controls() -> list[tuple[str, object, object]]:
     return controls
 
 
+def _openblas_strings(symbols) -> list[str]:
+    """The distinct strings that the first of symbols each loaded OpenBLAS
+    exports returns, in library order."""
+    strings = []
+    for _, lib in _openblas_libraries():
+        for name in symbols:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_char_p
+                value = getter()
+                if value:
+                    strings.append(value.decode("ascii", "replace").strip())
+                break
+    return list(dict.fromkeys(strings))
+
+
 def blas_core() -> str:
     """The kernel (core) name of each OpenBLAS loaded in this process, such
     as "SkylakeX", or "Katmai" under OPENBLAS_CORETYPE=Prescott; distinct
     names joined by a space, "unknown" when no OpenBLAS reports one."""
-    names = []
-    for _, lib in _openblas_libraries():
-        for name in _OPENBLAS_CORENAME_SYMBOLS:
-            get_corename = getattr(lib, name, None)
-            if get_corename is not None:
-                get_corename.argtypes, get_corename.restype = [], ctypes.c_char_p
-                core = get_corename()
-                if core:
-                    names.append(core.decode("ascii", "replace"))
-                break
-    return " ".join(dict.fromkeys(names)) or "unknown"
+    return " ".join(_openblas_strings(_OPENBLAS_CORENAME_SYMBOLS)) or "unknown"
+
+
+def blas_config() -> str:
+    """The build string of each OpenBLAS loaded in this process, such as
+    "OpenBLAS 0.3.30 DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64";
+    distinct strings joined by "; ", "unknown" when no OpenBLAS reports one."""
+    return "; ".join(_openblas_strings(_OPENBLAS_CONFIG_SYMBOLS)) or "unknown"
 
 
 def host_facts() -> list[tuple[str, object]]:
     """(key, value) facts about this host that can move a run's bits or
-    its speed: the OpenBLAS kernel (blas_core), the CPUs this process may
+    its speed: the OpenBLAS kernel (blas_core) and build (blas_config),
+    which training's products still run on, the CPUs this process may
     run on, the NumPy and SciPy versions, and the SIMD targets NumPy
     dispatches to on this CPU ("unknown" where NumPy does not say)."""
     try:
@@ -105,8 +121,8 @@ def host_facts() -> list[tuple[str, object]]:
         dispatch = "unknown"
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())
-    return [("blas_core", blas_core()), ("cpus_usable", cpus),
-            ("numpy", np.__version__), ("scipy", scipy.__version__),
+    return [("blas_core", blas_core()), ("blas_config", blas_config()),
+            ("cpus_usable", cpus), ("numpy", np.__version__), ("scipy", scipy.__version__),
             ("numpy_dispatch", dispatch)]
 
 

@@ -4,12 +4,13 @@ a per-slide record of outcome, tile counts and stage times.
 
 Parallelism is per slide; every slide's stochastic stream is seeded from
 (global seed, slide_id), so results are identical at any worker count or
-schedule.  On one BLAS kernel they are a pure function of the inputs.
-Read, segment, tile, ROI, featurize and pool call no BLAS routine, so
-their bits are the same on any OpenBLAS kernel; adapt's 3x3 colour
-products, classify's 64 -> 32 -> 4 products and the training of every
-model run through BLAS, and another kernel can move their last bits.
-Failing slides yield error records, never abort a corpus run.
+schedule.  No stage of a slide calls BLAS: adapt's 3x3 colour products,
+the ROI logit and classify's 64 -> 32 -> 4 products add their terms in
+index order (tiling.ordered_sum), so from fixed model files the results
+have the same bits on any OpenBLAS kernel.  Training and the corpus
+generator's colour product still call BLAS, so model files and rasters
+made under another kernel can differ in their last bits.  Failing slides
+yield error records, never abort a corpus run.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import functools
 import hashlib
 import os
 import time
+from collections import Counter
 from dataclasses import astuple, dataclass
 from typing import get_type_hints
 
@@ -357,14 +359,18 @@ _RUN_FIELDS = {"run_id": str, "global_seed": int, "worker_count": at_least(1),
 
 def save_run_manifest(path, run_id: str, global_seed: int, workers: int,
                       input_manifest, model_files: dict, config: Config,
-                      wall_ms: float) -> None:
-    """What a run used: its seed, worker count, input manifest (absolute),
-    the host's facts (parallel.host_facts), a digest of each model file,
-    every config value and its wall time."""
+                      wall_ms: float, slide_results) -> None:
+    """What a run used and did: its seed, worker count, input manifest
+    (absolute), its wall time, how many of its slide results end in each
+    outcome (slides_classified, slides_noroi, slides_error), the host's
+    facts (parallel.host_facts), a digest of each model file and every
+    config value."""
+    outcomes = Counter(r.outcome for r in slide_results)
     rows = [("run_id", run_id), ("global_seed", global_seed),
             ("worker_count", workers),
             ("input_manifest", os.path.abspath(input_manifest)),
-            ("wall_ms", float(wall_ms)), *host_facts()]
+            ("wall_ms", float(wall_ms)),
+            *((f"slides_{o.lower()}", outcomes[o]) for o in SLIDE_OUTCOMES), *host_facts()]
     rows += [(f"model.{kind}", _file_digest(p)) for kind, p in sorted(model_files.items())]
     rows += config.snapshot()
     write_table(path, RUN_MANIFEST_HEAD, rows)

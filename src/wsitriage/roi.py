@@ -18,7 +18,7 @@ from scipy import ndimage
 
 from .manifest import stable_seed
 from .tables import read_arrays, write_arrays
-from .tiling import Planes, Tiles, blocks, pixel_planes
+from .tiling import Planes, Tiles, blocks, ordered_sum, pixel_planes
 
 THETA_ROI = 0.05
 
@@ -72,18 +72,11 @@ class PixelSegmenter:
     def logits(self, planes: Planes) -> np.ndarray:
         """Per-pixel float32 logits from planes already taken.  The
         standardization is folded into the weights and the bias, and the
-        7 weighted feature planes are added one at a time in
-        _feature_planes' order, then the bias: no feature stack is built,
-        and no BLAS kernel decides the order of the sum."""
+        7 weighted feature planes are added in _feature_planes' order
+        (tiling.ordered_sum), then the bias: no feature stack is built."""
         weights = (self.weights / self.feat_std).astype(np.float32)
-        shift = 0.0
-        for mean, std, weight in zip(self.feat_mean, self.feat_std, self.weights):
-            shift += float(mean / std * weight)
-        feature_planes = _feature_planes(planes)
-        logits = next(feature_planes) * weights[0]
-        term = np.empty_like(logits)
-        for weight, plane in zip(weights[1:], feature_planes):
-            logits += np.multiply(plane, weight, out=term)
+        shift = ordered_sum(self.feat_mean / self.feat_std, self.weights)
+        logits = ordered_sum(_feature_planes(planes), weights)
         logits += np.float32(self.bias - shift)
         return logits
 

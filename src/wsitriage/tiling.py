@@ -30,6 +30,19 @@ def blocks(pixels: np.ndarray) -> list:
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
+def ordered_sum(terms, weights):
+    """The sum over k of terms[k] * weights[k], each product taken
+    elementwise (broadcast) and the products added one at a time in index
+    order.  Every element is the same left-to-right sum whatever the shape
+    of the batch around it, and no BLAS kernel decides the order."""
+    pairs = zip(terms, weights)
+    total = np.multiply(*next(pairs))
+    product = np.empty_like(total)
+    for term, weight in pairs:
+        total += np.multiply(term, weight, out=product)
+    return total
+
+
 @dataclass(frozen=True)
 class TilingConfig:
     s_min: float = 0.08

@@ -27,24 +27,33 @@ REFERENCE_DECOR_INV = np.array([
 ])
 
 
+def column_sums(rows, matrix):
+    """rows @ matrix.T in float32, each output column written out as
+    (rows[:, 0] * m[0] + rows[:, 1] * m[1]) + rows[:, 2] * m[2] for its
+    matrix row m: products rounded, then added left to right."""
+    matrix = matrix.astype(np.float32)
+    return np.stack([rows[:, 0] * m[0] + rows[:, 1] * m[1] + rows[:, 2] * m[2]
+                     for m in matrix], axis=1)
+
+
 def reference_adapt(pixels, model, config=TilingConfig()):
     """adapt_pixels as it was before the palette transfer: the tissue mask
     over every pixel, then the float32 transfer on the masked pixels, with
-    the literal inverses."""
+    the literal inverses and each 3x3 product summed column by column."""
     out = np.asarray(pixels, dtype=np.uint8).copy()
     if model.is_identity:
         return out
     mask = segment_tissue(out, config)
     flat = out[mask].astype(np.float32) / np.float32(255.0)
-    lms = np.maximum(flat @ _RGB2LMS.T.astype(np.float32), np.float32(_LMS_FLOOR))
-    vals = np.log10(lms) @ _DECOR.T.astype(np.float32)
+    lms = np.maximum(column_sums(flat, _RGB2LMS), np.float32(_LMS_FLOOR))
+    vals = column_sums(np.log10(lms), _DECOR)
     scale = (model.target.std / model.source.std).astype(np.float32)
     shift = (model.target.mean - model.source.mean * model.target.std
              / model.source.std).astype(np.float32)
     vals *= scale
     vals += shift
-    lms = np.power(np.float32(10.0), vals @ REFERENCE_DECOR_INV.T.astype(np.float32))
-    adapted = (lms @ REFERENCE_LMS2RGB.T.astype(np.float32)) * np.float32(255.0)
+    lms = np.power(np.float32(10.0), column_sums(vals, REFERENCE_DECOR_INV))
+    adapted = column_sums(lms, REFERENCE_LMS2RGB) * np.float32(255.0)
     np.rint(adapted, out=adapted)
     np.clip(adapted, 0, 255, out=adapted)
     out[mask] = adapted.astype(np.uint8)

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from wsitriage.aggregation import (SLIDE_RESULTS_HEAD, FinalOutcome, SlideResult
                                    save_slide_results, save_specimen_results)
 from wsitriage.confidence import UNREACHABLE, ThresholdSet
 from wsitriage.manifest import ClassLabel
-from wsitriage.tables import read_table
+from wsitriage.tables import TableError, read_table
 
 
 def classified(slide_id, specimen, label, s):
@@ -215,6 +216,25 @@ class TestResultsIO:
         with open(scores_path, "a") as fh:
             fh.write("sp1,0.1,0.2\n")
         with pytest.raises(ValueError, match=f"{scores_path}:4:"):
+            load_specimen_results(results_path, scores_path)
+
+    @pytest.mark.parametrize("stray", ["sp9", "sp1"], ids=["unknown", "no-roi"])
+    def test_class_scores_of_a_specimen_without_a_class_rejected(self, tmp_path, stray):
+        """A class-score row whose specimen the results file does not list
+        with a class, unknown or NoROI, is rejected at its line."""
+        thresholds = ThresholdSet(targets=(0.90,), values=(0.3,))
+        specimens = [SpecimenResult("sp0", ClassLabel.OTHER, 0.9, "s0",
+                                    np.array([0.1, 0.2, 0.3, 0.9])),
+                     SpecimenResult("sp1", None, None, None, None)]
+        results_path = tmp_path / "specimens.csv"
+        scores_path = tmp_path / "scores.csv"
+        save_specimen_results(specimens, thresholds, results_path)
+        save_class_scores(specimens, scores_path)
+        load_specimen_results(results_path, scores_path)
+        with open(scores_path, "a") as fh:
+            fh.write(f"{stray},0.1,0.2,0.3,0.4\n")
+        with pytest.raises(TableError, match=re.escape(
+                f"{scores_path}:4: class scores for specimen {stray!r}")):
             load_specimen_results(results_path, scores_path)
 
     def test_attained_level(self):

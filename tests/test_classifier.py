@@ -7,7 +7,7 @@ from wsitriage.classifier import (N_HIDDEN, NetParams, TrainConfig, accuracy,
                                   dropout_scale, featurize_tiles,
                                   fine_tune,
                                   init_params, load_params, loss_and_grad,
-                                  one_hot, pool, predict, predict_class,
+                                  one_hot, pool, predict,
                                   save_params, train)
 from wsitriage.manifest import ClassLabel, stable_seed
 from wsitriage.synthesis import default_lab_profiles, generate_slide
@@ -192,7 +192,7 @@ class TestPredict:
     def test_argmax_tie_breaks_canonically(self):
         params = NetParams(np.zeros((64, 32)), np.zeros(32), np.zeros((32, 4)),
                            np.zeros(4))
-        assert predict_class(np.zeros(64), params) == 0
+        assert accuracy(params, np.zeros((1, 64)), [0]) == 1.0
 
 
 class TestGradients:

@@ -9,14 +9,14 @@ import pytest
 import scipy
 
 from wsitriage.adaptation import load_adapter
-from wsitriage.aggregation import (SLIDE_RESULTS_HEAD, save_class_scores,
-                                   save_slide_results)
+from wsitriage.aggregation import (SLIDE_OUTCOMES, SLIDE_RESULTS_HEAD,
+                                   save_class_scores, save_slide_results)
 from wsitriage.classifier import load_params
 from wsitriage.cli import main
 from wsitriage.config import Config
 from wsitriage.confidence import load_thresholds
 from wsitriage.manifest import Split, load_manifest, save_manifest
-from wsitriage.parallel import blas_core, host_facts
+from wsitriage.parallel import blas_config, blas_core, host_facts
 from wsitriage.pipeline import load_models, load_run_manifest, model_paths, run_corpus
 from wsitriage.tables import read_table
 from wsitriage.training import calibrate_lab, train_models
@@ -121,6 +121,16 @@ class TestWorkflow:
     def test_run_manifest_records_the_blas_core(self, workflow):
         fields = load_run_manifest(os.path.join(workflow["run"], "run_manifest.txt"))
         assert fields["blas_core"] == blas_core()
+
+    def test_run_manifest_records_the_blas_config_and_outcome_counts(self, workflow):
+        fields = load_run_manifest(os.path.join(workflow["run"], "run_manifest.txt"))
+        assert fields["blas_config"] == blas_config()
+        assert fields["blas_config"] == "unknown" or fields["blas_config"].startswith("OpenBLAS")
+        outcomes = [row[2] for _, row in read_table(
+            os.path.join(workflow["run"], "slide_results.csv"), SLIDE_RESULTS_HEAD, (str,) * 6)]
+        counts = {o: int(fields[f"slides_{o.lower()}"]) for o in SLIDE_OUTCOMES}
+        assert counts == {o: outcomes.count(o) for o in SLIDE_OUTCOMES}
+        assert counts["Classified"] >= 1 and sum(counts.values()) == len(outcomes)
 
     def test_run_manifest_records_the_host_facts(self, workflow):
         fields = load_run_manifest(os.path.join(workflow["run"], "run_manifest.txt"))

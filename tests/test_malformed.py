@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsitriage.adaptation import AdapterModel, DomainStats, load_adapter, save_adapter
-from wsitriage.aggregation import (SpecimenResult, load_specimen_results,
+from wsitriage.aggregation import (SlideResult, SpecimenResult, load_specimen_results,
                                    save_class_scores, save_specimen_results)
 from wsitriage.classifier import (N_FEATURES, N_HIDDEN, NetParams, load_params,
                                   save_params)
@@ -109,7 +109,9 @@ def written(tmp_path_factory):
     save_specimen_results(specimens, thresholds, paths["specimen_results.csv"])
     save_class_scores(specimens, paths["class_scores.csv"])
     save_run_manifest(paths["run_manifest.txt"], "run_a", 5, 2, paths["manifest.txt"],
-                      {"classifier": paths["classifier.txt"]}, Config(), wall_ms=1234.5)
+                      {"classifier": paths["classifier.txt"]}, Config(), wall_ms=1234.5,
+                      slide_results=[SlideResult("s0", "sp0", ClassLabel.SQUAMOUS, 0.8),
+                                     SlideResult("s1", "sp1")])
     # a config file as the run manifest's snapshot states it
     paths["config.cfg"].write_text("".join(f"{key[len('config.'):]}={value}\n"
                                            for key, value in Config().snapshot()))

@@ -5,6 +5,7 @@ import pytest
 
 from wsitriage.adaptation import (AdapterModel, DomainStats, adapt_pixels, adapt_tiles,
                                   fit_stats)
+from wsitriage.aggregation import SlideResult
 from wsitriage.classifier import featurize_tiles, pool
 from wsitriage.config import Config
 from wsitriage.manifest import (ClassLabel, DatasetManifest, SlideRecord, Split,
@@ -161,6 +162,46 @@ def lab_a_records(tmp_path_factory):
         write_ppm(path, generate_slide(label, lab_a, 40 + i).raster)
         records.append(SlideRecord(f"s{i}", f"sp{i}", "lab_a", label, path))
     return records
+
+
+# each slide of a manifest run from a model directory's reference files
+# but thresholds: slide_id, outcome and the SHA-256 of its score and
+# matrix bytes
+SLIDE_RESULTS_DIGEST = """
+import hashlib
+import numpy as np
+from wsitriage.config import Config
+from wsitriage.manifest import load_manifest
+from wsitriage.pipeline import load_models, model_paths, run_slide
+paths = model_paths({models!r})
+del paths["thresholds"]
+models = load_models(paths)
+for record in load_manifest({manifest!r}).records:
+    result, _ = run_slide(record, models, Config(), 3)
+    digest = hashlib.sha256(np.float64(result.score).tobytes() + result.matrix.tobytes())
+    print(record.slide_id, result.outcome, digest.hexdigest() if result.classified else "")
+"""
+
+
+def test_slide_results_same_bytes_on_every_blas_kernel(
+        tmp_path, lab_a_records, small_models, run_under_blas_kernel, blas_kernels):
+    """From fixed model files, with an adapter that moves lab_a's colours,
+    each slide's score and repetition matrix have the same bytes under
+    every OpenBLAS kernel (OPENBLAS_CORETYPE): no stage of a slide calls
+    BLAS."""
+    tiles = pipeline.slide_tiles(lab_a_records[0], Config())
+    adapter = AdapterModel(fit_stats(tiles.pixels), small_models.adapter.target)
+    paths = pipeline.model_paths(tmp_path)
+    del paths["thresholds"]
+    pipeline.save_models(replace(small_models, adapter=adapter), paths)
+    manifest = tmp_path / "manifest.txt"
+    save_manifest(DatasetManifest(lab_a_records), manifest)
+    code = SLIDE_RESULTS_DIGEST.format(models=str(tmp_path), manifest=str(manifest))
+    # Sandybridge runs on AVX, which every CPU with Haswell's AVX2 has
+    kernels = blas_kernels + ["Sandybridge"] * ("Haswell" in blas_kernels)
+    digests = {kernel: run_under_blas_kernel(code, kernel) for kernel in kernels}
+    assert len(set(digests.values())) == 1, digests
+    assert digests[None].count("Classified") >= 2
 
 
 class TestEmbedRecord:
@@ -396,12 +437,17 @@ class TestRunManifest:
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "run_manifest.txt"
         run_id = 'run,1 "a"\nb'   # survives CSV quoting
+        results = [SlideResult("a", "sp", ClassLabel.OTHER, 0.9), SlideResult("b", "sp"),
+                   SlideResult("c", "sp"), SlideResult("d", "sp", error="OSError: gone")]
         save_run_manifest(out, run_id, 7, 4, "manifest.txt",
-                          {"classifier": str(model_path)}, config, wall_ms=123.0)
+                          {"classifier": str(model_path)}, config, wall_ms=123.0,
+                          slide_results=results)
         fields = load_run_manifest(out)
         assert fields["run_id"] == run_id
         assert (fields["global_seed"], fields["worker_count"]) == (7, 4)
         assert fields["wall_ms"] == 123.0
+        assert [fields[f"slides_{o}"] for o in ("classified", "noroi", "error")] == \
+            ["1", "2", "1"]
         assert fields["input_manifest"] == str(tmp_path / "manifest.txt")
         assert len(fields["model.classifier"]) == 16
         assert fields["config.confidence.T"] == "30"
@@ -420,7 +466,7 @@ class TestRunManifest:
     ])
     def test_malformed_run_manifest_names_path(self, tmp_path, config, edit, error):
         out = tmp_path / "run_manifest.txt"
-        save_run_manifest(out, "r", 0, 1, "m.txt", {}, config, wall_ms=1.0)
+        save_run_manifest(out, "r", 0, 1, "m.txt", {}, config, wall_ms=1.0, slide_results=[])
         out.write_text(edit(out.read_text()))
         with pytest.raises(TableError, match=f"{out}{error}"):
             load_run_manifest(out)

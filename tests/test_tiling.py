@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from wsitriage.manifest import ClassLabel
 from wsitriage.synthesis import default_lab_profiles, generate_slide, identity_profile
 from wsitriage.tiling import (BLOCK_PX, Tiles, TilingConfig, color_planes,
-                              segment_tissue, tile, tissue_mask)
+                              ordered_sum, segment_tissue, tile, tissue_mask)
 
 
 def raw_level_tissue_mask(raster, config):
@@ -22,6 +22,40 @@ def raw_level_tissue_mask(raster, config):
     saturation = (mx - mn) / np.maximum(mx, np.float32(1e-12))
     luminance = np.float32(0.299) * r + np.float32(0.587) * g + np.float32(0.114) * b
     return (saturation >= config.s_min) | (luminance <= config.l_max * 255.0)
+
+
+def loop_sum(terms, weights, order):
+    """sum of terms[k] * weights[k] over the indexes k in order, element by
+    element in Python scalar arithmetic of the terms' dtype."""
+    out = np.empty(terms.shape[1:], dtype=terms.dtype)
+    for index in np.ndindex(out.shape):
+        acc = terms[order[0]][index] * weights[order[0]]
+        for k in order[1:]:
+            acc = acc + terms[k][index] * weights[k]
+        out[index] = acc
+    return out
+
+
+class TestOrderedSum:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_the_index_order_loop(self, dtype):
+        rng = np.random.default_rng(4)
+        scales = 10.0 ** rng.integers(-6, 7, size=(9, 1, 1))   # the order matters
+        terms = (rng.normal(size=(9, 5, 3)) * scales).astype(dtype)
+        weights = rng.normal(size=9).astype(dtype)
+        expected = loop_sum(terms, weights, range(9))
+        got = ordered_sum(terms, weights)
+        assert got.dtype == dtype
+        assert got.tobytes() == expected.tobytes()
+        assert expected.tobytes() != loop_sum(terms, weights, range(8, -1, -1)).tobytes()
+
+    def test_batch_rows_have_the_bits_of_their_own_sum(self):
+        rng = np.random.default_rng(5)
+        x, w = rng.normal(size=(40, 64)), rng.normal(size=(64, 32))
+        batch = ordered_sum(x.T[..., None], w)
+        assert batch.shape == (40, 32)
+        for row, xi in zip(batch, x):
+            assert row.tobytes() == ordered_sum(xi, w).tobytes()
 
 
 class TestSegmentTissue:
