@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tables import read_arrays, write_arrays
-from .tiling import Tiles, TilingConfig, blocks, ordered_sum, segment_tissue
+from .tiling import Tiles, TilingConfig, blocks, mix, segment_tissue
 
 ADAPTER_HEADER = "wsi-triage-adapter v2"
 
@@ -44,19 +44,12 @@ _DECOR = np.array([
 _LMS_FLOOR = 1e-6
 
 
-def _mix(matrix: np.ndarray, planes, dtype) -> list:
-    """The planes of the matrix product of matrix and the stacked planes,
-    in dtype: output plane i is the sum of the planes weighted by row i of
-    matrix, in index order (tiling.ordered_sum)."""
-    return [ordered_sum(planes, row) for row in matrix.astype(dtype)]
-
-
 def _decorrelated(rgb: np.ndarray, dtype) -> list:
     """The three decorrelated log-space planes of (n, 3) RGB rows, in dtype."""
     channels = [rgb[:, c].astype(dtype) / dtype(255.0) for c in range(3)]
     lms = [np.log10(np.maximum(plane, dtype(_LMS_FLOOR)))
-           for plane in _mix(_RGB2LMS, channels, dtype)]
-    return _mix(_DECOR, lms, dtype)
+           for plane in mix(_RGB2LMS, channels, dtype)]
+    return mix(_DECOR, lms, dtype)
 
 
 def to_decorrelated(rgb: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -149,8 +142,8 @@ def _transfer(rgb: np.ndarray, model: AdapterModel) -> np.ndarray:
              / model.source.std).astype(np.float32)
     vals = [plane * s + t for plane, s, t in zip(_decorrelated(rgb, np.float32), scale, shift)]
     # _DECOR.T is the inverse rotation
-    lms = [np.power(np.float32(10.0), plane) for plane in _mix(_DECOR.T, vals, np.float32)]
-    adapted = np.stack(_mix(_LMS2RGB, lms, np.float32), axis=-1) * np.float32(255.0)
+    lms = [np.power(np.float32(10.0), plane) for plane in mix(_DECOR.T, vals, np.float32)]
+    adapted = np.stack(mix(_LMS2RGB, lms, np.float32), axis=-1) * np.float32(255.0)
     np.rint(adapted, out=adapted)
     np.clip(adapted, 0, 255, out=adapted)
     return adapted.astype(np.uint8)
@@ -208,6 +201,7 @@ def save_adapter(model: AdapterModel, path) -> None:
 
 def load_adapter(path) -> AdapterModel:
     v = read_arrays(path, ADAPTER_HEADER, dict.fromkeys(
-        ("source_mean", "source_std", "target_mean", "target_std"), (3,)))
+        ("source_mean", "source_std", "target_mean", "target_std"), (3,)),
+        positive=("source_std", "target_std"))
     return AdapterModel(source=DomainStats(v["source_mean"], v["source_std"]),
                         target=DomainStats(v["target_mean"], v["target_std"]))

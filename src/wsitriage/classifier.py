@@ -159,12 +159,14 @@ def loss_and_grad(params: NetParams, x: np.ndarray, y: np.ndarray,
     eps = 1e-12
     loss = float(-(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps)).sum() / n)
 
+    # the weight gradients add one outer product per batch row, and dh one
+    # term per class, in index order (tiling.ordered_sum)
     dz2 = (p - y) / n
-    gw2 = hm.T @ dz2
+    gw2 = ordered_sum(hm[..., None], dz2[:, None])
     gb2 = dz2.sum(axis=0)
-    dh = (dz2 @ params.w2.T) * mask_scale
+    dh = ordered_sum(dz2.T[..., None], params.w2.T) * mask_scale
     dz1 = dh * (1.0 - h * h)
-    gw1 = x.T @ dz1
+    gw1 = ordered_sum(x[..., None], dz1[:, None])
     gb1 = dz1.sum(axis=0)
     return loss, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
 

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from collections import Counter
 
 from .aggregation import (load_specimen_results, save_class_scores,
                           save_slide_results, save_specimen_results)
@@ -96,9 +97,7 @@ def cmd_split(args) -> int:
         manifest = DatasetManifest(records=records)
     out = build_splits(manifest, ratios, seed=args.seed, splits=names)
     save_manifest(out, args.out)
-    counts = {}
-    for split in out.splits.values():
-        counts[split.value] = counts.get(split.value, 0) + 1
+    counts = Counter(split.value for split in out.splits.values())
     print(f"wrote {args.out}: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     return 0
 
@@ -159,7 +158,7 @@ def cmd_run(args) -> int:
         run_id=os.path.basename(os.path.normpath(out)),
         global_seed=config["seed"], workers=config["workers"],
         input_manifest=args.manifest, model_files=paths, config=config,
-        wall_ms=run.wall_ms, slide_results=run.slide_results)
+        wall_ms=run.wall_ms, timings=run.timings)
     throughput = profile(run.timings, run.wall_ms).throughput_per_hour
     print(f"processed {len(run.slide_results)} slides "
           f"({len(run.specimens)} specimens) in {run.wall_ms:.0f} ms; "

@@ -6,11 +6,10 @@ Parallelism is per slide; every slide's stochastic stream is seeded from
 (global seed, slide_id), so results are identical at any worker count or
 schedule.  No stage of a slide calls BLAS: adapt's 3x3 colour products,
 the ROI logit and classify's 64 -> 32 -> 4 products add their terms in
-index order (tiling.ordered_sum), so from fixed model files the results
-have the same bits on any OpenBLAS kernel.  Training and the corpus
-generator's colour product still call BLAS, so model files and rasters
-made under another kernel can differ in their last bits.  Failing slides
-yield error records, never abort a corpus run.
+index order (tiling.ordered_sum), and so do training and the corpus
+generator, so rasters, model files and results have the same bits on any
+OpenBLAS kernel.  Failing slides yield error records, never abort a
+corpus run.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import math
 import os
 import time
 from collections import Counter
@@ -351,26 +351,32 @@ def _file_digest(path) -> str:
     return h.hexdigest()[:16]
 
 
-# the typed fields of a run manifest; model.<kind> and config.<key> rows
-# are text
+# the typed fields of a run manifest; model.<kind>, config.<key> and the
+# host facts' rows are text
 _RUN_FIELDS = {"run_id": str, "global_seed": int, "worker_count": at_least(1),
-               "input_manifest": str, "wall_ms": finite}
+               "input_manifest": str, "wall_ms": finite,
+               **{f"slides_{o.lower()}": at_least(0) for o in SLIDE_OUTCOMES},
+               **{f"{stage}_ms_p50": float for stage in STAGES}}
 
 
 def save_run_manifest(path, run_id: str, global_seed: int, workers: int,
                       input_manifest, model_files: dict, config: Config,
-                      wall_ms: float, slide_results) -> None:
+                      wall_ms: float, timings) -> None:
     """What a run used and did: its seed, worker count, input manifest
-    (absolute), its wall time, how many of its slide results end in each
-    outcome (slides_classified, slides_noroi, slides_error), the host's
-    facts (parallel.host_facts), a digest of each model file and every
-    config value."""
-    outcomes = Counter(r.outcome for r in slide_results)
+    (absolute), its wall time, how many of its slides (their StageTiming
+    records) end in each outcome (slides_classified, slides_noroi,
+    slides_error), the median of each stage (<stage>_ms_p50, from
+    profile), the host's facts (parallel.host_facts), a digest of each
+    model file and every config value."""
+    timings = list(timings)
+    outcomes = Counter(t.outcome for t in timings)
+    medians = profile(timings).stage_median_ms
     rows = [("run_id", run_id), ("global_seed", global_seed),
             ("worker_count", workers),
             ("input_manifest", os.path.abspath(input_manifest)),
             ("wall_ms", float(wall_ms)),
-            *((f"slides_{o.lower()}", outcomes[o]) for o in SLIDE_OUTCOMES), *host_facts()]
+            *((f"slides_{o.lower()}", outcomes[o]) for o in SLIDE_OUTCOMES),
+            *((f"{stage}_ms_p50", medians[stage][1]) for stage in STAGES), *host_facts()]
     rows += [(f"model.{kind}", _file_digest(p)) for kind, p in sorted(model_files.items())]
     rows += config.snapshot()
     write_table(path, RUN_MANIFEST_HEAD, rows)
@@ -378,13 +384,20 @@ def save_run_manifest(path, run_id: str, global_seed: int, workers: int,
 
 def load_run_manifest(path) -> dict:
     """key -> value of a run manifest written by save_run_manifest."""
-    fields = {}
+    fields, lines = {}, {}
     for lineno, (key, value) in read_table(path, RUN_MANIFEST_HEAD, (str, str)):
         try:
             fields[key] = _RUN_FIELDS.get(key, str)(value)
         except ValueError as exc:
             raise TableError(f"{path}:{lineno}: {exc}") from None
+        lines[key] = lineno
     missing = [key for key in _RUN_FIELDS if key not in fields]
     if missing:
         raise TableError(f"{path}: missing keys {missing}")
+    # a stage median is nan only when no slide ran its stages
+    finished = fields["slides_classified"] + fields["slides_noroi"]
+    for key in (f"{stage}_ms_p50" for stage in STAGES):
+        if not (math.isfinite(fields[key]) or (math.isnan(fields[key]) and not finished)):
+            raise TableError(f"{path}:{lines[key]}: {key} must be a finite number when "
+                             f"{finished} slides ran their stages, got {fields[key]}")
     return fields

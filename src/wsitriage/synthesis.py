@@ -23,6 +23,7 @@ from .manifest import ClassLabel, DatasetManifest, SlideRecord, save_manifest, s
 from .parallel import pmap
 from .pnm import write_pgm, write_ppm
 from .tables import interval
+from .tiling import blocks, mix
 
 SLIDE_H = 1024
 SLIDE_W = 1536
@@ -54,7 +55,8 @@ class LabProfile:
             raise ValueError("color_matrix must be 3x3")
         if self.color_offset.shape != (3,):
             raise ValueError("color_offset must be a 3-vector")
-        if abs(np.linalg.det(self.color_matrix)) <= 1e-6:
+        c0, c1, c2 = self.color_matrix.T   # the determinant, as a triple product
+        if abs(sum(c0 * np.cross(c1, c2))) <= 1e-6:
             raise ValueError(f"color_matrix for {self.lab_id!r} is not invertible")
         interval(0, math.inf, "noise_sigma")(self.noise_sigma)
         for kind, rate in self.artifact_rates.items():
@@ -336,16 +338,18 @@ def generate_slide(label: ClassLabel, profile: LabProfile, seed: int,
     planes, roi, tissue = _render_reference(rng, label, shape, no_lesion)
     h, w = roi.shape
 
-    # (3, 3) @ (3, H*W) gives each output the bits of the interleaved
-    # (H*W, 3) @ (3, 3).T; the pixels interleave once, as the noise is added
-    out = profile.color_matrix.astype(np.float32) @ planes.reshape(3, -1)
-    out += profile.color_offset.astype(np.float32)[:, None]
+    # the noise, then each block of pixels adds to each channel its colour
+    # product, summed over the planes in index order (tiling.mix), and its
+    # offset, as it interleaves them
+    out = np.zeros((h * w, 3), dtype=np.float32)
     if profile.noise_sigma > 0:
-        noise = rng.standard_normal((h * w, 3), dtype=np.float32)
-        noise *= np.float32(profile.noise_sigma)
-        out = np.add(out.T, noise, out=noise)
-    else:
-        out = np.ascontiguousarray(out.T)
+        rng.standard_normal(out.shape, dtype=np.float32, out=out)
+        out *= np.float32(profile.noise_sigma)
+    planes = planes.reshape(3, -1)
+    offset = profile.color_offset.astype(np.float32)
+    for px in blocks(out):
+        for c, plane in enumerate(mix(profile.color_matrix, planes[:, px], np.float32)):
+            out[px, c] += plane + offset[c]
     out += np.float32(0.5)  # truncation after +0.5 rounds half-up
     np.clip(out, 0, 255, out=out)
     raster = out.astype(np.uint8).reshape(h, w, 3)

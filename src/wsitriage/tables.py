@@ -145,9 +145,10 @@ def write_arrays(path, header: str, arrays: dict) -> None:
     write_table(path, [header, _ARRAY_COLUMNS], rows)
 
 
-def read_arrays(path, header: str, shapes: dict) -> dict:
+def read_arrays(path, header: str, shapes: dict, positive=()) -> dict:
     """The arrays of a model file written by write_arrays: one row for each
-    name of shapes, holding an array of that shape, and no other row."""
+    name of shapes, holding an array of that shape, and no other row.  The
+    values of the arrays named in positive must be above 0."""
     arrays = {}
     columns = (str, lambda text: tuple(int(d) for d in text.split()),
                lambda text: [finite(v) for v in text.split()])
@@ -157,6 +158,9 @@ def read_arrays(path, header: str, shapes: dict) -> dict:
         if shape != shapes[name] or len(values) != math.prod(shape):
             raise TableError(f"{path}:{lineno}: array {name!r} of shape {shape} with "
                              f"{len(values)} values, expected shape {shapes[name]}")
+        if name in positive and min(values) <= 0.0:
+            raise TableError(f"{path}:{lineno}: array {name!r} has a value of {min(values)}, "
+                             f"expected every value above 0")
         arrays[name] = np.array(values).reshape(shape)
     missing = [name for name in shapes if name not in arrays]
     if missing:

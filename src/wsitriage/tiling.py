@@ -43,6 +43,37 @@ def ordered_sum(terms, weights):
     return total
 
 
+def mix(matrix: np.ndarray, planes, dtype) -> list:
+    """The planes of the matrix product of matrix and the stacked planes,
+    in dtype: output plane i is the sum of the planes weighted by row i of
+    matrix, in index order (ordered_sum)."""
+    return [ordered_sum(planes, row) for row in matrix.astype(dtype)]
+
+
+# Samples per block of a long reduction (blocked_sum); a power of two.
+SUM_BLOCK = 1 << 12
+
+
+def blocked_sum(terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The float64 sums over the last axis of terms weighted by the 1-D
+    weights, in a fixed order that no SIMD width or BLAS kernel decides:
+    the axis is cut into blocks of SUM_BLOCK samples, the products of each
+    block are formed and added, block after block in index order, into
+    SUM_BLOCK partial sums (a short last block into the first of them),
+    and the partial sums are then halved pairwise, the first half plus the
+    second, until one is left.  No product array longer than a block is
+    made."""
+    partial = np.zeros(terms.shape[:-1] + (SUM_BLOCK,))
+    for start in range(0, len(weights), SUM_BLOCK):
+        block = terms[..., start:start + SUM_BLOCK] * weights[start:start + SUM_BLOCK]
+        partial[..., :block.shape[-1]] += block
+    width = SUM_BLOCK
+    while width > 1:
+        width //= 2
+        partial = partial[..., :width] + partial[..., width:]
+    return partial[..., 0]
+
+
 @dataclass(frozen=True)
 class TilingConfig:
     s_min: float = 0.08

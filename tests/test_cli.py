@@ -16,8 +16,9 @@ from wsitriage.cli import main
 from wsitriage.config import Config
 from wsitriage.confidence import load_thresholds
 from wsitriage.manifest import Split, load_manifest, save_manifest
-from wsitriage.parallel import blas_config, blas_core, host_facts
-from wsitriage.pipeline import load_models, load_run_manifest, model_paths, run_corpus
+from wsitriage.parallel import host_facts
+from wsitriage.pipeline import (STAGES, load_models, load_run_manifest, load_timings,
+                                model_paths, profile, run_corpus)
 from wsitriage.tables import read_table
 from wsitriage.training import calibrate_lab, train_models
 
@@ -118,19 +119,20 @@ class TestWorkflow:
         assert (fields["config.seed"], fields["config.workers"]) == ("5", "2")
         assert fields["input_manifest"] == os.path.abspath(workflow["lab_manifest"])
 
-    def test_run_manifest_records_the_blas_core(self, workflow):
+    def test_run_manifest_records_the_outcome_counts(self, workflow):
         fields = load_run_manifest(os.path.join(workflow["run"], "run_manifest.txt"))
-        assert fields["blas_core"] == blas_core()
-
-    def test_run_manifest_records_the_blas_config_and_outcome_counts(self, workflow):
-        fields = load_run_manifest(os.path.join(workflow["run"], "run_manifest.txt"))
-        assert fields["blas_config"] == blas_config()
-        assert fields["blas_config"] == "unknown" or fields["blas_config"].startswith("OpenBLAS")
         outcomes = [row[2] for _, row in read_table(
             os.path.join(workflow["run"], "slide_results.csv"), SLIDE_RESULTS_HEAD, (str,) * 6)]
         counts = {o: int(fields[f"slides_{o.lower()}"]) for o in SLIDE_OUTCOMES}
         assert counts == {o: outcomes.count(o) for o in SLIDE_OUTCOMES}
         assert counts["Classified"] >= 1 and sum(counts.values()) == len(outcomes)
+
+    def test_run_manifest_records_the_stage_medians_of_timings(self, workflow):
+        fields = load_run_manifest(os.path.join(workflow["run"], "run_manifest.txt"))
+        summary = profile(load_timings(os.path.join(workflow["run"], "timings.csv")))
+        assert {stage: fields[f"{stage}_ms_p50"] for stage in STAGES} == \
+            {stage: q2 for stage, (_, q2, _) in summary.stage_median_ms.items()}
+        assert all(value > 0 for value in summary.stage_median_ms["read"])
 
     def test_run_manifest_records_the_host_facts(self, workflow):
         fields = load_run_manifest(os.path.join(workflow["run"], "run_manifest.txt"))

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsitriage.adaptation import AdapterModel, DomainStats, load_adapter, save_adapter
-from wsitriage.aggregation import (SlideResult, SpecimenResult, load_specimen_results,
+from wsitriage.aggregation import (SpecimenResult, load_specimen_results,
                                    save_class_scores, save_specimen_results)
 from wsitriage.classifier import (N_FEATURES, N_HIDDEN, NetParams, load_params,
                                   save_params)
@@ -99,8 +99,9 @@ def written(tmp_path_factory):
                 paths["classifier.txt"])
     thresholds = ThresholdSet((0.9, 0.95, 0.98), (0.5, 0.75, UNREACHABLE))
     save_thresholds(thresholds, paths["reference.thresholds"])
-    save_timings([StageTiming(f"s{i}", "Classified", 10, 3, *(0.5 + i + j for j in range(9)))
-                  for i in range(3)], paths["timings.csv"])
+    timings = [StageTiming(f"s{i}", "Classified", 10, 3, *(0.5 + i + j for j in range(9)))
+               for i in range(3)]
+    save_timings(timings, paths["timings.csv"])
     specimens = [SpecimenResult("sp0", ClassLabel.SQUAMOUS, 0.8, "s1",
                                 np.array([0.1, 0.8, 0.2, 0.3])),
                  SpecimenResult("sp1", None, None, None, None),
@@ -110,8 +111,7 @@ def written(tmp_path_factory):
     save_class_scores(specimens, paths["class_scores.csv"])
     save_run_manifest(paths["run_manifest.txt"], "run_a", 5, 2, paths["manifest.txt"],
                       {"classifier": paths["classifier.txt"]}, Config(), wall_ms=1234.5,
-                      slide_results=[SlideResult("s0", "sp0", ClassLabel.SQUAMOUS, 0.8),
-                                     SlideResult("s1", "sp1")])
+                      timings=timings + [StageTiming("s3", "NoROI"), StageTiming("s4", "Error")])
     # a config file as the run manifest's snapshot states it
     paths["config.cfg"].write_text("".join(f"{key[len('config.'):]}={value}\n"
                                            for key, value in Config().snapshot()))
@@ -306,6 +306,17 @@ class TestModelFiles:
         with pytest.raises(TableError, match=f"^{path}:6: array 'b2' of shape"):
             load_params(path)
 
+    @pytest.mark.parametrize("name, row, line, reader, got", [
+        ("segmenter.txt", b"feat_std,7,0.0 -1.0 1 1 1 1 1", 6, load_segmenter, "-1.0"),
+        ("reference.adapter", b"source_std,3,0.0 1 1", 4, load_adapter, "0.0"),
+        ("reference.adapter", b"target_std,3,1 -1.0 0.5", 6, load_adapter, "-1.0")])
+    def test_non_positive_std(self, written, tmp_path, name, row, line, reader, got):
+        key = row.split(b",")[0]
+        path = self._array_row(written, tmp_path, name, key, row)
+        with pytest.raises(TableError, match=rf"^{path}:{line}: array '{key.decode()}' has "
+                                             rf"a value of {got}, expected every value above 0$"):
+            reader(path)
+
     @pytest.mark.parametrize("value", [b"nan", b"inf", b"-inf"])
     def test_non_finite_value(self, written, tmp_path, value):
         path = self._array_row(written, tmp_path, "segmenter.txt", b"bias",
@@ -327,6 +338,25 @@ class TestNonFinite:
         path = _edited(written, tmp_path, "run_manifest.txt",
                        lambda b: b.replace(b"wall_ms,1234.5", f"wall_ms,{value}".encode()))
         with pytest.raises(TableError, match=f"^{path}:7: expected a finite number"):
+            load_run_manifest(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_run_manifest_stage_median(self, written, tmp_path, value):
+        path = _edited(written, tmp_path, "run_manifest.txt",
+                       lambda b: re.sub(rb"(?m)^adapt_ms_p50,.*$",
+                                        f"adapt_ms_p50,{value}".encode(), b))
+        with pytest.raises(TableError, match=rf"^{path}:14: adapt_ms_p50 must be a finite "
+                                             rf"number when 4 slides ran their stages"):
+            load_run_manifest(path)
+
+    def test_run_manifest_stage_median_nan_when_no_slide_ran_its_stages(self, tmp_path):
+        path = tmp_path / "run_manifest.txt"
+        save_run_manifest(path, "r", 0, 1, "m.txt", {}, Config(), wall_ms=1.0,
+                          timings=[StageTiming("s0", "Error")])
+        fields = load_run_manifest(path)
+        assert np.isnan(fields["adapt_ms_p50"]) and fields["slides_error"] == 1
+        path.write_text(path.read_text().replace("slides_noroi,0", "slides_noroi,1"))
+        with pytest.raises(TableError, match=rf"^{path}:\d+: read_ms_p50 must be a finite"):
             load_run_manifest(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

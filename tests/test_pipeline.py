@@ -5,7 +5,6 @@ import pytest
 
 from wsitriage.adaptation import (AdapterModel, DomainStats, adapt_pixels, adapt_tiles,
                                   fit_stats)
-from wsitriage.aggregation import SlideResult
 from wsitriage.classifier import featurize_tiles, pool
 from wsitriage.config import Config
 from wsitriage.manifest import (ClassLabel, DatasetManifest, SlideRecord, Split,
@@ -437,17 +436,17 @@ class TestRunManifest:
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "run_manifest.txt"
         run_id = 'run,1 "a"\nb'   # survives CSV quoting
-        results = [SlideResult("a", "sp", ClassLabel.OTHER, 0.9), SlideResult("b", "sp"),
-                   SlideResult("c", "sp"), SlideResult("d", "sp", error="OSError: gone")]
+        timings = [StageTiming("a", "Classified", read_ms=4.0), StageTiming("b", "NoROI"),
+                   StageTiming("c", "NoROI", read_ms=2.0), StageTiming("d", "Error")]
         save_run_manifest(out, run_id, 7, 4, "manifest.txt",
                           {"classifier": str(model_path)}, config, wall_ms=123.0,
-                          slide_results=results)
+                          timings=timings)
         fields = load_run_manifest(out)
         assert fields["run_id"] == run_id
         assert (fields["global_seed"], fields["worker_count"]) == (7, 4)
         assert fields["wall_ms"] == 123.0
-        assert [fields[f"slides_{o}"] for o in ("classified", "noroi", "error")] == \
-            ["1", "2", "1"]
+        assert [fields[f"slides_{o}"] for o in ("classified", "noroi", "error")] == [1, 2, 1]
+        assert (fields["read_ms_p50"], fields["roi_ms_p50"]) == (2.0, 0.0)
         assert fields["input_manifest"] == str(tmp_path / "manifest.txt")
         assert len(fields["model.classifier"]) == 16
         assert fields["config.confidence.T"] == "30"
@@ -466,7 +465,8 @@ class TestRunManifest:
     ])
     def test_malformed_run_manifest_names_path(self, tmp_path, config, edit, error):
         out = tmp_path / "run_manifest.txt"
-        save_run_manifest(out, "r", 0, 1, "m.txt", {}, config, wall_ms=1.0, slide_results=[])
+        save_run_manifest(out, "r", 0, 1, "m.txt", {}, config, wall_ms=1.0,
+                          timings=[StageTiming("a", "Classified")])
         out.write_text(edit(out.read_text()))
         with pytest.raises(TableError, match=f"{out}{error}"):
             load_run_manifest(out)

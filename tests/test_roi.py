@@ -10,8 +10,8 @@ from wsitriage.config import Config
 from wsitriage.manifest import ClassLabel, SlideRecord, Split, stable_seed
 from wsitriage.pipeline import slide_tiles
 from wsitriage.pnm import read_pgm, read_ppm, write_pgm, write_ppm
-from wsitriage.roi import (EPOCHS, L2, LEARNING_RATE, N_PIXEL_FEATURES, SAMPLES_PER_TILE,
-                           _feature_planes, load_segmenter, save_segmenter,
+from wsitriage.roi import (L2, N_PIXEL_FEATURES, NEWTON_STEPS, SAMPLES_PER_TILE,
+                           _cholesky_solve, _feature_planes, load_segmenter, save_segmenter,
                            segment_tiles, select, train_segmenter)
 from wsitriage.synthesis import default_lab_profiles, generate_slide, mask_path_for
 from wsitriage.tiling import BLOCK_PX, Tiles, pixel_planes, segment_tissue, tile
@@ -181,10 +181,54 @@ class TestSelect:
             select(blank_tiles(2), np.array([0.5]))
 
 
+def reference_blocked_sum(values, block=4096):
+    """The sum of a sequence of floats in the order train_segmenter
+    documents, as Python float arithmetic: sample i goes to partial sum
+    i % block, in index order, then the partial sums are halved pairwise,
+    the first half plus the second, until one is left."""
+    partial = [0.0] * block
+    for i, value in enumerate(values):
+        partial[i % block] += value
+    while len(partial) > 1:
+        half = len(partial) // 2
+        partial = [a + b for a, b in zip(partial[:half], partial[half:])]
+    return partial[0]
+
+
+def reference_cholesky_solve(a, b):
+    """a x = b through the Cholesky factor of a, row by row
+    (Cholesky-Banachiewicz); each entry subtracts its products in index
+    order, then forward and back substitution."""
+    n = len(b)
+    low = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            s = a[i][j]
+            for k in range(j):
+                s -= low[i][k] * low[j][k]
+            low[i][j] = np.sqrt(s) if i == j else s / low[j][j]
+    z = [0.0] * n
+    for i in range(n):
+        s = b[i]
+        for k in range(i):
+            s -= low[i][k] * z[k]
+        z[i] = s / low[i][i]
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        s = z[i]
+        for k in range(i + 1, n):
+            s -= low[k][i] * x[k]
+        x[i] = s / low[i][i]
+    return x
+
+
 def reference_train_segmenter(pairs, seed):
     """train_segmenter written tile by tile: each tile's (H * W, 7)
     reference_pixel_features rows, its positives and then its negatives
-    drawn with the same RNG, then the same gradient descent.  Returns the
+    drawn with the same RNG, then NEWTON_STEPS Newton steps from zero on
+    the standardized samples and a bias, with L2 on the weights: the logit
+    adds the 7 weighted features in index order and then the bias, and
+    every sum over the samples is reference_blocked_sum.  Returns the
     weights, bias, feature means and feature stds."""
     rng = np.random.default_rng(stable_seed("segmenter", seed))
     xs, ys = [], []
@@ -202,14 +246,38 @@ def reference_train_segmenter(pairs, seed):
     y = np.concatenate(ys).astype(np.float64)
     mean = x.mean(axis=0)
     std = np.maximum(x.std(axis=0), 1e-6)
-    xs_std = (x - mean) / std
-    w = np.zeros(N_PIXEL_FEATURES)
-    b = 0.0
-    for _ in range(EPOCHS):
-        err = 1.0 / (1.0 + np.exp(-(xs_std @ w + b))) - y
-        w -= LEARNING_RATE * (xs_std.T @ err / len(y) + L2 * w)
-        b -= LEARNING_RATE * float(err.mean())
-    return w, b, mean, std
+    columns = list(((x - mean) / std).astype(np.float64).T) + [np.ones(len(y))]
+    n_params, n = len(columns), len(y)
+    ridge = [L2] * (n_params - 1) + [0.0]
+    theta = [0.0] * n_params
+    for _ in range(NEWTON_STEPS):
+        z = columns[0] * theta[0]
+        for column, t in zip(columns[1:], theta[1:]):
+            z = z + column * t
+        p = 1.0 / (1.0 + np.exp(-z))
+        err, weight = p - y, p * (1.0 - p)
+        gradient = [reference_blocked_sum((column * err).tolist()) / n + r * t
+                    for column, r, t in zip(columns, ridge, theta)]
+        hessian = [[0.0] * n_params for _ in range(n_params)]
+        for j in range(n_params):
+            for k in range(j, n_params):
+                h = reference_blocked_sum((columns[k] * (columns[j] * weight)).tolist()) / n
+                hessian[j][k] = hessian[k][j] = h + ridge[j] * (j == k)
+        step = reference_cholesky_solve(hessian, gradient)
+        theta = [t - d for t, d in zip(theta, step)]
+    return np.array(theta[:-1]), theta[-1], mean, std
+
+
+class TestCholeskySolve:
+    def test_solves_a_positive_definite_system(self):
+        rng = np.random.default_rng(8)
+        m = rng.normal(size=(8, 8))
+        a, b = m @ m.T + 8.0 * np.eye(8), rng.normal(size=8)
+        assert np.allclose(a @ _cholesky_solve(a, b), b, rtol=0, atol=1e-12)
+
+    def test_non_positive_pivot_rejected(self):
+        with pytest.raises(ValueError, match="pivot 1 is -3.0, not positive"):
+            _cholesky_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
 
 
 class TestTrainSegmenter:
@@ -268,8 +336,8 @@ class TestTrainSegmenter:
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-# the sha256 of train_segmenter's model and of reference_train_segmenter's,
-# whose descent keeps the float32 samples in each product, on fixed pixels
+# the sha256 of train_segmenter's model and of reference_train_segmenter's
+# on fixed pixels
 SEGMENTER_DIGESTS = """
 import hashlib, sys
 import numpy as np
@@ -289,13 +357,15 @@ for arrays in ((model.weights, model.bias, model.feat_mean, model.feat_std),
 
 def test_train_segmenter_bitwise_the_reference_on_every_blas_kernel(
         run_under_blas_kernel, blas_kernels):
-    """Under each OpenBLAS kernel the descent on samples cast to float64
-    once, with a C-contiguous transpose, gives the bits of the descent
-    that casts the float32 samples in each product."""
+    """Under each OpenBLAS kernel the Newton fit gives the bits of the
+    plain-loop reference, and so the same model under every kernel: the
+    fit calls no BLAS or LAPACK routine."""
     code = SEGMENTER_DIGESTS.format(tests=os.path.dirname(os.path.abspath(__file__)))
-    for kernel in blas_kernels:
-        got, expected = run_under_blas_kernel(code, kernel).split()
+    digests = {kernel: run_under_blas_kernel(code, kernel) for kernel in blas_kernels}
+    for kernel, pair in digests.items():
+        got, expected = pair.split()
         assert got == expected, kernel
+    assert len(set(digests.values())) == 1, digests
 
 
 class TestPersistence:

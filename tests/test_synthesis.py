@@ -86,12 +86,15 @@ def reference_render(rng, label, shape, no_lesion):
 
 def reference_slide(label, profile, seed, shape, no_lesion=False):
     """generate_slide composed on the interleaved (H, W, 3) raster of
-    reference_render: the lab's colour product as (H*W, 3) @ (3, 3).T, then
+    reference_render: the lab's colour product, each output channel the
+    float32 sum (r * m0 + g * m1) + b * m2 over its matrix row, then
     offset, noise, +0.5, clip, cast and the drawn artifacts.  Returns the
     raster, ROI mask and tissue mask."""
     rng = np.random.default_rng(stable_seed("slide", seed))
     reference, roi, tissue = reference_render(rng, label, shape, no_lesion)
-    out = reference.reshape(-1, 3) @ profile.color_matrix.T.astype(np.float32)
+    rgb = reference.reshape(-1, 3)
+    out = np.stack([(rgb[:, 0] * m0 + rgb[:, 1] * m1) + rgb[:, 2] * m2
+                    for m0, m1, m2 in profile.color_matrix.astype(np.float32)], axis=1)
     out += profile.color_offset.astype(np.float32)
     if profile.noise_sigma > 0:
         noise = rng.standard_normal(out.shape, dtype=np.float32)
@@ -139,13 +142,14 @@ print(hashlib.sha256(got.tobytes()).hexdigest(), hashlib.sha256(expected.tobytes
 def test_slide_bitwise_the_interleaved_reference_on_every_blas_kernel(
         run_under_blas_kernel, blas_kernels):
     """Under each OpenBLAS kernel the planar colour product gives the bytes
-    of the interleaved one.  Those bytes may still differ between kernels
-    (an FMA kernel rounds once per multiply-add); this asserts only that
-    the planar layout adds no dependence on the kernel."""
+    of the interleaved reference's index-order sums, and so the same bytes
+    under every kernel: the generator calls no BLAS routine."""
     code = SLIDE_DIGESTS.format(tests=os.path.dirname(os.path.abspath(__file__)))
-    for kernel in blas_kernels:
-        got, expected = run_under_blas_kernel(code, kernel).split()
+    digests = {kernel: run_under_blas_kernel(code, kernel) for kernel in blas_kernels}
+    for kernel, pair in digests.items():
+        got, expected = pair.split()
         assert got == expected, kernel
+    assert len(set(digests.values())) == 1, digests
 
 
 class TestLabProfile:
@@ -363,9 +367,8 @@ class TestGenerateCorpus:
         self.assert_schedule_independent(tmp_path, identity_profile())
 
     def test_schedule_independent_shifted_lab(self, tmp_path):
-        # A non-identity colour matrix makes the lab transform a real sgemm,
-        # run with the caller's BLAS threads in-process and single-threaded
-        # in a worker.
+        # A non-identity colour matrix makes the lab transform a real
+        # colour product, in-process and in a worker.
         self.assert_schedule_independent(tmp_path, default_lab_profiles()[1])
 
     def test_manifest_written(self, tmp_path):

@@ -198,9 +198,13 @@ class TestModelFiles:
         assert load_adapter(path) == model
 
     @PROPERTY
-    @given(st.lists(FLOATS, min_size=22, max_size=22))
-    def test_segmenter_round_trip(self, path, v):
-        model = PixelSegmenter(np.array(v[0:7]), v[7], np.array(v[8:15]), np.array(v[15:22]))
+    @given(st.lists(FLOATS, min_size=15, max_size=15),
+           st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                    min_size=7, max_size=7))
+    def test_segmenter_round_trip(self, path, v, std):
+        """Any finite weights, bias and means, and any positive stds (a std
+        of 0 or below is rejected, see test_malformed.py)."""
+        model = PixelSegmenter(np.array(v[0:7]), v[7], np.array(v[8:15]), np.array(std))
         save_segmenter(model, path)
         loaded = load_segmenter(path)
         assert np.array_equal(loaded.weights, model.weights)

@@ -1,3 +1,6 @@
+import ast
+import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -7,8 +10,9 @@ from hypothesis import strategies as st
 
 from wsitriage.manifest import ClassLabel
 from wsitriage.synthesis import default_lab_profiles, generate_slide, identity_profile
-from wsitriage.tiling import (BLOCK_PX, Tiles, TilingConfig, color_planes,
-                              ordered_sum, segment_tissue, tile, tissue_mask)
+import wsitriage
+from wsitriage.tiling import (BLOCK_PX, SUM_BLOCK, Tiles, TilingConfig, blocked_sum,
+                              color_planes, ordered_sum, segment_tissue, tile, tissue_mask)
 
 
 def raw_level_tissue_mask(raster, config):
@@ -56,6 +60,65 @@ class TestOrderedSum:
         assert batch.shape == (40, 32)
         for row, xi in zip(batch, x):
             assert row.tobytes() == ordered_sum(xi, w).tobytes()
+
+
+def loop_blocked_sum(values):
+    """blocked_sum's documented order in Python float arithmetic: sample i
+    is added to partial sum i % SUM_BLOCK in index order, then the partial
+    sums are halved pairwise, the first half plus the second."""
+    partial = [0.0] * SUM_BLOCK
+    for i, value in enumerate(values):
+        partial[i % SUM_BLOCK] += value
+    while len(partial) > 1:
+        half = len(partial) // 2
+        partial = [a + b for a, b in zip(partial[:half], partial[half:])]
+    return partial[0]
+
+
+class TestBlockedSum:
+    @pytest.mark.parametrize("n", [1, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1, 5 * SUM_BLOCK + 7])
+    def test_the_documented_order(self, n):
+        rng = np.random.default_rng(n)
+        terms = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-8, 9, size=(3, n))
+        weights = rng.normal(size=n)
+        got = blocked_sum(terms, weights)
+        assert got.shape == (3,)
+        for value, products in zip(got, terms * weights):
+            assert value == loop_blocked_sum(products.tolist())
+            assert math.isclose(value, math.fsum(products), rel_tol=1e-6, abs_tol=1e-6)
+
+    def test_rows_have_the_bits_of_their_own_sum(self):
+        rng, n = np.random.default_rng(6), 3 * SUM_BLOCK + 11
+        terms, weights = rng.normal(size=(5, n)), rng.normal(size=n)
+        assert blocked_sum(terms, weights).tolist() == \
+            [blocked_sum(row, weights) for row in terms]
+
+
+# names of numpy routines that hand a product or a sum to BLAS or LAPACK
+BLAS_NAMES = {"dot", "vdot", "matmul", "einsum", "tensordot", "inner", "linalg"}
+
+
+def test_no_module_calls_blas():
+    """No module of the package uses the @ operator or names a routine
+    that runs on BLAS or LAPACK, so every sum keeps the fixed order the
+    package writes out (ordered_sum, blocked_sum) on any BLAS kernel."""
+    found = []
+    for path in sorted(pathlib.Path(wsitriage.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                names.append("@")
+            elif isinstance(node, ast.Name):
+                names.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.append(node.attr)
+            elif isinstance(node, ast.alias):
+                names += node.name.split(".")
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names += node.module.split(".")
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name == "@" or name in BLAS_NAMES]
+    assert found == []
 
 
 class TestSegmentTissue:
