@@ -4,6 +4,8 @@ domain by matching per-channel color statistics.
 Statistics live in a decorrelated log color space (log-LMS rotated onto
 its principal axes), where per-channel scale/shift transfer is a good
 approximation of full distribution matching for stain-like color shifts.
+Both the fit and the transfer work once per distinct RGB code; the fit
+sorts its codes a bounded chunk of pixels at a time.
 The stage contract is tiles in, appearance-standardized tiles of the same
 shape out, so a learned model could replace this implementation behind
 the same interface.
@@ -84,23 +86,28 @@ class AdapterModel:
         return self.source == self.target
 
 
+# Pixels per chunk of fit_stats: a chunk's uint32 codes take 4 MiB.
+FIT_CHUNK_PX = 1 << 20
+
+
 def fit_stats(pixels, config: TilingConfig = TilingConfig()) -> DomainStats:
     """Mean/std over the tissue pixels of an (..., 3) uint8 pixel stack, in
     decorrelated space; over all its pixels if it has none (blank corpus).
     The tissue test and the transform run once per distinct RGB code, and
     the moments are pooled over the codes, weighted by their pixel counts.
-    The codes are packed a block at a time (tiling.blocks) into one uint32
-    array and sorted in place, so no temporary the size of the stack is
-    made beyond that array."""
+    The codes are packed and sorted one chunk of FIT_CHUNK_PX pixels at a
+    time (_chunk_runs), so no temporary the size of the stack is made; one
+    sort of every chunk's (count, code) runs, read as little-endian uint64
+    keys (code << 32 | count), brings equal codes together, and their
+    counts are summed: the palette and counts of one sort over the whole
+    stack."""
     pixels = np.asarray(pixels, dtype=np.uint8)
     if pixels.size == 0:
         raise ValueError("cannot fit domain stats on an empty tile sample")
-    flat = pixels.reshape(-1, 3)
-    codes = np.empty(len(flat), dtype=np.uint32)
-    for rows in blocks(flat):
-        codes[rows] = _pack(flat[rows])
-    codes.sort()
-    distinct, counts = _runs(codes)
+    runs = np.concatenate(_chunk_runs(pixels.reshape(-1, 3)))
+    runs.view("<u8").reshape(-1).sort()
+    distinct, lengths = _runs(runs[:, 1])
+    counts = np.add.reduceat(runs[:, 0], np.cumsum(lengths) - lengths, dtype=np.int64)
     palette = _unpack(distinct)
     tissue = segment_tissue(palette, config)
     if tissue.any():
@@ -111,10 +118,37 @@ def fit_stats(pixels, config: TilingConfig = TilingConfig()) -> DomainStats:
     return DomainStats(mean=mean, std=np.sqrt(var))
 
 
-def _pack(rgb: np.ndarray) -> np.ndarray:
-    """(n, 3) uint8 rows -> (n,) uint32 codes (r << 16) | (g << 8) | b."""
-    return ((rgb[:, 0].astype(np.uint32) << 16) | (rgb[:, 1].astype(np.uint32) << 8)
-            | rgb[:, 2])
+def _chunk_runs(flat: np.ndarray) -> list:
+    """Per chunk of FIT_CHUNK_PX rows of (n, 3) uint8 pixels, its runs of
+    equal codes as (k, 2) little-endian uint32 (run length, code) rows,
+    the codes in ascending order.  Each chunk is packed a block at a time
+    (tiling.blocks) into one reused array and sorted in place."""
+    codes, runs = np.empty(min(len(flat), FIT_CHUNK_PX), dtype=np.uint32), []
+    for start in range(0, len(flat), FIT_CHUNK_PX):
+        rgb = flat[start:start + FIT_CHUNK_PX]
+        chunk = codes[:len(rgb)]
+        for rows in blocks(rgb):
+            _pack(rgb[rows], chunk[rows])
+        chunk.sort()
+        distinct, lengths = _runs(chunk)
+        pairs = np.empty((len(distinct), 2), dtype="<u4")
+        pairs[:, 0], pairs[:, 1] = lengths, distinct
+        runs.append(pairs)
+    return runs
+
+
+def _pack(rgb: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
+    """(n, 3) uint8 rows -> (n,) uint32 codes (r << 16) | (g << 8) | b,
+    built in place in one array, codes when given."""
+    if codes is None:
+        codes = rgb[:, 0].astype(np.uint32)
+    else:
+        codes[:] = rgb[:, 0]
+    codes <<= 8
+    codes |= rgb[:, 1]
+    codes <<= 8
+    codes |= rgb[:, 2]
+    return codes
 
 
 def _runs(sorted_codes: np.ndarray):
@@ -171,7 +205,7 @@ def adapt_pixels(pixels: np.ndarray, model: AdapterModel,
     flat = out.reshape(-1, 3)
     keys = np.empty((len(flat), 2), dtype="<u4")
     keys[:, 0] = np.arange(len(flat), dtype=np.uint32)
-    keys[:, 1] = _pack(flat)
+    _pack(flat, keys[:, 1])
     keys.view("<u8").reshape(-1).sort()
     positions = keys[:, 0]
     distinct, counts = _runs(keys[:, 1])
@@ -187,8 +221,9 @@ def adapt_pixels(pixels: np.ndarray, model: AdapterModel,
 def adapt_tiles(tiles: Tiles, model: AdapterModel | None,
                 config: TilingConfig = TilingConfig()) -> Tiles:
     """Map tiles into the target domain, shape and metadata preserved;
-    None passes tiles through unchanged."""
-    if model is None or not tiles:
+    None or an identity model passes tiles through unchanged, their pixels
+    not copied."""
+    if model is None or model.is_identity or not tiles:
         return tiles
     return replace(tiles, pixels=adapt_pixels(tiles.pixels, model, config))
 

@@ -57,15 +57,20 @@ def _shape(h, w, channels: int) -> tuple:
 
 def _write_pnm(path, magic: bytes, pixels: np.ndarray, channels: int) -> None:
     """Write uint8 pixels of _shape(H, W, channels) as binary PNM: the
-    magic, the size, maxval 255, then the pixel bytes."""
-    pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
+    magic, the size, maxval 255, then the pixel bytes, written from the
+    array's own buffer when it is C-contiguous.  Any other dtype is
+    refused rather than cast, since a cast would wrap values that do not
+    fit in a byte."""
+    pixels = np.asarray(pixels)
+    if pixels.dtype != np.uint8:
+        raise ValueError(f"expected a uint8 array, got dtype {pixels.dtype}")
     if pixels.ndim < 2 or pixels.shape != _shape(*pixels.shape[:2], channels):
         expected = "(H, W)" if channels == 1 else f"(H, W, {channels})"
         raise ValueError(f"expected {expected} array, got shape {pixels.shape}")
     h, w = pixels.shape[:2]
     with open(path, "wb") as fh:
         fh.write(magic + f"\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+        fh.write(np.ascontiguousarray(pixels).data)
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:

@@ -7,7 +7,8 @@ ROI mask.  Lab appearance is an affine color transform plus gaussian
 noise; scanning artifacts (pen ink, blur, bubbles, blank slides) are
 injected at configurable rates.  Everything is seeded per slide from
 (global seed, slide_id), so generation order and worker count never
-change the output.
+change the output.  A slide is composed one block of pixels at a time
+(generate_slide), so no float array the size of the slide is held.
 """
 
 from __future__ import annotations
@@ -255,26 +256,26 @@ def _lesion_mask(rng: np.random.Generator, tissue: np.ndarray,
 
 def _render_reference(rng: np.random.Generator, label: ClassLabel, shape,
                       no_lesion: bool):
-    """Reference appearance as three float32 colour planes (3, H, W), plus
-    the ROI and tissue masks.  Planes keep each fill a 1-D scatter of one
-    value per pixel instead of an RGB triple into an interleaved raster."""
+    """Reference appearance as its float32 glass plane (H, W) and its fills,
+    plus the ROI and tissue masks.  Each fill, plain tissue then lesion, is
+    (the flat indices of its pixels, their float32 speckle, its float32
+    RGB): a fill pixel's channel is its RGB value times its speckle, in
+    place of the glass, in every channel plane (generate_slide)."""
     h, w = shape
-    planes = np.empty((3, h, w), dtype=np.float32)
-    glass = rng.random((h, w), dtype=np.float32, out=planes[0])
+    glass = rng.random((h, w), dtype=np.float32)
     glass *= 10.0
     glass += BACKGROUND_LEVEL - 5
-    planes[1:] = glass
 
     tissue = _tissue_region(rng, h, w)
     recipe = RECIPES[label]
     lesion = (np.zeros_like(tissue) if no_lesion else _lesion_mask(rng, tissue, recipe))
 
+    fills = []
     for mask, sigma, rgb in ((tissue & ~lesion, 0.035, TISSUE_RGB),
                              (lesion, 0.09, recipe.base_chroma)):
         speckle = rng.normal(1.0, sigma, size=int(mask.sum())).astype(np.float32)
-        for plane, value in zip(planes, np.asarray(rgb, dtype=np.float32)):
-            plane[mask] = value * speckle
-    return planes, lesion, tissue
+        fills.append((np.flatnonzero(mask), speckle, np.asarray(rgb, dtype=np.float32)))
+    return glass, fills, lesion, tissue
 
 
 def inject_artifact(raster: np.ndarray, kind: str, seed: int,
@@ -332,27 +333,39 @@ def generate_slide(label: ClassLabel, profile: LabProfile, seed: int,
                    slide_id: str = "slide-0", specimen_id: str = "specimen-0",
                    raster_path: str = "", no_lesion: bool = False,
                    shape=(SLIDE_H, SLIDE_W)) -> SynthSlide:
-    """Render one slide: reference texture, lab appearance transform,
-    then any artifacts drawn from the profile's rates."""
+    """Render one slide: reference texture, lab appearance transform and
+    noise, composed a tiling.blocks block of pixels at a time into the
+    uint8 raster, then any artifacts drawn from the profile's rates."""
     rng = np.random.default_rng(stable_seed("slide", seed))
-    planes, roi, tissue = _render_reference(rng, label, shape, no_lesion)
+    glass, fills, roi, tissue = _render_reference(rng, label, shape, no_lesion)
     h, w = roi.shape
 
-    # the noise, then each block of pixels adds to each channel its colour
-    # product, summed over the planes in index order (tiling.mix), and its
-    # offset, as it interleaves them
-    out = np.zeros((h * w, 3), dtype=np.float32)
-    if profile.noise_sigma > 0:
-        rng.standard_normal(out.shape, dtype=np.float32, out=out)
-        out *= np.float32(profile.noise_sigma)
-    planes = planes.reshape(3, -1)
+    # a block of pixels at a time: its three channel planes (the glass, then
+    # each fill's pixels in the block), its noise rows drawn next in the
+    # stream, and to each channel of the noise its colour product, summed
+    # over the planes in index order (tiling.mix), and its offset
+    raster = np.empty((h * w, 3), dtype=np.uint8)
+    glass = glass.reshape(-1)
     offset = profile.color_offset.astype(np.float32)
-    for px in blocks(out):
-        for c, plane in enumerate(mix(profile.color_matrix, planes[:, px], np.float32)):
-            out[px, c] += plane + offset[c]
-    out += np.float32(0.5)  # truncation after +0.5 rounds half-up
-    np.clip(out, 0, 255, out=out)
-    raster = out.astype(np.uint8).reshape(h, w, 3)
+    for px in blocks(raster):
+        planes = np.empty((3, px.stop - px.start), dtype=np.float32)
+        planes[:] = glass[px]
+        for flat, speckle, rgb in fills:
+            lo, hi = np.searchsorted(flat, (px.start, px.stop))
+            at = flat[lo:hi] - px.start
+            for plane, value in zip(planes, rgb):
+                plane[at] = value * speckle[lo:hi]
+        out = np.zeros((planes.shape[1], 3), dtype=np.float32)
+        if profile.noise_sigma > 0:
+            rng.standard_normal(out.shape, dtype=np.float32, out=out)
+            out *= np.float32(profile.noise_sigma)
+        for c, plane in enumerate(mix(profile.color_matrix, planes, np.float32)):
+            out[:, c] += plane + offset[c]
+        out += np.float32(0.5)  # truncation after +0.5 rounds half-up
+        np.clip(out, 0, 255, out=out)
+        raster[px] = out
+    del glass, fills
+    raster = raster.reshape(h, w, 3)
 
     drawn = [k for k in ARTIFACT_KINDS
              if rng.random() < profile.artifact_rates.get(k, 0.0)]

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wsitriage.adaptation import (_DECOR, _LMS2RGB, _LMS_FLOOR, _RGB2LMS,
-                                  AdapterModel, DomainStats, adapt_pixels,
-                                  adapt_tiles, fit_stats, load_adapter,
-                                  save_adapter, to_decorrelated)
+                                  FIT_CHUNK_PX, AdapterModel, DomainStats,
+                                  adapt_pixels, adapt_tiles, fit_stats,
+                                  load_adapter, save_adapter, to_decorrelated)
 from wsitriage.manifest import ClassLabel
 from wsitriage.synthesis import default_lab_profiles, generate_slide, identity_profile
 from wsitriage.tiling import BLOCK_PX, Tiles, TilingConfig, segment_tissue, tile
@@ -117,16 +118,38 @@ class TestFitStats:
     @pytest.mark.parametrize("stack", [
         lambda tiles: tiles.pixels[:7],                       # 1.75 blocks of tiles
         lambda tiles: tiles.pixels.reshape(-1, 3)[:2 * BLOCK_PX + 17],
+        lambda tiles: np.concatenate([tiles.pixels, tiles.pixels[:, ::-1]])
+        .reshape(-1, 3)[:FIT_CHUNK_PX + BLOCK_PX + 17],       # two chunks, codes shared
         lambda tiles: np.full((3, 50, 3), (170, 60, 120), dtype=np.uint8),
         lambda tiles: np.concatenate([np.full((1, 40, 3), 240, dtype=np.uint8),
                                       np.full((1, 40, 3), 236, dtype=np.uint8)]),
-    ], ids=["tiles", "pixels", "one-code", "no-tissue"])
+    ], ids=["tiles", "pixels", "chunks", "one-code", "no-tissue"])
     def test_bitwise_the_unique_reference(self, reference_tiles, stack):
-        """Codes packed block by block and sorted in place give the palette
-        and counts of np.unique over the whole stack, so the same stats."""
+        """Codes packed and sorted chunk by chunk, their runs merged, give
+        the palette and counts of np.unique over the whole stack, so the
+        same stats."""
         pixels = stack(reference_tiles)
         assert len(pixels.reshape(-1, 3)) % BLOCK_PX
         assert fit_stats(pixels) == reference_fit_stats(pixels)
+
+    def test_chunks_bound_the_peak_memory(self):
+        """On 8M pixels of repeated lab_a tiles (few distinct codes, as
+        on real slides) fit_stats holds a chunk of codes and the runs, not
+        a code per pixel: its traced peak stays below 1.5 bytes per pixel
+        (one sort over the whole stack held more than 4)."""
+        tiles = tiles_for(default_lab_profiles()[1], 42)
+        reps = -(-(8 << 20) // (tiles.pixels.size // 3))
+        pixels = np.tile(tiles.pixels, (reps, 1, 1, 1))
+        n_pixels = pixels.size // 3
+        assert n_pixels >= 8 << 20
+        tracemalloc.start()
+        try:
+            stats = fit_stats(pixels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats == reference_fit_stats(pixels)
+        assert peak < 1.5 * n_pixels, peak / n_pixels
 
     def test_uniform_tile_floors_std(self):
         pixels = np.full((128, 128, 3), 120, dtype=np.uint8)
@@ -243,6 +266,13 @@ class TestAdapt:
         out = adapt_pixels(pixels, AdapterModel(stats, stats))
         assert not np.shares_memory(out, pixels)
         assert np.array_equal(out, pixels)
+
+    def test_identity_tiles_pass_through(self, reference_tiles):
+        """adapt_tiles hands an identity adapter's tiles back uncopied, as
+        it does for no adapter."""
+        stats = fit_stats(reference_tiles.pixels)
+        assert adapt_tiles(reference_tiles, AdapterModel(stats, stats)) is reference_tiles
+        assert adapt_tiles(reference_tiles, None) is reference_tiles
 
     @pytest.mark.parametrize("config", [TilingConfig(),
                                         TilingConfig(s_min=0.2, l_max=0.7)])

@@ -86,6 +86,36 @@ def test_shape_validation(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("write, pixels", [
+    (write_pgm, np.array([[300, -1], [256, 5]])),
+    (write_pgm, np.array([[255.7, 0.0]])),
+    (write_pgm, np.array([[True, False]])),
+    (write_ppm, np.zeros((2, 2, 3), dtype=np.uint16)),
+    (write_ppm, np.full((2, 2, 3), 200.0, dtype=np.float32)),
+], ids=["int64-out-of-range", "float64", "bool", "uint16", "float32"])
+def test_non_uint8_rejected_not_wrapped(tmp_path, write, pixels):
+    """Values that do not fit in a byte are never cast (300 would be
+    written as 44, -1 as 255, 255.7 as 255): any dtype but uint8 is
+    refused, naming the dtype, and no file is made."""
+    with pytest.raises(ValueError, match=f"expected a uint8 array, got dtype {pixels.dtype}"):
+        write(tmp_path / "x", pixels)
+    assert not list(tmp_path.iterdir())
+
+
+def test_raster_written_from_its_own_buffer(tmp_path):
+    """A C-contiguous raster is written without a copy of its pixels."""
+    img = np.random.default_rng(3).integers(0, 256, size=(1024, 1536, 3), dtype=np.uint8)
+    path = tmp_path / "x.ppm"
+    tracemalloc.start()
+    try:
+        write_ppm(path, img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak   # a copy would be 4.7 MB
+    assert np.array_equal(read_ppm(path), img)
+
+
 @pytest.mark.parametrize("header, what", [
     (b"P6\n-4 2\n255\n", "width"),
     (b"P6\nfour 2\n255\n", "width"),

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 from wsitriage.manifest import ClassLabel, stable_seed
 from wsitriage.pnm import read_pgm, read_ppm
 from wsitriage.synthesis import (ARTIFACT_KINDS, BACKGROUND_LEVEL, RECIPES,
-                                 TISSUE_RGB, LabProfile, _paint_disk,
-                                 _paint_segment, _render_reference,
-                                 _tissue_region, default_lab_profiles,
+                                 SLIDE_H, SLIDE_W, TISSUE_RGB, LabProfile,
+                                 _paint_disk, _paint_segment,
+                                 _render_reference, _tissue_region,
+                                 default_lab_profiles,
                                  generate_corpus, generate_slide,
                                  identity_profile, inject_artifact,
                                  mask_path_for)
@@ -178,18 +180,40 @@ class TestGenerateSlide:
     @pytest.mark.parametrize("label", list(ClassLabel), ids=lambda c: c.token)
     def test_render_bitwise_the_per_branch_reference(self, label, no_lesion):
         """Colour planes, lesion and tissue masks, and the generator state
-        after them, equal the reference's at each seed; the planes are the
-        reference raster's channels."""
+        after them, equal the reference's at each seed; the planes, rebuilt
+        from the glass plane and the fills, are the reference raster's
+        channels."""
         for seed in (0, 1, 2):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            planes, lesion, tissue = _render_reference(rng, label, SMALL, no_lesion)
+            glass, fills, lesion, tissue = _render_reference(rng, label, SMALL, no_lesion)
             expected = reference_render(ref_rng, label, SMALL, no_lesion)
-            assert planes.shape == (3, *SMALL)
-            got = (np.moveaxis(planes, 0, -1), lesion, tissue)
+            assert glass.shape == SMALL
+            assert [flat.tolist() for flat, _, _ in fills] == [
+                np.flatnonzero(tissue & ~lesion).tolist(), np.flatnonzero(lesion).tolist()]
+            planes = np.stack([glass.reshape(-1)] * 3)
+            for flat, speckle, rgb in fills:
+                for plane, value in zip(planes, rgb):
+                    plane[flat] = value * speckle
+            got = (np.moveaxis(planes.reshape(3, *SMALL), 0, -1), lesion, tissue)
             for a, b in zip(got, expected):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
             assert lesion.any() != no_lesion
             assert rng.random() == ref_rng.random()
+
+    def test_full_size_slide_peak_memory(self):
+        """A full-size lab_a slide is composed a block of pixels at a time:
+        no float plane or output the size of the slide is held, so the
+        traced peak stays below 32 MB (a whole-slide composition held
+        about 46 MB)."""
+        lab_a = default_lab_profiles()[1]
+        tracemalloc.start()
+        try:
+            slide = generate_slide(ClassLabel.SQUAMOUS, lab_a, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert slide.raster.shape == (SLIDE_H, SLIDE_W, 3)
+        assert peak < 32e6, peak
 
     @pytest.mark.parametrize("profile", default_lab_profiles(), ids=lambda p: p.lab_id)
     def test_slide_bitwise_the_interleaved_reference(self, profile):
