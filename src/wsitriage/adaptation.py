@@ -5,7 +5,8 @@ Statistics live in a decorrelated log color space (log-LMS rotated onto
 its principal axes), where per-channel scale/shift transfer is a good
 approximation of full distribution matching for stain-like color shifts.
 Both the fit and the transfer work once per distinct RGB code; the fit
-sorts its codes a bounded chunk of pixels at a time.
+sorts its codes a bounded chunk of pixels at a time and merges the
+chunks' runs of equal codes, which may come from separate slides.
 The stage contract is tiles in, appearance-standardized tiles of the same
 shape out, so a learned model could replace this implementation behind
 the same interface.
@@ -92,19 +93,27 @@ FIT_CHUNK_PX = 1 << 20
 
 def fit_stats(pixels, config: TilingConfig = TilingConfig()) -> DomainStats:
     """Mean/std over the tissue pixels of an (..., 3) uint8 pixel stack, in
-    decorrelated space; over all its pixels if it has none (blank corpus).
-    The tissue test and the transform run once per distinct RGB code, and
-    the moments are pooled over the codes, weighted by their pixel counts.
-    The codes are packed and sorted one chunk of FIT_CHUNK_PX pixels at a
-    time (_chunk_runs), so no temporary the size of the stack is made; one
-    sort of every chunk's (count, code) runs, read as little-endian uint64
-    keys (code << 32 | count), brings equal codes together, and their
-    counts are summed: the palette and counts of one sort over the whole
-    stack."""
+    decorrelated space; over all its pixels if it has none (blank corpus):
+    merge_runs of the stack's chunk_runs.  The codes are packed and
+    sorted one chunk of FIT_CHUNK_PX pixels at a time, so no temporary the
+    size of the stack is made."""
     pixels = np.asarray(pixels, dtype=np.uint8)
-    if pixels.size == 0:
+    return merge_runs(chunk_runs(pixels.reshape(-1, 3)), config)
+
+
+def merge_runs(runs, config: TilingConfig = TilingConfig()) -> DomainStats:
+    """fit_stats of pixels cut into parts (chunks, or a sample's slides),
+    from each part's chunk_runs, all of them in runs.  One sort of the
+    (count, code) runs, read as little-endian uint64 keys (code << 32 |
+    count), brings equal codes together, and their counts are summed: the
+    palette and counts of one sort over all the pixels, so the stats have
+    the same bits however the pixels were cut.  The tissue test and the
+    transform run once per distinct RGB code, and the moments are pooled
+    over the codes, weighted by their pixel counts."""
+    runs = list(runs)
+    if not runs:
         raise ValueError("cannot fit domain stats on an empty tile sample")
-    runs = np.concatenate(_chunk_runs(pixels.reshape(-1, 3)))
+    runs = np.concatenate(runs)
     runs.view("<u8").reshape(-1).sort()
     distinct, lengths = _runs(runs[:, 1])
     counts = np.add.reduceat(runs[:, 0], np.cumsum(lengths) - lengths, dtype=np.int64)
@@ -118,7 +127,7 @@ def fit_stats(pixels, config: TilingConfig = TilingConfig()) -> DomainStats:
     return DomainStats(mean=mean, std=np.sqrt(var))
 
 
-def _chunk_runs(flat: np.ndarray) -> list:
+def chunk_runs(flat: np.ndarray) -> list:
     """Per chunk of FIT_CHUNK_PX rows of (n, 3) uint8 pixels, its runs of
     equal codes as (k, 2) little-endian uint32 (run length, code) rows,
     the codes in ascending order.  Each chunk is packed a block at a time

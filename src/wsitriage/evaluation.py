@@ -9,7 +9,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .aggregation import FinalOutcome, final_outcome
 from .confidence import UNREACHABLE, ThresholdSet
@@ -144,6 +143,7 @@ def domain_gap(features: np.ndarray, lab_labels) -> float:
     if counts.min() < 2:
         raise ValueError("domain gap needs at least two tiles per lab")
 
+    from scipy.spatial.distance import cdist   # here, not at the top: see _lower_bound
     dist = cdist(features, features)
     sil = np.empty(len(features))
     for i in range(len(features)):

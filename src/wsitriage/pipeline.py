@@ -148,16 +148,23 @@ class _Laps(dict):
         self[key] = self.get(key, 0.0) + seconds * 1000.0
 
 
-def slide_tiles(record: SlideRecord, config: Config, laps: _Laps | None = None):
+def slide_tiles(record: SlideRecord, config: Config, laps: _Laps | None = None,
+                origins: np.ndarray | None = None):
     """Read, segment and tile: the unadapted tissue Tiles of a slide, and
-    the one place a slide raster is read.  Each stage's lap goes into laps
-    when given."""
+    the one place a slide raster is read.  Given origins, the tile origins
+    an earlier cut of the slide kept, the raster is not segmented again:
+    its tiles are gathered at those origins (tiling.cells), the earlier
+    cut's tiles bit for bit.  Each stage's lap goes into laps when given."""
     laps = _Laps() if laps is None else laps
     raster = read_ppm(record.raster_path)
     laps.lap("read")
-    mask = tiling.segment_tissue(raster, config.tiling)
-    laps.lap("segment")
-    tiles = tiling.tile(raster, mask, record.slide_id, config.tiling)
+    if origins is None:
+        mask = tiling.segment_tissue(raster, config.tiling)
+        laps.lap("segment")
+        tiles = tiling.tile(raster, mask, record.slide_id, config.tiling)
+    else:
+        tiles = tiling.Tiles(record.slide_id, origins,
+                             tiling.cells(raster, origins, config.tiling.tile_px))
     laps.lap("tile")
     return tiles
 

@@ -185,9 +185,8 @@ def tile(raster: np.ndarray, mask: np.ndarray, slide_id: str = "",
 
     Non-overlapping tile_px x tile_px cells in row-major order; a cell is
     kept iff its tissue fraction is >= min_tissue_fraction.  Edge
-    remainders smaller than a full tile are dropped.  The kept cells are
-    gathered from a strided view of the raster, so only their pixels are
-    copied.
+    remainders smaller than a full tile are dropped.  The kept cells'
+    pixels are gathered at their origins (cells), so only they are copied.
     """
     if mask.shape != raster.shape[:2]:
         raise ValueError(f"mask shape {mask.shape} != raster shape {raster.shape[:2]}")
@@ -195,8 +194,18 @@ def tile(raster: np.ndarray, mask: np.ndarray, slide_id: str = "",
     n_rows, n_cols = raster.shape[0] // t, raster.shape[1] // t
     fractions = (mask[: n_rows * t, : n_cols * t].reshape(n_rows, t, n_cols, t)
                  .mean(axis=(1, 3), dtype=np.float64))
-    cells = (raster[: n_rows * t, : n_cols * t]
-             .reshape(n_rows, t, n_cols, t, 3).swapaxes(1, 2))
-    kept = np.argwhere(fractions >= config.min_tissue_fraction)
-    i, j = kept.T
-    return Tiles(slide_id, kept * t, cells[i, j])
+    origins = np.argwhere(fractions >= config.min_tissue_fraction) * t
+    return Tiles(slide_id, origins, cells(raster, origins, t))
+
+
+def cells(image: np.ndarray, origins: np.ndarray, tile_px: int) -> np.ndarray:
+    """The (N, tile_px, tile_px, ...) cells of an (H, W, ...) image (a
+    raster or a mask) at the (N, 2) (row, col) origins of tile's grid,
+    gathered from a strided view of the grid, so only their pixels are
+    copied."""
+    t = tile_px
+    n_rows, n_cols = image.shape[0] // t, image.shape[1] // t
+    grid = (image[: n_rows * t, : n_cols * t]
+            .reshape(n_rows, t, n_cols, t, *image.shape[2:]).swapaxes(1, 2))
+    i, j = origins.T // t
+    return grid[i, j]

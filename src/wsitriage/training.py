@@ -11,17 +11,30 @@ single test run.
 train_models and calibrate_lab each return a run-ready model set (a
 pipeline.Models that run_corpus takes as it is), the set a lab's model
 files hold; train_models leaves its thresholds to calibrate_reference.
+
+Both fit from the first SAMPLE_SLIDES fitting slides in slide_id order in
+three steps, and no process holds a stack of the sample's pixels:
+- scan: a pool pass reads, segments and tiles each sample slide and
+  keeps two small things of it, its tiles' origins and their pixels'
+  (count, code) runs (adaptation.chunk_runs);
+- fit: the parent merges the runs into the stats (adaptation.merge_runs,
+  the merge fit_stats makes of its chunks), and gathers the segmenter's
+  pairs by reading again only the slides their tiles come from;
+- embed: the embedding pool reads each sample slide again and gathers its
+  tiles at its origins, so no slide is segmented twice; a fitting slide
+  outside the sample is read and cut where it is embedded.
+So a sample raster is read twice and a segmenter slide three times, each
+through pipeline.slide_tiles.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .adaptation import AdapterModel, DomainStats, adapt_tiles, fit_stats
+from .adaptation import AdapterModel, DomainStats, adapt_tiles, chunk_runs, merge_runs
 from .classifier import N_FEATURES, accuracy, fine_tune, train
 from .config import Config
 from .confidence import ThresholdSet, calibrate_thresholds
@@ -32,70 +45,82 @@ from .pipeline import Models, embed_tiles, run_corpus, slide_tiles
 from .pnm import read_pgm
 from .roi import train_segmenter
 from .synthesis import mask_path_for
+from .tiling import cells
 
 
 SAMPLE_SLIDES = 24
 SEGMENTER_MAX_TILES = 600
 
 
-@dataclass(frozen=True)
-class _Sample:
-    """The first SAMPLE_SLIDES fitting records in slide_id order, each read,
-    segmented and tiled once: what the stats, the segmenter pairs and
-    those slides' embeddings are taken from."""
-    pixels: np.ndarray   # (N, tile_px, tile_px, 3): every slide's tissue tiles in order
-    tiles: dict          # record -> its unadapted Tiles, a view into pixels
+def _sample(records) -> list:
+    """The first SAMPLE_SLIDES records in slide_id order."""
+    return sorted(records, key=lambda r: r.slide_id)[:SAMPLE_SLIDES]
 
 
-def _cut(records, config: Config) -> _Sample:
-    """Read, segment and tile the sample's slides, into one stack."""
-    cut = {rec: slide_tiles(rec, config)
-           for rec in sorted(records, key=lambda r: r.slide_id)[:SAMPLE_SLIDES]}
-    pixels = np.concatenate([tiles.pixels for tiles in cut.values()])
-    ends = np.cumsum([len(tiles) for tiles in cut.values()])
-    return _Sample(pixels, {rec: replace(tiles, pixels=pixels[end - len(tiles):end])
-                            for (rec, tiles), end in zip(cut.items(), ends)})
+def _scan(record, config: Config):
+    """A sample slide read, segmented and tiled: the origins of its tissue
+    tiles and their pixels' (count, code) runs, all that is kept of it."""
+    tiles = slide_tiles(record, config)
+    return tiles.origins, chunk_runs(tiles.pixels.reshape(-1, 3))
+
+
+def _fit_sample(records, config: Config, workers: int):
+    """Scan the sample's slides in a pool and merge their runs: (record ->
+    its tiles' origins, in slide_id order; the stats of the sample's
+    tissue pixels)."""
+    sample = _sample(records)
+    scanned = pmap(functools.partial(_scan, config=config), sample, workers=workers)
+    stats = merge_runs((runs for _, slide_runs in scanned for runs in slide_runs),
+                       config.tiling)
+    return {rec: origins for rec, (origins, _) in zip(sample, scanned)}, stats
 
 
 def sample_tiles(records, config: Config) -> np.ndarray:
     """One (N, tile_px, tile_px, 3) stack of the unadapted tissue tiles of
     a deterministic sample of slides."""
-    return _cut(records, config).pixels
+    return np.concatenate([slide_tiles(rec, config).pixels for rec in _sample(records)])
 
 
 def segmenter_pairs(records, adapter: AdapterModel | None, config: Config):
     """One (adapted tiles, ground-truth lesion masks) pair of stacks per
     slide, up to SEGMENTER_MAX_TILES tiles in all, empty for a blank slide."""
-    return _pairs(_cut(records, config), adapter, config)
+    return _pairs({rec: slide_tiles(rec, config).origins for rec in _sample(records)},
+                  adapter, config)
 
 
-def _pairs(sample: _Sample, adapter: AdapterModel | None, config: Config):
-    """segmenter_pairs of the slides already cut."""
+def _pairs(origins: dict, adapter: AdapterModel | None, config: Config):
+    """segmenter_pairs of the scanned slides (record -> its tiles'
+    origins).  Only the slides the pairs' tiles come from are read again,
+    each raster gathered at its origins and each lesion mask read once."""
+    t = config.tiling.tile_px
     pairs, n_tiles = [], 0
-    for rec, tiles in sample.tiles.items():
-        lesion = read_pgm(mask_path_for(rec.raster_path)) > 0
-        tiles = adapt_tiles(tiles[:SEGMENTER_MAX_TILES - n_tiles], adapter, config.tiling)
-        y, x = tiles.origins.T
-        pairs.append((tiles.pixels, sliding_window_view(lesion, tiles.pixels.shape[1:3])[y, x]))
-        n_tiles += len(tiles)
+    for rec, kept in origins.items():
+        kept = kept[:SEGMENTER_MAX_TILES - n_tiles]
+        if len(kept):
+            tiles = adapt_tiles(slide_tiles(rec, config, origins=kept), adapter, config.tiling)
+            lesion = read_pgm(mask_path_for(rec.raster_path)) > 0
+            pairs.append((tiles.pixels, cells(lesion, kept, t)))
+        else:   # a blank slide: nothing to read
+            pairs.append((np.empty((0, t, t, 3), np.uint8), np.empty((0, t, t), bool)))
+        n_tiles += len(kept)
         if n_tiles >= SEGMENTER_MAX_TILES:
             break
     return pairs
 
 
-def _embedding(cut: dict, record, models: Models, config: Config):
-    """The record's embedding from its cut Tiles, or read in the worker
-    when the record is not in the sample."""
-    tiles = cut[record] if record in cut else slide_tiles(record, config)
-    return embed_tiles(tiles, models, config)
+def _embedding(origins: dict, record, models: Models, config: Config):
+    """The record's embedding: a scanned record's tiles gathered at its
+    origins, any other record's cut from its raster."""
+    return embed_tiles(slide_tiles(record, config, origins=origins.get(record)),
+                       models, config)
 
 
-def _embeddings(records, sample: _Sample, models: Models, config: Config, workers: int):
+def _embeddings(records, origins: dict, models: Models, config: Config, workers: int):
     """Embeddings and labels for every record with a non-empty ROI
-    selection.  The pool forks, so its workers inherit the sample's
-    Tiles without pickling them."""
+    selection.  The pool forks, so its workers inherit the scanned
+    origins without pickling them."""
     records = sorted(records, key=lambda r: r.slide_id)
-    fn = functools.partial(_embedding, sample.tiles, models=models, config=config)
+    fn = functools.partial(_embedding, origins, models=models, config=config)
     embeddings = pmap(fn, records, workers=workers)
     kept = [(emb, int(rec.truth)) for rec, emb in zip(records, embeddings)
             if emb is not None]
@@ -123,14 +148,13 @@ def train_models(manifest: DatasetManifest, config: Config,
     if not train_records:
         raise ValueError("manifest has no Train split records")
 
-    sample = _cut(train_records, config)
-    ref_stats = fit_stats(sample.pixels, config.tiling)
+    origins, ref_stats = _fit_sample(train_records, config, workers)
     identity = AdapterModel(source=ref_stats, target=ref_stats)
-    segmenter = train_segmenter(_pairs(sample, identity, config),
+    segmenter = train_segmenter(_pairs(origins, identity, config),
                                 seed=config["classifier.seed"])
 
     embed_models = Models(segmenter=segmenter, adapter=identity)
-    x, labels = _embeddings(train_records, sample, embed_models, config, workers)
+    x, labels = _embeddings(train_records, origins, embed_models, config, workers)
     if len(x) == 0:
         raise ValueError("no training slide produced an ROI selection")
     params = train(x, labels, config.train)
@@ -186,14 +210,13 @@ def calibrate_lab(lab_manifest: DatasetManifest, base: Models,
     if not cf_records or not lab_manifest.records_in(Split.CALIB_VALIDATION):
         raise ValueError(f"lab {lab_id!r} needs CalibFinetune and CalibValidation splits")
 
-    sample = _cut(cf_records, config)
     ref_stats = base.adapter.target
-    lab_stats = fit_stats(sample.pixels, config.tiling) if with_adaptation else ref_stats
+    origins, lab_stats = (_fit_sample(cf_records, config, workers) if with_adaptation
+                          else ({}, ref_stats))
     adapter = AdapterModel(source=lab_stats, target=ref_stats)
 
     embed_models = Models(segmenter=base.segmenter, adapter=adapter)
-    x, labels = _embeddings(cf_records, sample, embed_models, config, workers)
-    del sample   # the validation run's forked workers need not inherit it
+    x, labels = _embeddings(cf_records, origins, embed_models, config, workers)
     if len(x) == 0:
         raise ValueError(f"lab {lab_id!r}: no fine-tuning slide produced an ROI")
     tuned = fine_tune(base.classifier, x, labels, config.train)

@@ -6,8 +6,9 @@ import pytest
 
 from wsitriage.adaptation import (_DECOR, _LMS2RGB, _LMS_FLOOR, _RGB2LMS,
                                   FIT_CHUNK_PX, AdapterModel, DomainStats,
-                                  adapt_pixels, adapt_tiles, fit_stats,
-                                  load_adapter, save_adapter, to_decorrelated)
+                                  adapt_pixels, adapt_tiles, chunk_runs, fit_stats,
+                                  load_adapter, merge_runs, save_adapter,
+                                  to_decorrelated)
 from wsitriage.manifest import ClassLabel
 from wsitriage.synthesis import default_lab_profiles, generate_slide, identity_profile
 from wsitriage.tiling import BLOCK_PX, Tiles, TilingConfig, segment_tissue, tile
@@ -213,6 +214,65 @@ class TestFitStats:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             fit_stats([])
+        with pytest.raises(ValueError):
+            merge_runs(chunk_runs(np.empty((0, 3), dtype=np.uint8)))
+
+
+def merged(slides, config=TilingConfig()):
+    """merge_runs over each slide's chunk_runs, as training merges the runs
+    its scan of each slide returns."""
+    return merge_runs((runs for slide in slides for runs in chunk_runs(slide.reshape(-1, 3))),
+                      config)
+
+
+def same_bits(a, b):
+    return (a.mean.tobytes(), a.std.tobytes()) == (b.mean.tobytes(), b.std.tobytes())
+
+
+class TestMergeRuns:
+    """Stats merged from per-slide runs are bitwise fit_stats over the
+    slides' concatenated stack."""
+
+    @pytest.fixture(scope="class")
+    def stack(self, reference_tiles, shifted_tiles):
+        stack = np.concatenate([reference_tiles.pixels, shifted_tiles.pixels])
+        assert len(stack.reshape(-1, 3)) > FIT_CHUNK_PX   # some slide spans two chunks
+        return stack
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_splits_into_slides(self, stack, seed):
+        rng = np.random.default_rng(seed)
+        cuts = np.sort(rng.choice(np.arange(1, len(stack)), size=rng.integers(1, 8),
+                                  replace=False))
+        slides = np.split(stack, cuts)
+        assert same_bits(merged(slides), fit_stats(stack))
+
+    def test_empty_and_glass_only_slides(self, stack):
+        """An empty slide adds no runs; a glass-only slide's codes are all
+        left out by the tissue test, as in the stack."""
+        empty = stack[:0]
+        glass = np.full((2, 128, 128, 3), 240, dtype=np.uint8)
+        glass[1, :, :64] = 236
+        assert not segment_tissue(glass).any()
+        slides = [empty, stack[:10], glass, empty, stack[10:]]
+        assert same_bits(merged(slides), fit_stats(np.concatenate(slides)))
+        assert same_bits(merged(slides), fit_stats(stack))
+
+    def test_glass_only_sample_uses_every_pixel(self):
+        glass = np.full((3, 128, 128, 3), 240, dtype=np.uint8)
+        glass[1] = 236
+        glass[2, :, :64, 2] = 230
+        slides = [glass[:1], glass[:0], glass[1:]]
+        assert same_bits(merged(slides), fit_stats(glass))
+        assert_fsum_moments(merged(slides), glass.reshape(-1, 3))
+
+    def test_codes_recur_across_slides(self, reference_tiles):
+        """The same tiles in several slides: every code recurs, and its
+        counts are summed across them."""
+        pixels = reference_tiles.pixels
+        slides = [pixels, pixels[::-1, :, ::-1], pixels[:5], pixels]
+        config = TilingConfig(s_min=0.2, l_max=0.7)
+        assert same_bits(merged(slides, config), fit_stats(np.concatenate(slides), config))
 
 
 class TestAdapt:

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wsitriage
 from wsitriage.aggregation import SpecimenResult
 from wsitriage.confidence import UNREACHABLE, ThresholdSet
 from wsitriage.evaluation import (domain_gap, evaluate, format_report, roc_auc,
@@ -182,6 +187,20 @@ class TestDomainGap:
     def test_single_point_per_lab_rejected(self):
         with pytest.raises(ValueError):
             domain_gap(np.zeros((2, 4)), ["a", "b"])
+
+
+def test_import_loads_no_scipy_spatial_or_stats():
+    """domain_gap and _lower_bound import their SciPy modules when they
+    run, so importing the package, the start-up of every command and of
+    the benchmark's timed process, loads neither."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wsitriage.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, wsitriage; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'spatial'], ['scipy', 'stats'])))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestReportOutput:

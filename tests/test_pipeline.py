@@ -9,7 +9,7 @@ from wsitriage.classifier import featurize_tiles, pool
 from wsitriage.config import Config
 from wsitriage.manifest import (ClassLabel, DatasetManifest, SlideRecord, Split,
                                 load_manifest, save_manifest)
-from wsitriage import pipeline
+from wsitriage import pipeline, training
 from wsitriage.pipeline import (Models, StageTiming, embed_record, format_profile,
                                 load_run_manifest, load_timings, profile, run_corpus,
                                 run_slide, save_run_manifest, save_timings)
@@ -201,6 +201,31 @@ def test_slide_results_same_bytes_on_every_blas_kernel(
     digests = {kernel: run_under_blas_kernel(code, kernel) for kernel in kernels}
     assert len(set(digests.values())) == 1, digests
     assert digests[None].count("Classified") >= 2
+
+
+class TestGatherAtOrigins:
+    # tile_px 100 leaves edge remainders on both axes of a 1024 x 1536 slide
+    @pytest.mark.parametrize("tile_px", [128, 100])
+    def test_scanned_origins_gather_the_cut_tiles(self, tmp_path, tile_px):
+        """A slide read again and gathered at the origins its scan kept
+        gives slide_tiles' tiles bit for bit, on every lab profile and on
+        a blank slide."""
+        config = Config({"tiling.tile_px": tile_px})
+        blank = identity_profile(artifact_rates={"blank": 1.0})
+        profiles = default_lab_profiles() + [blank]
+        assert len(profiles) == 5
+        for i, profile in enumerate(profiles):
+            path = str(tmp_path / f"s{i}.ppm")
+            write_ppm(path, generate_slide(ClassLabel.BASALOID, profile, 60 + i).raster)
+            record = SlideRecord(f"s{i}", "sp", profile.lab_id, ClassLabel.BASALOID, path)
+            cut = pipeline.slide_tiles(record, config)
+            origins, _ = training._scan(record, config)
+            gathered = pipeline.slide_tiles(record, config, origins=origins)
+            assert gathered.slide_id == cut.slide_id
+            assert gathered.origins.tobytes() == cut.origins.tobytes()
+            assert gathered.pixels.shape == cut.pixels.shape
+            assert gathered.pixels.tobytes() == cut.pixels.tobytes()
+            assert (len(cut) == 0) == (profile is blank)
 
 
 class TestEmbedRecord:
